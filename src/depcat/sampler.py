@@ -1,16 +1,40 @@
 """Seeded Monte Carlo generation of dependent sequences.
 
-Draws are inverse-CDF lookups against precomputed cumulative sums: the
-first position samples the base distribution, every later position samples
-the kernel row selected by its parent's realized value (parents precede
-children, so a single left-to-right pass suffices).  Batches are a pure
-function of (seed, parameters); worker counts and chunking cannot change
-the result because the underlying variates are counter-based.
+Every draw is an inverse-CDF lookup.  Position 1 samples the base
+distribution; every later position samples the kernel row selected by its
+parent's realized category (parents precede children, so one left-to-right
+pass suffices).  A row's cut points are its cumulative sums with the last
+forced to 1.0, and a uniform u in (0, 1] draws category
+1 + #{c : cut[c] < u}: right-closed inverse-CDF bucketing.
+
+The count is read from a guide table (Chen & Asau 1974; Devroye 1986,
+section III.2), built once per call and shared read-only by all threads.
+Its K + 1 rows are the base and the K kernel rows.  Its columns are the
+buckets [b/G, (b+1)/G) for b = 0..G, where G is a power of two of about
+32 K, capped by a fixed entry budget.  An entry holds 1 + the number of
+the row's cuts below b/G, or 0 when one of them lies inside the bucket.
+A draw reads the entry at b = floor(u G); only a 0 falls back to the
+compare-count over the row.
+
+The lookup is exact, not approximate.  G is a power of two, so u G and
+its floor are exact, and b/G <= u < (b+1)/G.  A bucket that holds no cut
+holds none in [b/G, u) either, so the count below u equals the count
+below b/G.  Outcomes are therefore bit-identical to right-closed
+inverse-CDF bucketing, also for zero-probability categories, for rows
+whose cumulative sum overshoots 1.0, and for u = 1.0 (bucket G holds the
+cut at 1.0 and always refines).  At most K of a row's buckets hold a cut,
+so at most K/G <= 1/32 of the draws refine while the table fits its
+budget: the cost of a draw does not grow with K.
+
+Batches are a pure function of (seed, parameters); worker counts, row
+blocks and chunking cannot change the result because the underlying
+variates are counter-based.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,12 +48,28 @@ from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, tr
 from .rng import ALGORITHM_ID, uniform_grid
 
 
-def _right_closed_cumulative(vector: np.ndarray) -> np.ndarray:
-    # Forcing the final cumulative to 1.0 pairs with uniforms in (0, 1]:
-    # every draw lands in exactly one right-closed bucket.
-    cumulative = np.cumsum(vector, dtype=np.float64)
-    cumulative[-1] = 1.0
-    return cumulative
+# A guide table holds at most this many entries, whatever K is.
+_TABLE_BUDGET = 1 << 22
+_BUCKETS_PER_CUT = 32
+_MIN_BUCKETS = 1024
+# Rows are drawn in blocks of about _BLOCK_VARIATES variates, so a thread's
+# working memory does not grow with `count`; each block is transposed in
+# tiles of about _TILE_VARIATES, small enough to stay in cache.
+_BLOCK_VARIATES = 1 << 18
+_TILE_VARIATES = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _DrawTable:
+    """Row 0 of `cuts` is the base cumulative, row j the cumsum of kernel row j.
+
+    `guide[j, b]` is 1 + #{c : cuts[j, c] < b/G} for a bucket [b/G, (b+1)/G)
+    holding no cut of row j, and 0 for a bucket that holds one.
+    """
+
+    cuts: np.ndarray  # (K+1, K) float64
+    guide: np.ndarray  # (K+1, G+1) smallest unsigned dtype holding K
+    buckets: int  # G, a power of two
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,22 +137,68 @@ class SampleBatch:
         return json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"
 
 
+def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
+    """Cut points and guide table shared read-only by every draw of a call."""
+    k = marginal.num_categories
+    cuts = np.empty((k + 1, k), dtype=np.float64)
+    cuts[0] = np.cumsum(marginal.probs)
+    np.cumsum(transition_kernel(marginal, delta).matrix, axis=1, out=cuts[1:])
+    # Forcing the final cut to 1.0 pairs with uniforms in (0, 1]: every
+    # draw lands in exactly one right-closed bucket.
+    cuts[:, -1] = 1.0
+
+    buckets = max(_MIN_BUCKETS, 1 << (_BUCKETS_PER_CUT * k - 1).bit_length())
+    while buckets > 1 and (k + 1) * (buckets + 1) > _TABLE_BUDGET:
+        buckets //= 2
+
+    # A cut lies below b/G exactly when its bucket floor(cut*G) lies below b;
+    # cuts above 1 (a cumulative sum that overshoots) are never below a
+    # uniform and join the last bucket, which always holds the cut at 1.0.
+    holding = np.minimum(np.floor(cuts * buckets), buckets).astype(np.intp)
+    guide = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
+    for row, held in zip(guide, holding):
+        counts = np.bincount(held, minlength=buckets + 1)
+        row[:] = np.where(counts, 0, np.cumsum(counts) - counts + 1)
+    return _DrawTable(cuts, guide, buckets)
+
+
+def _draw_block(
+    table: _DrawTable, parents: np.ndarray, uniforms: np.ndarray, out: np.ndarray
+) -> None:
+    """Outcomes for a block of uniforms, drawn position by position into `out`."""
+    count, length = uniforms.shape
+    stride = table.buckets + 1
+    guide = table.guide.ravel()
+    # floor(u*G), exact (the cast truncates, u > 0), laid out position-major
+    # so that every column is contiguous; transposed tile by tile in cache.
+    bucket = np.empty((length, count), dtype=np.intp)
+    tile = max(1, _TILE_VARIATES // length)
+    for start in range(0, count, tile):
+        bucket[:, start : start + tile] = (uniforms[start : start + tile] * table.buckets).T
+    drawn = np.empty((length, count), dtype=np.intp)
+    rows = np.zeros(count, dtype=np.intp)  # position 1 reads row 0, the base
+    for column in range(length):
+        if column:
+            rows = drawn[parents[column - 1] - 1]
+        values = drawn[column]
+        values[:] = guide[rows * stride + bucket[column]]
+        refine = np.flatnonzero(values == 0)
+        if refine.size:
+            cut_rows = table.cuts[rows[refine]]
+            values[refine] = (cut_rows < uniforms[refine, column, None]).sum(axis=1) + 1
+    out[:] = drawn.T
+
+
 def _sample_rows(
-    base_cumulative: np.ndarray,
-    row_cumulative: np.ndarray,
-    parents: np.ndarray,
-    seed: int,
-    first_index: int,
-    count: int,
-) -> np.ndarray:
-    length = parents.size + 1
-    uniforms = uniform_grid(seed, first_index, count, length)
-    out = np.empty((count, length), dtype=np.int64)
-    out[:, 0] = np.searchsorted(base_cumulative, uniforms[:, 0], side="left") + 1
-    for index in range(2, length + 1):
-        rows = row_cumulative[out[:, parents[index - 2] - 1] - 1]
-        out[:, index - 1] = (rows < uniforms[:, index - 1, None]).sum(axis=1) + 1
-    return out
+    table: _DrawTable, parents: np.ndarray, seed: int, first_index: int, out: np.ndarray
+) -> None:
+    """Rows first_index, first_index + 1, ... of the batch, written into `out`."""
+    count, length = out.shape
+    block = max(1, _BLOCK_VARIATES // length)
+    for start in range(0, count, block):
+        part = out[start : start + block]
+        uniforms = uniform_grid(seed, first_index + start, part.shape[0], length)
+        _draw_block(table, parents, uniforms, part)
 
 
 def sample_batch(
@@ -126,8 +212,8 @@ def sample_batch(
 ) -> SampleBatch:
     """Draw `count` sequences of the given length, keyed per sequence index.
 
-    `workers` only partitions the row range across threads; the batch is
-    identical for any worker count.
+    `workers` only partitions the row range across threads, at most one per
+    CPU; the batch is identical for any worker count.
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
@@ -136,28 +222,21 @@ def sample_batch(
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     tree = build_tree(spec, length)  # validates the generator up to length
-    kernel = transition_kernel(marginal, d)
-    base_cumulative = _right_closed_cumulative(marginal.probs)
-    row_cumulative = np.cumsum(kernel.matrix, axis=1)
-    row_cumulative[:, -1] = 1.0
-    parents = tree.parents
+    table = _draw_table(marginal, d)
 
     outcomes = np.empty((count, length), dtype=np.int64)
     if count:
-        chunk = -(-count // workers)
+        threads = min(workers, os.cpu_count() or 1, count)
+        chunk = -(-count // threads)
         starts = range(0, count, chunk)
 
         def fill(start: int) -> None:
-            stop = min(start + chunk, count)
-            outcomes[start:stop] = _sample_rows(
-                base_cumulative, row_cumulative, parents, seed, start, stop - start
-            )
+            _sample_rows(table, tree.parents, seed, start, outcomes[start : start + chunk])
 
-        if workers == 1:
-            for start in starts:
-                fill(start)
+        if threads == 1:
+            fill(0)
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(fill, starts))
 
     return SampleBatch(outcomes, int(seed), marginal, d, spec)
@@ -177,18 +256,9 @@ def sample_sequence(
     if index < 0:
         raise DomainError(f"index must be >= 0, got {index}")
     tree = build_tree(spec, length)
-    kernel = transition_kernel(marginal, d)
-    row_cumulative = np.cumsum(kernel.matrix, axis=1)
-    row_cumulative[:, -1] = 1.0
-    rows = _sample_rows(
-        _right_closed_cumulative(marginal.probs),
-        row_cumulative,
-        tree.parents,
-        int(seed),
-        index,
-        1,
-    )
-    return tuple(int(v) for v in rows[0])
+    row = np.empty((1, length), dtype=np.int64)
+    _sample_rows(_draw_table(marginal, d), tree.parents, int(seed), index, row)
+    return tuple(int(v) for v in row[0])
 
 
 @dataclass(frozen=True, eq=False)

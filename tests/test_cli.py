@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from depcat.cli import (
     EXIT_CAP,
@@ -289,6 +290,22 @@ class TestConfigHandling:
         code, _, err = run(["validate", "--config", str(config)], capsys)
         assert code == EXIT_USAGE
         assert "JSON" in err
+
+    @pytest.mark.parametrize("key", ["N", "K", "seed", "count", "enumeration_cap"])
+    def test_integer_settings_reject_floats_and_booleans(self, key, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        for bad in (6.7, True):
+            settings = {"N": 3, "generator": "fk", "p": [0.5, 0.5], "K": 2, key: bad}
+            config.write_text(json.dumps(settings))
+            code, _, err = run(["validate", "--config", str(config)], capsys)
+            assert code == EXIT_USAGE, bad
+            assert f"{key} must be an integer, got {json.dumps(bad)}" in err
+
+    def test_integral_float_settings_still_accepted(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"N": 3.0, "generator": "fk", "seed": 5.0}))
+        code, _, _ = run(["validate", "--config", str(config)], capsys)
+        assert code == EXIT_OK
 
     def test_missing_generator(self, capsys):
         code, _, err = run(["validate", "--n", "5"], capsys)

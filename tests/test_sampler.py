@@ -1,10 +1,14 @@
 """Sampler: determinism, degenerate limits, convergence to exact values."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import depcat.sampler
 from depcat import (
     DomainError,
     EmptyBatchError,
@@ -15,7 +19,11 @@ from depcat import (
     outcome_probability,
     sample_batch,
     sample_sequence,
+    transition_kernel,
 )
+from depcat.graph import build_tree
+from depcat.kernel import as_marginal
+from depcat.rng import ALGORITHM_ID, uniform_grid
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -164,3 +172,176 @@ class TestErrors:
     def test_invalid_worker_count(self):
         with pytest.raises(DomainError):
             sample_batch([0.5, 0.5], 0.4, SEQ, 3, 5, seed=1, workers=0)
+
+
+def compare_count_oracle(p, delta, parents, uniforms):
+    """The sampler's rule before guide tables, kept as the reference.
+
+    Position 1 takes a searchsorted over the base cumulative; every later
+    position gathers the full cumulative row of its parent's category and
+    counts the cuts below the uniform.
+    """
+    base = np.cumsum(np.asarray(p, dtype=np.float64))
+    base[-1] = 1.0
+    row_cumulative = np.cumsum(transition_kernel(p, delta).matrix, axis=1)
+    row_cumulative[:, -1] = 1.0
+    count, length = uniforms.shape
+    out = np.empty((count, length), dtype=np.int64)
+    out[:, 0] = np.searchsorted(base, uniforms[:, 0], side="left") + 1
+    for index in range(2, length + 1):
+        rows = row_cumulative[out[:, parents[index - 2] - 1] - 1]
+        out[:, index - 1] = (rows < uniforms[:, index - 1, None]).sum(axis=1) + 1
+    return out
+
+
+def digest(batch):
+    data = np.ascontiguousarray(batch.outcomes, dtype="<i8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def zero_category_marginal():
+    weights = np.arange(1, 301, dtype=np.float64)
+    weights[149] = 0.0
+    return weights / weights.sum()
+
+
+class TestGuideTableExactness:
+    """Guide-table draws reproduce right-closed inverse-CDF bucketing bit for bit."""
+
+    # sha256 of the little-endian int64 outcomes, recorded from the
+    # full-row compare-count sampler that the guide table replaced.
+    @pytest.mark.parametrize(
+        "p, delta, spec, length, seed, expected",
+        [
+            ([0.5, 0.3, 0.2], 0.4, FSQRT, 64, 7,
+             "35902276685b541586b36ce71d315f270a97ac3f872c6579b1abac7a7fbf6b0d"),
+            (np.full(64, 1 / 64), 0.6, SEQ, 64, 11,
+             "4a4327c84c3c97a08dd47f8a6c7a185279d8eefb800acba7959ec7f413457034"),
+            (zero_category_marginal(), 0.0, FK, 16, 13,
+             "37ad1a583b2edd8bf4ac71b82151be39a6b9496de7fd8f5437302d6b3bf61ada"),
+            (zero_category_marginal(), 1.0, FK, 16, 13,
+             "c0bd4abbbdd49479e98a6eccab119856bc81c7fa68db49c4756deb18d97f238b"),
+        ],
+        ids=["k3-floor_sqrt", "k64-sequential", "k300-fk-delta0", "k300-fk-delta1"],
+    )
+    def test_pinned_batches(self, p, delta, spec, length, seed, expected):
+        batch = sample_batch(p, delta, spec, length, 3000, seed=seed)
+        assert digest(batch) == expected
+        assert batch.metadata()["algorithm"] == ALGORITHM_ID == "splitmix64-2level"
+
+    @given(
+        k=st.integers(min_value=2, max_value=300),
+        shape_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zeros=st.integers(min_value=0, max_value=299),
+        tiny=st.integers(min_value=0, max_value=299),
+        drift=st.sampled_from([-0.99e-9, -3e-10, 0.0, 3e-10, 0.99e-9]),
+        delta=st.sampled_from(
+            [0.0, 5e-324, 1e-12, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0)), 1.0]
+        ) | st.floats(min_value=0.0, max_value=1.0),
+        spec=st.sampled_from([FK, SEQ, FSQRT, SIN_DRIFT, PRIME]),
+        length=st.integers(min_value=1, max_value=12),
+        count=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_compare_count_oracle(
+        self, k, shape_seed, zeros, tiny, drift, delta, spec, length, count, seed
+    ):
+        # p with zero entries, 1e-13 entries and a sum of 1 +/- 1e-9.
+        rng = np.random.default_rng(shape_seed)
+        weights = rng.dirichlet(np.ones(k))
+        order = rng.permutation(k)
+        weights[order[: min(zeros, k - 1)]] = 0.0
+        weights[order[k - 1 - min(tiny, k - 1) : k - 1]] = 1e-13
+        p = np.minimum(weights / weights.sum() * (1.0 + drift), 1.0)
+        batch = sample_batch(p, delta, spec, length, count, seed=seed)
+        parents = build_tree(spec, length).parents
+        uniforms = uniform_grid(seed, 0, count, length)
+        expected = compare_count_oracle(p, delta, parents, uniforms)
+        assert np.array_equal(batch.outcomes, expected)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.5, 0.3, 0.2],
+            [0.25, 0.0, 0.5, 1e-13, 0.25 - 1e-13],
+            [0.3, 0.7 + 1e-10, 1e-12],  # cumulative sum overshoots 1.0
+            list(np.full(17, 1 / 17)),
+        ],
+    )
+    @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0 - 1e-12, 1.0])
+    def test_uniforms_on_cuts_and_bucket_edges(self, p, delta):
+        # Uniforms placed on every cut point and bucket edge, and one ulp to
+        # either side, for every parent category: the hardest inputs for a
+        # bucketed lookup.
+        table = depcat.sampler._draw_table(as_marginal(p), delta)
+        edges = np.arange(table.buckets + 1) / table.buckets
+        points = np.concatenate([table.cuts.ravel(), edges, [2.0**-53]])
+        points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
+        points = np.unique(points[(points > 0.0) & (points <= 1.0)])
+        first = np.unique(table.cuts[0])
+        first = first[(first > 0.0) & (first <= 1.0)]  # reaches every possible category
+        uniforms = np.stack(
+            [np.repeat(first, points.size), np.tile(points, first.size)], axis=1
+        )
+        parents = np.array([1])
+        out = np.empty(uniforms.shape, dtype=np.int64)
+        depcat.sampler._draw_block(table, parents, uniforms, out)
+        assert np.array_equal(out, compare_count_oracle(p, delta, parents, uniforms))
+
+    @pytest.mark.parametrize("k", [2, 64, 300, 1000])
+    def test_table_stays_within_budget(self, k):
+        table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.5)
+        assert table.guide.size <= depcat.sampler._TABLE_BUDGET
+        assert table.buckets & (table.buckets - 1) == 0
+        assert table.guide.shape == (k + 1, table.buckets + 1)
+
+    def test_sequence_is_the_one_row_case(self):
+        p = zero_category_marginal()
+        batch = sample_batch(p, 0.7, SIN_DRIFT, 9, 40, seed=2**63 + 5)
+        for index in (0, 13, 39):
+            assert sample_sequence(p, 0.7, SIN_DRIFT, 9, seed=2**63 + 5, index=index) == tuple(
+                batch.outcomes[index]
+            )
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+class TestThreadBound:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(depcat.sampler, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(depcat.sampler.os, "cpu_count", lambda: 4)
+        return RecordingPool.sizes
+
+    @pytest.mark.parametrize(
+        "workers, count, expected",
+        [(100_000, 200_000, [4]), (100_000, 3, [3]), (2, 1000, [2]), (5, 1, [])],
+    )
+    def test_threads_at_most_cpus_and_chunks(self, pools, workers, count, expected):
+        kwargs = dict(p=[0.5, 0.3, 0.2], delta=0.4, spec=FSQRT, length=3, count=count, seed=9)
+        batch = sample_batch(**kwargs, workers=workers)
+        assert pools == expected
+        assert np.array_equal(batch.outcomes, sample_batch(**kwargs, workers=1).outcomes)
+
+    def test_unknown_cpu_count_means_one_thread(self, pools, monkeypatch):
+        monkeypatch.setattr(depcat.sampler.os, "cpu_count", lambda: None)
+        sample_batch([0.5, 0.5], 0.4, SEQ, 3, 50, seed=1, workers=8)
+        assert pools == []
