@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -153,12 +155,43 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(spec, length, marginal, delta, seed, count, cap)
 
 
+def _write_files(outputs: list[tuple[str, Iterable]]) -> None:
+    """Write each (path, pieces) pair atomically, the pieces being bytes-like.
+
+    Every file is first written in full to a temp file in its target
+    directory; only then are they moved into place with `os.replace`.  A
+    file that comes later describes earlier ones (a sidecar after its data):
+    its old version is removed before, and the new one moved in after, the
+    files it describes, so it never sits beside data it does not describe.
+    On any error the temp files are removed; an error while writing them
+    leaves every final path as it was.
+    """
+    temps = []
+    try:
+        for path, pieces in outputs:
+            directory, name = os.path.split(path)
+            temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+            with open(temp, "xb") as handle:
+                temps.append(temp)
+                for piece in pieces:
+                    handle.write(piece)
+        for path, _ in outputs[1:]:
+            if os.path.lexists(path):
+                os.unlink(path)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            if os.path.lexists(temp):
+                os.unlink(temp)
+        raise
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write_files([(out_path, [text.encode("utf-8")])])
 
 
 def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
@@ -249,11 +282,12 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
     suffix = "csv" if args.format == "csv" else "jsonl"
     data_path = f"{args.out_prefix}.{suffix}"
     meta_path = f"{args.out_prefix}.meta.json"
-    payload = batch.to_csv() if args.format == "csv" else batch.to_jsonl()
-    with open(data_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(batch.metadata_json())
+    _write_files(
+        [
+            (data_path, batch.iter_bytes(args.format)),
+            (meta_path, [batch.metadata_json().encode("utf-8")]),
+        ]
+    )
     sys.stdout.write(f"wrote {data_path}\nwrote {meta_path}\n")
     return EXIT_OK
 

@@ -28,7 +28,9 @@ budget: the cost of a draw does not grow with K.
 
 Batches are a pure function of (seed, parameters); worker counts, row
 blocks and chunking cannot change the result because the underlying
-variates are counter-based.
+variates are counter-based.  Batch files are encoded a block of rows at
+a time by gathering the bytes of each outcome from a token table, with
+the same bytes as formatting each cell with str().
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -57,6 +60,13 @@ _MIN_BUCKETS = 1024
 # tiles of about _TILE_VARIATES, small enough to stay in cache.
 _BLOCK_VARIATES = 1 << 18
 _TILE_VARIATES = 1 << 16
+# Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
+# compact JSON array, so the same cells framed by "[" and "]".  Rows are
+# encoded in blocks of about _WRITE_BLOCK_CELLS cells, so the writer's
+# working memory does not grow with `count`.
+_ROW_FRAMES = {"csv": (b"", b"\n"), "jsonl": (b"[", b"]\n")}
+_WRITE_BLOCK_CELLS = 1 << 16
+_PAD = ord(" ")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,9 +82,51 @@ class _DrawTable:
     buckets: int  # G, a power of two
 
 
+class _RowEncoder:
+    """Bytes of CSV or JSONL rows of outcomes in 1..K, gathered from a token table.
+
+    Token v is the decimal digits of v, right-aligned in W = len(str(K))
+    bytes by leading pad bytes, then the separator ",".  A block of rows
+    becomes one uint8 buffer: per row the prefix, N tokens gathered by
+    outcome, and the terminator written over the last separator.  With
+    K <= 9 every token has the same width and the buffer is the output as
+    it stands; wider K drops the pad bytes with one mask.
+    """
+
+    def __init__(self, num_categories: int, fmt: str):
+        if fmt not in _ROW_FRAMES:
+            raise DomainError(f"unknown batch format {fmt!r}; expected csv or jsonl")
+        width = len(str(num_categories))
+        text = "".join(f"{v:>{width}}," for v in range(num_categories + 1))
+        self.tokens = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
+            num_categories + 1, width + 1
+        )
+        self.padded = width > 1
+        prefix, terminator = _ROW_FRAMES[fmt]
+        self.prefix = np.frombuffer(prefix, dtype=np.uint8)
+        self.terminator = np.frombuffer(terminator, dtype=np.uint8)
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """The bytes of `rows` (entries in 1..K) as a flat uint8 array."""
+        count, length = rows.shape
+        start = self.prefix.size
+        end = start + length * self.tokens.shape[1]
+        buffer = np.empty((count, end + self.terminator.size - 1), dtype=np.uint8)
+        buffer[:, :start] = self.prefix
+        cells = buffer[:, start:end].reshape(count, length, self.tokens.shape[1])
+        np.take(self.tokens, rows, axis=0, out=cells, mode="clip")
+        buffer[:, end - 1 :] = self.terminator
+        return buffer[buffer != _PAD] if self.padded else buffer.ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Realized sequences plus everything needed to regenerate them."""
+    """Realized sequences plus everything needed to regenerate them.
+
+    The batch keeps a read-only int64 array of outcomes.  One passed in that
+    form (as `sample_batch` does) is kept as it is; any other input is
+    copied, so a caller's array is never frozen or aliased.
+    """
 
     outcomes: np.ndarray  # (count, length) int64, entries in 1..K
     seed: int
@@ -83,14 +135,20 @@ class SampleBatch:
     spec: GeneratorSpec
 
     def __post_init__(self):
-        outcomes = np.asarray(self.outcomes, dtype=np.int64)
-        if outcomes.ndim != 2:
-            raise DomainError("batch outcomes must be a 2-D array")
+        outcomes = self.outcomes
+        if not (
+            isinstance(outcomes, np.ndarray)
+            and outcomes.dtype == np.int64
+            and not outcomes.flags.writeable
+        ):
+            outcomes = np.array(outcomes, dtype=np.int64)
+            outcomes.flags.writeable = False
+        if outcomes.ndim != 2 or outcomes.shape[1] < 1:
+            raise DomainError("batch outcomes must be a 2-D array with at least one position")
         if outcomes.size and (
             outcomes.min() < 1 or outcomes.max() > self.marginal.num_categories
         ):
             raise DomainError("batch entries must lie in 1..K")
-        outcomes.flags.writeable = False
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
@@ -117,21 +175,26 @@ class SampleBatch:
             "generator": self.spec.to_dict(),
         }
 
+    def iter_bytes(self, fmt: str) -> Iterator[bytes | np.ndarray]:
+        """The CSV or JSONL file in pieces: the CSV header, then blocks of rows.
+
+        Each piece is a bytes-like object.  Only one block is encoded at a
+        time, so the memory this takes is bounded by the block, not by `count`.
+        """
+        encoder = _RowEncoder(self.num_categories, fmt)
+        if fmt == "csv":
+            yield (",".join(f"e{i}" for i in range(1, self.length + 1)) + "\n").encode("ascii")
+        block = max(1, _WRITE_BLOCK_CELLS // self.length)
+        for start in range(0, self.count, block):
+            yield encoder.encode(self.outcomes[start : start + block])
+
     def to_csv(self) -> str:
         """One row per sequence; header names the positions e1..eN."""
-        header = ",".join(f"e{i}" for i in range(1, self.length + 1))
-        lines = [header]
-        for row in self.outcomes:
-            lines.append(",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return b"".join(self.iter_bytes("csv")).decode("ascii")
 
     def to_jsonl(self) -> str:
         """One compact JSON array per line."""
-        lines = [
-            json.dumps([int(v) for v in row], separators=(",", ":"))
-            for row in self.outcomes
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return b"".join(self.iter_bytes("jsonl")).decode("ascii")
 
     def metadata_json(self) -> str:
         return json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"
@@ -239,6 +302,7 @@ def sample_batch(
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(fill, starts))
 
+    outcomes.flags.writeable = False
     return SampleBatch(outcomes, int(seed), marginal, d, spec)
 
 

@@ -1,12 +1,16 @@
 """CLI behavior: exit codes, config precedence, deterministic outputs."""
 
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 
+import depcat.sampler
 from depcat.cli import (
     EXIT_CAP,
+    EXIT_ERROR,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -191,6 +195,87 @@ class TestSample:
         code, _, err = run(argv, capsys)
         assert code == EXIT_USAGE
         assert "seed" in err
+
+
+def fail_on_call(monkeypatch, owner, name, which):
+    """Make owner.name raise an OSError on its call number `which` (from 0)."""
+    original = getattr(owner, name)
+    calls = itertools.count()
+
+    def failing(*args, **kwargs):
+        if next(calls) == which:
+            raise OSError(28, "No space left on device")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+FAILURES = {
+    # the fourth block of rows fails to encode, partway through the stream
+    "mid-stream": (depcat.sampler._RowEncoder, "encode", 3),
+    "replace-data": (os, "replace", 0),
+    "replace-sidecar": (os, "replace", 1),
+}
+
+
+class TestAtomicWrites:
+    """A failed write leaves no temp file and no sidecar beside data it does not describe."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(depcat.sampler, "_WRITE_BLOCK_CELLS", 64)  # 16 rows a block
+
+    def sample(self, tmp_path, seed, capsys):
+        argv = [
+            "sample", "--generator", "floor_sqrt", "--p", "0.5,0.3,0.2", "--delta", "0.4",
+            "--n", "4", "--count", "200", "--seed", str(seed),
+            "--out-prefix", str(tmp_path / "b"),
+        ]
+        return run(argv, capsys)[0]
+
+    @pytest.mark.parametrize("failure", list(FAILURES))
+    def test_failed_first_write(self, failure, tmp_path, capsys, monkeypatch):
+        fail_on_call(monkeypatch, *FAILURES[failure])
+        assert self.sample(tmp_path, 1, capsys) == EXIT_ERROR
+        left = sorted(path.name for path in tmp_path.iterdir())
+        # Only a failed sidecar rename comes after the data is in place.
+        assert left == (["b.csv"] if failure == "replace-sidecar" else [])
+
+    @pytest.mark.parametrize("failure", list(FAILURES))
+    def test_failed_overwrite_keeps_sidecar_with_its_data(
+        self, failure, tmp_path, capsys, monkeypatch
+    ):
+        assert self.sample(tmp_path, 1, capsys) == EXIT_OK
+        old_data = (tmp_path / "b.csv").read_bytes()
+        old_meta = (tmp_path / "b.meta.json").read_bytes()
+        fail_on_call(monkeypatch, *FAILURES[failure])
+        assert self.sample(tmp_path, 2, capsys) == EXIT_ERROR
+        left = sorted(path.name for path in tmp_path.iterdir())
+        if failure == "mid-stream":
+            assert left == ["b.csv", "b.meta.json"]
+            assert (tmp_path / "b.csv").read_bytes() == old_data
+            assert (tmp_path / "b.meta.json").read_bytes() == old_meta
+        else:
+            assert left == ["b.csv"]  # data old or new, but no sidecar
+
+    def test_success_leaves_only_the_two_files(self, tmp_path, capsys):
+        assert self.sample(tmp_path, 1, capsys) == EXIT_OK
+        assert self.sample(tmp_path, 2, capsys) == EXIT_OK
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["b.csv", "b.meta.json"]
+        assert json.loads((tmp_path / "b.meta.json").read_text())["seed"] == 2
+
+    def test_out_file_is_replaced_atomically(self, tmp_path, capsys, monkeypatch):
+        out_path = tmp_path / "tree.dot"
+        out_path.write_text("old\n")
+        argv = ["graph", "--generator", "fk", "--n", "3", "--out", str(out_path)]
+        fail_on_call(monkeypatch, os, "replace", 0)
+        assert run(argv, capsys)[0] == EXIT_ERROR
+        assert [path.name for path in tmp_path.iterdir()] == ["tree.dot"]
+        assert out_path.read_text() == "old\n"
+        monkeypatch.undo()
+        assert run(argv, capsys)[0] == EXIT_OK
+        assert [path.name for path in tmp_path.iterdir()] == ["tree.dot"]
+        assert "2 -> 1;" in out_path.read_text()
 
 
 class TestVerify:

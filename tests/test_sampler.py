@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from depcat import (
 from depcat.graph import build_tree
 from depcat.kernel import as_marginal
 from depcat.rng import ALGORITHM_ID, uniform_grid
+from depcat.sampler import SampleBatch
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -154,6 +156,30 @@ class TestExports:
         assert round_tripped == json.loads(json.dumps(meta))
 
 
+class TestOutcomeOwnership:
+    def test_caller_array_is_left_untouched(self):
+        mine = np.ones((2, 3), dtype=np.int64)
+        batch = SampleBatch(mine, 1, as_marginal([0.5, 0.5]), 0.4, SEQ)
+        assert mine.flags.writeable
+        assert not batch.outcomes.flags.writeable
+        mine[0, 0] = 2
+        assert batch.outcomes[0, 0] == 1
+
+    def test_sample_batch_keeps_its_outcomes_without_a_copy(self):
+        frozen = np.ones((2, 3), dtype=np.int64)
+        frozen.flags.writeable = False
+        assert SampleBatch(frozen, 1, as_marginal([0.5, 0.5]), 0.4, SEQ).outcomes is frozen
+        # A copy of 29 MiB of outcomes would show in the allocation peak.
+        tracemalloc.start()
+        try:
+            batch = sample_batch([0.5, 0.3, 0.2], 0.4, SEQ, 64, 60_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not batch.outcomes.flags.writeable
+        assert peak < 1.5 * batch.outcomes.nbytes
+
+
 class TestErrors:
     def test_empty_batch_statistics_raise(self):
         batch = sample_batch([0.5, 0.5], 0.4, SEQ, 3, 0, seed=1)
@@ -168,6 +194,10 @@ class TestErrors:
             empirical_marginals(batch, 4)
         with pytest.raises(DomainError):
             empirical_cross_covariance(batch, 2, 4)
+
+    def test_batch_needs_a_position(self):
+        with pytest.raises(DomainError):
+            SampleBatch(np.empty((3, 0), dtype=np.int64), 1, as_marginal([0.5, 0.5]), 0.4, SEQ)
 
     def test_invalid_worker_count(self):
         with pytest.raises(DomainError):
