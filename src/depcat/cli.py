@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .exact import (
 from .generators import GeneratorSpec, validate
 from .graph import build_tree, export_dot
 from .kernel import DependencyCoefficient, Marginal
-from .sampler import sample_batch
+from .sampler import SampleBatch, sample_batch
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -43,6 +44,10 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_VERIFICATION = 4
 EXIT_CAP = 5
+
+# `depcat sample` encodes its file in blocks of about this many cells, so
+# the writer's working memory does not grow with `count`.
+_WRITE_BLOCK_CELLS = 1 << 16
 
 
 class UsageError(DepcatError):
@@ -155,36 +160,64 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(spec, length, marginal, delta, seed, count, cap)
 
 
-def _write_files(outputs: list[tuple[str, Iterable]]) -> None:
-    """Write each (path, pieces) pair atomically, the pieces being bytes-like.
+def _write_files(outputs: list[tuple[str, Iterable[bytes]]]) -> None:
+    """Write each (path, pieces) pair atomically, the pieces being bytes.
 
     Every file is first written in full to a temp file in its target
     directory; only then are they moved into place with `os.replace`.  A
-    file that comes later describes earlier ones (a sidecar after its data):
-    its old version is removed before, and the new one moved in after, the
-    files it describes, so it never sits beside data it does not describe.
-    On any error the temp files are removed; an error while writing them
-    leaves every final path as it was.
+    symlink is followed, so its target is replaced and the link kept, and a
+    replaced file keeps its permission bits (not its owner).  A file that
+    comes later describes earlier ones (a sidecar after its data): its old
+    version is removed before, and the new one moved in after, the files it
+    describes, so it never sits beside data it does not describe.  On any
+    error the temp files are removed; an error while writing them leaves
+    every final path as it was.  A path that exists but is not a regular
+    file (a device, a FIFO) cannot be replaced and is written directly.
     """
-    temps = []
+    moves = []
     try:
         for path, pieces in outputs:
-            directory, name = os.path.split(path)
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                with open(path, "wb") as handle:
+                    handle.writelines(pieces)
+                continue
+            target = os.path.realpath(path)
+            directory, name = os.path.split(target)
             temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
             with open(temp, "xb") as handle:
-                temps.append(temp)
-                for piece in pieces:
-                    handle.write(piece)
-        for path, _ in outputs[1:]:
-            if os.path.lexists(path):
-                os.unlink(path)
-        for temp, (path, _) in zip(temps, outputs):
-            os.replace(temp, path)
+                moves.append((temp, target))
+                handle.writelines(pieces)
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+        for _, target in moves[1:]:
+            if os.path.lexists(target):
+                os.unlink(target)
+        for temp, target in moves:
+            os.replace(temp, target)
     except BaseException:
-        for temp in temps:
+        for temp, _ in moves:
             if os.path.lexists(temp):
                 os.unlink(temp)
         raise
+
+
+def _batch_blocks(batch: SampleBatch, fmt: str) -> Iterator[bytes]:
+    """The CSV or JSONL file of `batch` in blocks of about _WRITE_BLOCK_CELLS cells.
+
+    Only one block of rows is encoded at a time, so the memory this takes
+    is bounded by the block, not by the batch's count.
+    """
+    rows = max(1, _WRITE_BLOCK_CELLS // batch.length)
+    for start in range(0, max(batch.count, 1), rows):
+        if fmt == "csv":
+            text = batch.to_csv(start, start + rows, header=start == 0)
+        else:
+            text = batch.to_jsonl(start, start + rows)
+        yield text.encode("ascii")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -284,7 +317,7 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
     meta_path = f"{args.out_prefix}.meta.json"
     _write_files(
         [
-            (data_path, batch.iter_bytes(args.format)),
+            (data_path, _batch_blocks(batch, args.format)),
             (meta_path, [batch.metadata_json().encode("utf-8")]),
         ]
     )

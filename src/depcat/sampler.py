@@ -28,18 +28,18 @@ budget: the cost of a draw does not grow with K.
 
 Batches are a pure function of (seed, parameters); worker counts, row
 blocks and chunking cannot change the result because the underlying
-variates are counter-based.  Batch files are encoded a block of rows at
-a time by gathering the bytes of each outcome from a token table, with
-the same bytes as formatting each cell with str().
+variates are counter-based.  Batch text is encoded by gathering the
+bytes of each outcome from a token table, with the same bytes as
+formatting each cell with str().
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -61,11 +61,9 @@ _MIN_BUCKETS = 1024
 _BLOCK_VARIATES = 1 << 18
 _TILE_VARIATES = 1 << 16
 # Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
-# compact JSON array, so the same cells framed by "[" and "]".  Rows are
-# encoded in blocks of about _WRITE_BLOCK_CELLS cells, so the writer's
-# working memory does not grow with `count`.
-_ROW_FRAMES = {"csv": (b"", b"\n"), "jsonl": (b"[", b"]\n")}
-_WRITE_BLOCK_CELLS = 1 << 16
+# compact JSON array, so the same cells framed by "[" and "]".
+_CSV_FRAME = (b"", b"\n")
+_JSONL_FRAME = (b"[", b"]\n")
 _PAD = ord(" ")
 
 
@@ -82,41 +80,42 @@ class _DrawTable:
     buckets: int  # G, a power of two
 
 
-class _RowEncoder:
-    """Bytes of CSV or JSONL rows of outcomes in 1..K, gathered from a token table.
+@functools.lru_cache(maxsize=8)
+def _token_table(num_categories: int) -> np.ndarray:
+    """Row v: the digits of v right-aligned in W = len(str(K)) bytes, then ","."""
+    width = len(str(num_categories))
+    text = "".join(f"{v:>{width}}," for v in range(num_categories + 1))
+    table = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return table.reshape(num_categories + 1, width + 1)
 
-    Token v is the decimal digits of v, right-aligned in W = len(str(K))
-    bytes by leading pad bytes, then the separator ",".  A block of rows
-    becomes one uint8 buffer: per row the prefix, N tokens gathered by
-    outcome, and the terminator written over the last separator.  With
-    K <= 9 every token has the same width and the buffer is the output as
-    it stands; wider K drops the pad bytes with one mask.
+
+def _encode_rows(rows: np.ndarray, num_categories: int, frame: tuple[bytes, bytes]) -> str:
+    """The text of `rows` (entries in 1..K), each row framed by (prefix, terminator).
+
+    The tokens of a block of rows are gathered from the token table into
+    one uint8 buffer, and the terminator is written over each row's last
+    separator.  With K <= 9 every token has the same width and the buffer
+    is the text as it stands; wider K drops the pad bytes with one mask.
+    A prefix, or a terminator of more than one byte (JSONL), costs one more
+    pass over the block to frame its rows.
     """
-
-    def __init__(self, num_categories: int, fmt: str):
-        if fmt not in _ROW_FRAMES:
-            raise DomainError(f"unknown batch format {fmt!r}; expected csv or jsonl")
-        width = len(str(num_categories))
-        text = "".join(f"{v:>{width}}," for v in range(num_categories + 1))
-        self.tokens = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(
-            num_categories + 1, width + 1
+    tokens = _token_table(num_categories)
+    prefix, terminator = frame
+    count, length = rows.shape
+    cells = np.take(tokens, rows, axis=0, mode="clip").reshape(count, length * tokens.shape[1])
+    if prefix or len(terminator) > 1:
+        cells = np.concatenate(
+            [
+                np.broadcast_to(np.frombuffer(prefix, dtype=np.uint8), (count, len(prefix))),
+                cells,
+                np.empty((count, len(terminator) - 1), dtype=np.uint8),
+            ],
+            axis=1,
         )
-        self.padded = width > 1
-        prefix, terminator = _ROW_FRAMES[fmt]
-        self.prefix = np.frombuffer(prefix, dtype=np.uint8)
-        self.terminator = np.frombuffer(terminator, dtype=np.uint8)
-
-    def encode(self, rows: np.ndarray) -> np.ndarray:
-        """The bytes of `rows` (entries in 1..K) as a flat uint8 array."""
-        count, length = rows.shape
-        start = self.prefix.size
-        end = start + length * self.tokens.shape[1]
-        buffer = np.empty((count, end + self.terminator.size - 1), dtype=np.uint8)
-        buffer[:, :start] = self.prefix
-        cells = buffer[:, start:end].reshape(count, length, self.tokens.shape[1])
-        np.take(self.tokens, rows, axis=0, out=cells, mode="clip")
-        buffer[:, end - 1 :] = self.terminator
-        return buffer[buffer != _PAD] if self.padded else buffer.ravel()
+    cells[:, cells.shape[1] - len(terminator) :] = np.frombuffer(terminator, dtype=np.uint8)
+    if tokens.shape[1] > 2:
+        cells = cells[cells != _PAD]
+    return cells.tobytes().decode("ascii")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,26 +174,20 @@ class SampleBatch:
             "generator": self.spec.to_dict(),
         }
 
-    def iter_bytes(self, fmt: str) -> Iterator[bytes | np.ndarray]:
-        """The CSV or JSONL file in pieces: the CSV header, then blocks of rows.
+    def to_csv(self, start: int = 0, stop: int | None = None, *, header: bool = True) -> str:
+        """One row per sequence; header names the positions e1..eN.
 
-        Each piece is a bytes-like object.  Only one block is encoded at a
-        time, so the memory this takes is bounded by the block, not by `count`.
+        `start` and `stop` pick rows as a slice does and `header=False` leaves
+        the header out, so a large batch can be written a block at a time.
         """
-        encoder = _RowEncoder(self.num_categories, fmt)
-        if fmt == "csv":
-            yield (",".join(f"e{i}" for i in range(1, self.length + 1)) + "\n").encode("ascii")
-        block = max(1, _WRITE_BLOCK_CELLS // self.length)
-        for start in range(0, self.count, block):
-            yield encoder.encode(self.outcomes[start : start + block])
+        text = _encode_rows(self.outcomes[start:stop], self.num_categories, _CSV_FRAME)
+        if not header:
+            return text
+        return ",".join(f"e{i}" for i in range(1, self.length + 1)) + "\n" + text
 
-    def to_csv(self) -> str:
-        """One row per sequence; header names the positions e1..eN."""
-        return b"".join(self.iter_bytes("csv")).decode("ascii")
-
-    def to_jsonl(self) -> str:
-        """One compact JSON array per line."""
-        return b"".join(self.iter_bytes("jsonl")).decode("ascii")
+    def to_jsonl(self, start: int = 0, stop: int | None = None) -> str:
+        """One compact JSON array per line; `start`/`stop` pick rows as a slice does."""
+        return _encode_rows(self.outcomes[start:stop], self.num_categories, _JSONL_FRAME)
 
     def metadata_json(self) -> str:
         return json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"

@@ -3,10 +3,12 @@
 import itertools
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
+import depcat.cli
 import depcat.sampler
 from depcat.cli import (
     EXIT_CAP,
@@ -212,7 +214,7 @@ def fail_on_call(monkeypatch, owner, name, which):
 
 FAILURES = {
     # the fourth block of rows fails to encode, partway through the stream
-    "mid-stream": (depcat.sampler._RowEncoder, "encode", 3),
+    "mid-stream": (depcat.sampler, "_encode_rows", 3),
     "replace-data": (os, "replace", 0),
     "replace-sidecar": (os, "replace", 1),
 }
@@ -223,7 +225,7 @@ class TestAtomicWrites:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(depcat.sampler, "_WRITE_BLOCK_CELLS", 64)  # 16 rows a block
+        monkeypatch.setattr(depcat.cli, "_WRITE_BLOCK_CELLS", 64)  # 16 rows a block
 
     def sample(self, tmp_path, seed, capsys):
         argv = [
@@ -276,6 +278,41 @@ class TestAtomicWrites:
         assert run(argv, capsys)[0] == EXIT_OK
         assert [path.name for path in tmp_path.iterdir()] == ["tree.dot"]
         assert "2 -> 1;" in out_path.read_text()
+
+    GRAPH = ["graph", "--generator", "fk", "--n", "3", "--out"]
+
+    def test_out_file_keeps_its_mode_and_symlink(self, tmp_path, capsys):
+        target = tmp_path / "tree.dot"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.dot"
+        link.symlink_to(target)
+        assert run([*self.GRAPH, str(link)], capsys)[0] == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert "2 -> 1;" in target.read_text()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.dot", "tree.dot"]
+
+    @pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_out_to_a_fifo_is_written_directly(self, through_link, tmp_path, capsys):
+        fifo = tmp_path / "tree.fifo"
+        os.mkfifo(fifo)
+        out_path = fifo
+        if through_link:  # as /dev/stdout is a link to the pipe of fd 1
+            out_path = tmp_path / "stdout"
+            out_path.symlink_to(fifo)
+        # A reader opened first, so the writer's open does not block; the
+        # output is far smaller than the pipe buffer.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run([*self.GRAPH, str(out_path)], capsys)[0] == EXIT_OK
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert "2 -> 1;" in received
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert out_path.is_symlink() == through_link
+        assert len(list(tmp_path.iterdir())) == 1 + through_link
 
 
 class TestVerify:

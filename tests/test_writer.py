@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import depcat.sampler
 from depcat import GeneratorSpec, sample_batch
-from depcat.cli import EXIT_OK, _write_files, main
+import depcat.cli
+from depcat.cli import EXIT_OK, _batch_blocks, _write_files, main
 from depcat.kernel import as_marginal
 from depcat.sampler import SampleBatch
 
@@ -153,24 +154,31 @@ class TestEncoderAgainstOracle:
         if outcomes.size >= 2:
             outcomes.flat[:2] = [1, k]  # the narrowest and the widest token
         batch = uniform_batch(outcomes, k)
+        expected = per_row_oracle(outcomes, fmt)
+        assert_same_text(batch.to_csv() if fmt == "csv" else batch.to_jsonl(), expected)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(depcat.sampler, "_WRITE_BLOCK_CELLS", block_cells)
-            text = batch.to_csv() if fmt == "csv" else batch.to_jsonl()
-        assert_same_text(text, per_row_oracle(outcomes, fmt))
+            patch.setattr(depcat.cli, "_WRITE_BLOCK_CELLS", block_cells)
+            streamed = b"".join(_batch_blocks(batch, fmt)).decode("ascii")
+        assert_same_text(streamed, expected)
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_row_counts_around_the_real_block(self, fmt, offset):
         length = 64
-        rows = depcat.sampler._WRITE_BLOCK_CELLS // length + offset
-        batch = sample_batch([0.5, 0.3, 0.2], 0.4, GeneratorSpec.builtin("floor_sqrt"), length, rows, 3)
-        text = batch.to_csv() if fmt == "csv" else batch.to_jsonl()
-        assert_same_text(text, per_row_oracle(batch.outcomes, fmt))
+        rows = depcat.cli._WRITE_BLOCK_CELLS // length + offset
+        spec = GeneratorSpec.builtin("floor_sqrt")
+        batch = sample_batch([0.5, 0.3, 0.2], 0.4, spec, length, rows, 3)
+        streamed = b"".join(_batch_blocks(batch, fmt)).decode("ascii")
+        assert_same_text(streamed, per_row_oracle(batch.outcomes, fmt))
 
-    def test_unknown_format_is_rejected(self):
-        batch = uniform_batch(np.ones((2, 3), dtype=np.int64), 3)
-        with pytest.raises(depcat.DomainError):
-            list(batch.iter_bytes("xml"))
+    def test_row_ranges_and_header(self):
+        outcomes = np.arange(1, 13, dtype=np.int64).reshape(4, 3)
+        batch = uniform_batch(outcomes, 12)
+        assert batch.to_csv(1, 3, header=False) == "4,5,6\n7,8,9\n"
+        assert batch.to_csv(3) == "e1,e2,e3\n10,11,12\n"
+        assert batch.to_csv(4, header=False) == ""
+        assert batch.to_jsonl(stop=1) == "[1,2,3]\n"
+        assert batch.to_jsonl(-1) == "[10,11,12]\n"
 
 
 def test_streaming_write_memory_does_not_grow_with_count(tmp_path):
@@ -181,7 +189,7 @@ def test_streaming_write_memory_does_not_grow_with_count(tmp_path):
         path = tmp_path / f"rows-{rows}.csv"
         tracemalloc.start()
         try:
-            _write_files([(str(path), batch.iter_bytes("csv"))])
+            _write_files([(str(path), _batch_blocks(batch, "csv"))])
             peaks[rows] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
