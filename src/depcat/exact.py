@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError
-from .generators import GeneratorSpec, evaluate
+from .generators import GeneratorSpec
 from .graph import build_tree, lowest_common_ancestor, path_to_root, tree_distance
 from .kernel import (
     DeltaLike,
@@ -106,9 +106,10 @@ def outcome_probability(
     marginal = as_marginal(p)
     values = _check_outcome(omega, marginal.num_categories)
     kernel = transition_kernel(marginal, delta)
+    parents = build_tree(spec, len(values)).parents
     probability = marginal.probs[values[0] - 1]
-    for index in range(2, len(values) + 1):
-        parent_value = values[evaluate(spec, index) - 1]
+    for index, parent in enumerate(parents, start=2):
+        parent_value = values[parent - 1]
         probability *= kernel.matrix[parent_value - 1, values[index - 1] - 1]
     return float(probability)
 
@@ -124,23 +125,23 @@ def joint_distribution(
 
     Entry [w1-1, ..., wN-1] equals outcome_probability((w1, ..., wN)).
     This is the vectorized form of summing over the enumeration; the
-    streaming equivalence is asserted in the test suite.
+    streaming equivalence is asserted in the test suite.  The joint of
+    positions 1..n is the joint of 1..n-1 times the kernel factor of n, so
+    it grows one axis at a time and multiplies each entry's factors in
+    index order, as the product in outcome_probability does.
     """
     marginal = as_marginal(p)
     k = marginal.num_categories
     _check_enumeration_size(k, length, cap)
     kernel = transition_kernel(marginal, delta)
-    joint = np.ones((k,) * length, dtype=np.float64)
-    shape = [1] * length
-    shape[0] = k
-    joint *= marginal.probs.reshape(shape)
-    for index in range(2, length + 1):
-        parent = evaluate(spec, index)
-        shape = [1] * length
-        shape[parent - 1] = k
-        shape[index - 1] = k
-        joint *= kernel.matrix.reshape(shape)
-    return joint
+    parents = build_tree(spec, length).parents
+    joint = marginal.probs.copy()
+    for parent in parents:
+        # axes: before the parent, the parent, after it, the new position
+        joint = joint.reshape(k ** (parent - 1), k, -1, 1) * kernel.matrix.reshape(
+            1, k, 1, k
+        )
+    return joint.reshape((k,) * length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +195,42 @@ def enumerated_marginals(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Marginals of every position from the full joint; shape (length, K)."""
-    joint = joint_distribution(p, delta, spec, length, cap)
-    k = joint.shape[0]
-    out = np.empty((length, k), dtype=np.float64)
-    for position in range(1, length + 1):
-        axes = tuple(axis for axis in range(length) if axis != position - 1)
-        out[position - 1] = joint.sum(axis=axes) if axes else joint
-    return out
+    pairs = _pair_joints(joint_distribution(p, delta, spec, length, cap))
+    return _diagonal_marginals(pairs)
+
+
+def _pair_joints(joint: np.ndarray) -> np.ndarray:
+    """Every two-position marginal of a (K, ..., K) joint, in one pass.
+
+    Entry [a, b] of the (N, N, K, K) result, for a <= b, is the joint law
+    of the draws at positions a + 1 and b + 1: for a < b the joint summed
+    over every other axis, and [a, a] is diag(marginal at a + 1).  Entries
+    below the diagonal are zero.
+
+    For each a the axes before a are summed once (from the sum for a - 1),
+    then the trailing axes are peeled off one at a time, so each pair sums
+    only the axes between its two positions.  The axis sums are products
+    with a vector of ones, which run far faster than strided `sum` calls.
+    """
+    length, k = joint.ndim, joint.shape[0]
+    ones = np.ones(max(joint.size // k**2, k))
+    pairs = np.zeros((length, length, k, k), dtype=np.float64)
+    leading = joint.reshape(k, -1)  # axis a, then every later axis
+    for a in range(length):
+        trailing = leading  # axes a..b, flattened after a
+        for b in range(length - 1, a, -1):
+            block = trailing.reshape(k, -1, k)
+            pairs[a, b] = ones[: block.shape[1]] @ block
+            trailing = block @ ones[:k]
+        pairs[a, a] = np.diag(trailing.reshape(k))
+        if a + 1 < length:
+            leading = leading.sum(axis=0).reshape(k, -1)
+    return pairs
+
+
+def _diagonal_marginals(pairs: np.ndarray) -> np.ndarray:
+    """Per-position marginals, shape (N, K), read off `_pair_joints`."""
+    return np.einsum("aaii->ai", pairs).copy()
 
 
 def _pair_joint_enumerated(
@@ -212,9 +242,7 @@ def _pair_joint_enumerated(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """P(draw_m = i, draw_n = j) for all (i, j), by summing the joint."""
-    joint = joint_distribution(p, delta, spec, n, cap)
-    axes = tuple(axis for axis in range(n) if axis not in (m - 1, n - 1))
-    return joint.sum(axis=axes)
+    return _pair_joints(joint_distribution(p, delta, spec, n, cap))[m - 1, n - 1]
 
 
 def _pair_joint_propagated(
@@ -447,40 +475,57 @@ def verification_suite(
     identical-marginals  per-position marginals (both routes) vs the base p
     covariance-agreement enumerated vs closed-form matrices, all pairs
     endpoint-match       enumerated vs closed-form chain endpoint identity
+
+    The enumeration route builds the length-N joint of ``spec`` once and
+    the length-N chain joint once (the same joint when ``spec`` is the
+    chain), one after the other, and reads every enumerated marginal, pair
+    joint and endpoint joint from them.  The dependency tree is built once
+    for the closed-form exponents; ``marginal_at`` propagates each position
+    on its own.
     """
     marginal = as_marginal(p)
     if length < 2:
         raise DomainError(f"verification needs length >= 2, got {length}")
+    probs = marginal.probs
     joint = joint_distribution(marginal, delta, spec, length, cap)
+    total = float(joint.sum())
+    pairs = _pair_joints(joint)
+    del joint  # so the chain joint below never sits beside it
+    chain = GeneratorSpec.builtin("sequential")
+    chain_pairs = (
+        pairs
+        if spec == chain
+        else _pair_joints(joint_distribution(marginal, delta, chain, length, cap))
+    )
     checks = []
 
-    checks.append(
-        VerificationCheck("normalization", abs(float(joint.sum()) - 1.0), EXACT_TOL)
-    )
+    checks.append(VerificationCheck("normalization", abs(total - 1.0), EXACT_TOL))
 
-    by_position = enumerated_marginals(marginal, delta, spec, length, cap)
-    err = float(np.max(np.abs(by_position - marginal.probs[None, :])))
+    by_position = _diagonal_marginals(pairs)
+    err = float(np.max(np.abs(by_position - probs[None, :])))
     for position in range(1, length + 1):
         propagated = marginal_at(marginal, delta, spec, position).probs
-        err = max(err, float(np.max(np.abs(propagated - marginal.probs))))
+        err = max(err, float(np.max(np.abs(propagated - probs))))
     checks.append(VerificationCheck("identical-marginals", err, EXACT_TOL))
 
+    tree = build_tree(spec, length)
+    independent = np.outer(probs, probs)
     err = 0.0
     for m in range(1, length):
         for n in range(m + 1, length + 1):
-            enumerated = cross_covariance_enumerated(marginal, delta, spec, m, n, cap)
-            closed = cross_covariance_closed_form(marginal, delta, spec, m, n)
-            err = max(err, float(np.max(np.abs(enumerated.matrix - closed.matrix))))
+            enumerated = pairs[m - 1, n - 1] - independent
+            closed = closed_form_covariance_matrix(
+                marginal, delta, tree_distance(tree, m, n)
+            )
+            err = max(err, float(np.max(np.abs(enumerated - closed))))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
     err = 0.0
     for n in range(2, length + 1):
+        enumerated = np.diagonal(chain_pairs[0, n - 1])
         for category in range(1, marginal.num_categories + 1):
-            enumerated = endpoint_match_probability_enumerated(
-                marginal, delta, n, category, cap
-            )
             closed = endpoint_match_probability(marginal, delta, n, category)
-            err = max(err, abs(enumerated - closed))
+            err = max(err, abs(float(enumerated[category - 1]) - closed))
     checks.append(VerificationCheck("endpoint-match", err, EXACT_TOL))
 
     return checks

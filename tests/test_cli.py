@@ -19,6 +19,7 @@ from depcat.cli import (
     EXIT_VERIFICATION,
     main,
 )
+from depcat.exact import EXACT_TOL
 
 SEQ_ARGS = ["--generator", "sequential", "--p", "0.5,0.3,0.2", "--delta", "0.4", "--n", "6"]
 
@@ -340,6 +341,25 @@ class TestVerify:
         assert code == EXIT_CAP
         assert "reduce N" in err
 
+    @pytest.mark.parametrize("generator", ["fk", "sequential", "floor_sqrt",
+                                           "sin_drift", "prime_partition"])
+    @pytest.mark.parametrize("delta", ["0.2", "0.7"])
+    def test_report_lines_at_k3_n11(self, generator, delta, capsys):
+        code, out, err = run(
+            ["verify", "--generator", generator, "--p", "0.5,0.3,0.2",
+             "--delta", delta, "--n", "11"],
+            capsys,
+        )
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        names = ["normalization", "identical-marginals", "covariance-agreement",
+                 "endpoint-match"]
+        assert len(lines) == len(names)
+        for name, line in zip(names, lines):
+            prefix, suffix = f"{name}: max error ", " (tolerance 1e-10) PASS"
+            assert line.startswith(prefix) and line.endswith(suffix), line
+            assert 0.0 <= float(line[len(prefix):-len(suffix)]) <= EXACT_TOL
+
     def test_failed_check_maps_to_verification_exit(self, capsys, monkeypatch):
         import depcat.cli as cli_module
         from depcat import VerificationCheck
@@ -352,6 +372,30 @@ class TestVerify:
         code, out, _ = run(["verify", *SEQ_ARGS], capsys)
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out
+
+
+# A table with no entry for n = 3, and one whose parent of 3 is out of range.
+BAD_TABLES = {
+    "incomplete": {"kind": "table", "table": {"2": 1, "4": 2}},
+    "axiom-violating": {"kind": "table", "table": {"2": 1, "3": 3, "4": 2}},
+}
+
+
+@pytest.mark.parametrize("table", list(BAD_TABLES))
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["covariance", "1", "4", "--method", "enumerate"]],
+    ids=["verify", "covariance-enumerate"],
+)
+def test_bad_table_is_a_validation_error(command, table, capsys):
+    code, out, err = run(
+        [*command, "--generator", json.dumps(BAD_TABLES[table]), "--p", "0.5,0.5",
+         "--delta", "0.4", "--n", "4"],
+        capsys,
+    )
+    assert code == EXIT_VALIDATION
+    assert out == "" and err.startswith("error: generator 'table' fails validation")
+    assert "n=3" in err
 
 
 class TestConfigHandling:

@@ -10,8 +10,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import depcat.exact
 from depcat import (
+    AxiomViolationError,
     DomainError,
     EnumerationTooLargeError,
     GeneratorSpec,
@@ -28,6 +32,12 @@ from depcat import (
     marginal_at,
     outcome_probability,
     verification_suite,
+)
+from depcat.exact import (
+    EXACT_TOL,
+    _pair_joint_enumerated,
+    _pair_joint_propagated,
+    _pair_joints,
 )
 
 FK = GeneratorSpec.builtin("fk")
@@ -376,3 +386,81 @@ class TestVerificationSuite:
     def test_cap_surfaces(self):
         with pytest.raises(EnumerationTooLargeError):
             verification_suite(P3, 0.4, SEQ, 16, cap=100)
+
+
+class TestIncompleteTable:
+    # No entry for n = 3: every enumeration entry point reads the parents
+    # from the validated tree, so the error is the one build_tree raises.
+    SPEC = GeneratorSpec.from_table({2: 1, 4: 2})
+
+    def test_joint_and_outcome_raise_axiom_violation(self):
+        with pytest.raises(AxiomViolationError, match="n=3: no table entry"):
+            joint_distribution(P3, 0.4, self.SPEC, 4)
+        with pytest.raises(AxiomViolationError, match="n=3: no table entry"):
+            outcome_probability((1, 2, 1, 3), P3, 0.4, self.SPEC)
+        with pytest.raises(AxiomViolationError):
+            verification_suite(P3, 0.4, self.SPEC, 4)
+
+    def test_enumeration_cap_is_checked_first(self):
+        with pytest.raises(EnumerationTooLargeError):
+            joint_distribution(P3, 0.4, self.SPEC, 20, cap=1000)
+
+    def test_prefix_below_the_gap_still_enumerates(self):
+        assert float(joint_distribution(P3, 0.4, self.SPEC, 2).sum()) == pytest.approx(1.0)
+
+
+class TestOneEnumerationPerSuite:
+    @pytest.mark.parametrize(
+        "spec, builds", [(FSQRT, 2), (SEQ, 1)], ids=["floor_sqrt", "sequential"]
+    )
+    def test_joint_builds(self, spec, builds, monkeypatch):
+        lengths = []
+        original = depcat.exact.joint_distribution
+
+        def counting(p, delta, generator, length, cap=depcat.exact.DEFAULT_ENUMERATION_CAP):
+            lengths.append(length)
+            return original(p, delta, generator, length, cap)
+
+        monkeypatch.setattr(depcat.exact, "joint_distribution", counting)
+        checks = verification_suite(P3, 0.4, spec, 8)
+        assert all(check.passed for check in checks)
+        assert lengths == [8] * builds
+
+
+@st.composite
+def valid_tables(draw):
+    """A random valid table generator, K, p (zeros allowed) and delta."""
+    length = draw(st.integers(2, 7))
+    table = {n: draw(st.integers(1, n - 1)) for n in range(2, length + 1)}
+    k = draw(st.integers(2, 4))
+    weights = np.array(
+        draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any)), dtype=float
+    )
+    delta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return GeneratorSpec.from_table(table), length, weights / weights.sum(), delta
+
+
+class TestPairJointsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_tables())
+    def test_all_routes_agree_for_every_valid_table(self, case):
+        spec, length, p, delta = case
+        joint = joint_distribution(p, delta, spec, length)
+        pairs = _pair_joints(joint)
+        independent = np.outer(p, p)
+        for a in range(length):
+            others = tuple(axis for axis in range(length) if axis != a)
+            assert np.max(np.abs(np.diag(joint.sum(axis=others)) - pairs[a, a])) <= 1e-12
+            for b in range(a + 1, length):
+                m, n = a + 1, b + 1
+                pair = pairs[a, b]
+                others = tuple(axis for axis in range(length) if axis not in (a, b))
+                assert np.max(np.abs(pair - joint.sum(axis=others))) <= 1e-12
+                enumerated = _pair_joint_enumerated(p, delta, spec, m, n)
+                assert np.max(np.abs(pair - enumerated)) <= 1e-12
+                propagated = _pair_joint_propagated(p, delta, spec, m, n)
+                assert np.max(np.abs(pair - propagated)) <= EXACT_TOL
+                closed = cross_covariance_closed_form(p, delta, spec, m, n).matrix
+                assert np.max(np.abs(pair - (closed + independent))) <= EXACT_TOL
+        checks = verification_suite(p, delta, spec, length)
+        assert all(check.passed for check in checks), checks
