@@ -241,8 +241,18 @@ def _pair_joint_enumerated(
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """P(draw_m = i, draw_n = j) for all (i, j), by summing the joint."""
-    return _pair_joints(joint_distribution(p, delta, spec, n, cap))[m - 1, n - 1]
+    """P(draw_m = i, draw_n = j) for all (i, j), by summing the joint.
+
+    Position n is the last axis of the length-n joint, so only the axes
+    before m and those between m and n are summed, each by a product with
+    a vector of ones as in `_pair_joints`.
+    """
+    joint = joint_distribution(p, delta, spec, n, cap)
+    k = joint.shape[0]
+    ones = np.ones(max(k ** (m - 1), k ** (n - m - 1)))
+    leading = ones[: k ** (m - 1)] @ joint.reshape(k ** (m - 1), -1)
+    block = leading.reshape(k, -1, k)  # position m, the positions between, n
+    return ones[: block.shape[1]] @ block
 
 
 def _pair_joint_propagated(

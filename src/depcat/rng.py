@@ -35,11 +35,14 @@ _U64_MASK = (1 << 64) - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array (modular arithmetic)."""
+    """SplitMix64 finalizer on a uint64 array, in place (modular arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> _S30)) * _MULT1
-        z = (z ^ (z >> _S27)) * _MULT2
-        return z ^ (z >> _S31)
+        z ^= z >> _S30
+        z *= _MULT1
+        z ^= z >> _S27
+        z *= _MULT2
+        z ^= z >> _S31
+    return z
 
 
 def _as_seed(seed: int) -> np.uint64:
@@ -52,21 +55,33 @@ def stream_keys(seed: int, first_index: int, count: int) -> np.ndarray:
     """One derived key per sequence index in [first_index, first_index+count)."""
     if first_index < 0 or count < 0:
         raise DomainError("first_index and count must be nonnegative")
-    indices = np.arange(first_index, first_index + count, dtype=np.uint64)
+    keys = np.arange(first_index, first_index + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _mix64(_as_seed(seed) + _GOLDEN * (indices + _ONE))
+        keys += _ONE
+        keys *= _GOLDEN
+        keys += _as_seed(seed)
+    return _mix64(keys)
 
 
-def uniform_grid(seed: int, first_index: int, count: int, length: int) -> np.ndarray:
+def uniform_grid(
+    seed: int, first_index: int, count: int, length: int, first_position: int = 0
+) -> np.ndarray:
     """(count, length) array of floats in (0, 1], one per (index, position).
 
-    Entry [r, c] depends only on (seed, first_index + r, c), so generating
-    a batch in chunks reproduces the corresponding rows of the full grid.
+    Entry [r, c] depends only on (seed, first_index + r, first_position + c),
+    so generating a batch in chunks of rows or of positions reproduces the
+    corresponding entries of the full grid.  The grid is laid out
+    position-major (the transpose of a C-ordered (length, count) array), so
+    the entries of one position are contiguous.
     """
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
+    if first_position < 0:
+        raise DomainError(f"first_position must be >= 0, got {first_position}")
     keys = stream_keys(seed, first_index, count)
-    positions = np.arange(length, dtype=np.uint64)
+    positions = np.arange(first_position, first_position + length, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        words = _mix64(keys[:, None] + _GOLDEN * (positions[None, :] + _ONE))
-    return ((words >> _S11) + _ONE) * _UNIT
+        words = _mix64(keys[None, :] + _GOLDEN * (positions[:, None] + _ONE))
+    words >>= _S11
+    words += _ONE
+    return (words * _UNIT).T

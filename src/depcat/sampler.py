@@ -28,9 +28,13 @@ budget: the cost of a draw does not grow with K.
 
 Batches are a pure function of (seed, parameters); worker counts, row
 blocks and chunking cannot change the result because the underlying
-variates are counter-based.  Batch text is encoded by gathering the
-bytes of each outcome from a token table, with the same bytes as
-formatting each cell with str().
+variates are counter-based.  Outcomes are stored in the smallest unsigned
+dtype that holds K (`np.min_scalar_type(K)`: uint8 up to K = 255, uint16
+up to K = 65535), the dtype of the guide table, and are drawn straight
+into the batch; index arithmetic on them is done in intp, so no narrow
+value ever wraps.  Batch text is encoded by gathering the bytes of each
+outcome from a token table, with the same bytes as formatting each cell
+with str().
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ from .rng import ALGORITHM_ID, uniform_grid
 _TABLE_BUDGET = 1 << 22
 _BUCKETS_PER_CUT = 32
 _MIN_BUCKETS = 1024
-# Rows are drawn in blocks of about _BLOCK_VARIATES variates, so a thread's
-# working memory does not grow with `count`; each block is transposed in
-# tiles of about _TILE_VARIATES, small enough to stay in cache.
-_BLOCK_VARIATES = 1 << 18
-_TILE_VARIATES = 1 << 16
+# Rows are drawn in blocks of _BLOCK_ROWS, straight into the batch, and the
+# uniforms of a block are generated about _GRID_VARIATES at a time, so a
+# thread's scratch memory is bounded whatever `count` and the length are.
+_BLOCK_ROWS = 1 << 14
+_GRID_VARIATES = 1 << 15
 # Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
 # compact JSON array, so the same cells framed by "[" and "]".
 _CSV_FRAME = (b"", b"\n")
@@ -122,32 +126,37 @@ def _encode_rows(rows: np.ndarray, num_categories: int, frame: tuple[bytes, byte
 class SampleBatch:
     """Realized sequences plus everything needed to regenerate them.
 
-    The batch keeps a read-only int64 array of outcomes.  One passed in that
-    form (as `sample_batch` does) is kept as it is; any other input is
-    copied, so a caller's array is never frozen or aliased.
+    The batch keeps a read-only, C-contiguous array of outcomes whose
+    integer dtype casts safely to intp.  One passed in that form (as
+    `sample_batch` does, in the smallest unsigned dtype that holds K) is
+    kept as it is; any other input is range-checked and then copied into
+    that dtype, so a caller's array is never frozen or aliased.
     """
 
-    outcomes: np.ndarray  # (count, length) int64, entries in 1..K
+    outcomes: np.ndarray  # (count, length) np.min_scalar_type(K), entries in 1..K
     seed: int
     marginal: Marginal
     delta: float
     spec: GeneratorSpec
 
     def __post_init__(self):
+        k = self.marginal.num_categories
         outcomes = self.outcomes
-        if not (
-            isinstance(outcomes, np.ndarray)
-            and outcomes.dtype == np.int64
-            and not outcomes.flags.writeable
-        ):
-            outcomes = np.array(outcomes, dtype=np.int64)
-            outcomes.flags.writeable = False
+        if not (isinstance(outcomes, np.ndarray) and outcomes.dtype.kind in "iu"):
+            outcomes = np.asarray(outcomes, dtype=np.int64)
         if outcomes.ndim != 2 or outcomes.shape[1] < 1:
             raise DomainError("batch outcomes must be a 2-D array with at least one position")
-        if outcomes.size and (
-            outcomes.min() < 1 or outcomes.max() > self.marginal.num_categories
-        ):
+        # Checked in the input's own dtype: a cast first would wrap 257 to 1.
+        if outcomes.size and (outcomes.min() < 1 or outcomes.max() > k):
             raise DomainError("batch entries must lie in 1..K")
+        if not (
+            outcomes is self.outcomes
+            and outcomes.flags.c_contiguous
+            and not outcomes.flags.writeable
+            and np.can_cast(outcomes.dtype, np.intp)
+        ):
+            outcomes = outcomes.astype(np.min_scalar_type(k), order="C")
+            outcomes.flags.writeable = False
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
@@ -219,42 +228,63 @@ def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
 
 
 def _draw_block(
-    table: _DrawTable, parents: np.ndarray, uniforms: np.ndarray, out: np.ndarray
+    table: _DrawTable,
+    parents: np.ndarray,
+    uniforms: np.ndarray,
+    out: np.ndarray,
+    first_column: int = 0,
 ) -> None:
-    """Outcomes for a block of uniforms, drawn position by position into `out`."""
-    count, length = uniforms.shape
-    stride = table.buckets + 1
+    """Columns first_column, first_column + 1, ... of `out`, one per column of `uniforms`.
+
+    Draws position by position: column c of `out` reads the kernel row of
+    its parent's column, which must already hold its draws.
+    """
+    stride = np.intp(table.buckets + 1)
     guide = table.guide.ravel()
-    # floor(u*G), exact (the cast truncates, u > 0), laid out position-major
-    # so that every column is contiguous; transposed tile by tile in cache.
-    bucket = np.empty((length, count), dtype=np.intp)
-    tile = max(1, _TILE_VARIATES // length)
-    for start in range(0, count, tile):
-        bucket[:, start : start + tile] = (uniforms[start : start + tile] * table.buckets).T
-    drawn = np.empty((length, count), dtype=np.intp)
-    rows = np.zeros(count, dtype=np.intp)  # position 1 reads row 0, the base
-    for column in range(length):
+    for offset in range(uniforms.shape[1]):
+        column = first_column + offset
+        column_uniforms = uniforms[:, offset]
         if column:
-            rows = drawn[parents[column - 1] - 1]
-        values = drawn[column]
-        values[:] = guide[rows * stride + bucket[column]]
+            rows = out[:, parents[column - 1] - 1]
+        else:
+            rows = np.zeros(out.shape[0], dtype=out.dtype)  # position 1 reads row 0
+        # floor(u*G), exact: G is a power of two and the cast truncates, u > 0.
+        # The row offset is taken in intp, so a narrow dtype never wraps.
+        index = (column_uniforms * table.buckets).astype(np.intp)
+        index += rows * stride
+        values = np.take(guide, index)
         refine = np.flatnonzero(values == 0)
         if refine.size:
             cut_rows = table.cuts[rows[refine]]
-            values[refine] = (cut_rows < uniforms[refine, column, None]).sum(axis=1) + 1
-    out[:] = drawn.T
+            values[refine] = (cut_rows < column_uniforms[refine, None]).sum(axis=1) + 1
+        out[:, column] = values
 
 
 def _sample_rows(
     table: _DrawTable, parents: np.ndarray, seed: int, first_index: int, out: np.ndarray
 ) -> None:
-    """Rows first_index, first_index + 1, ... of the batch, written into `out`."""
+    """Rows first_index, first_index + 1, ... of the batch, written into `out`.
+
+    Rows are drawn in blocks of _BLOCK_ROWS, and each block's uniforms are
+    generated a few positions at a time, so the scratch memory depends on
+    neither `count` nor the sequence length.
+    """
     count, length = out.shape
-    block = max(1, _BLOCK_VARIATES // length)
-    for start in range(0, count, block):
-        part = out[start : start + block]
-        uniforms = uniform_grid(seed, first_index + start, part.shape[0], length)
-        _draw_block(table, parents, uniforms, part)
+    for start in range(0, count, _BLOCK_ROWS):
+        part = out[start : start + _BLOCK_ROWS]
+        width = min(length, max(1, _GRID_VARIATES // part.shape[0]))
+        for column in range(0, length, width):
+            # Passed inline, so a group's uniforms are freed before the next
+            # group is generated.
+            _draw_block(
+                table,
+                parents,
+                uniform_grid(
+                    seed, first_index + start, part.shape[0], min(width, length - column), column
+                ),
+                part,
+                column,
+            )
 
 
 def sample_batch(
@@ -280,7 +310,7 @@ def sample_batch(
     tree = build_tree(spec, length)  # validates the generator up to length
     table = _draw_table(marginal, d)
 
-    outcomes = np.empty((count, length), dtype=np.int64)
+    outcomes = np.empty((count, length), dtype=table.guide.dtype)
     if count:
         threads = min(workers, os.cpu_count() or 1, count)
         chunk = -(-count // threads)
@@ -313,8 +343,9 @@ def sample_sequence(
     if index < 0:
         raise DomainError(f"index must be >= 0, got {index}")
     tree = build_tree(spec, length)
-    row = np.empty((1, length), dtype=np.int64)
-    _sample_rows(_draw_table(marginal, d), tree.parents, int(seed), index, row)
+    table = _draw_table(marginal, d)
+    row = np.empty((1, length), dtype=table.guide.dtype)
+    _sample_rows(table, tree.parents, int(seed), index, row)
     return tuple(int(v) for v in row[0])
 
 
@@ -337,9 +368,10 @@ def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
         raise EmptyBatchError("cannot compute marginals of an empty batch")
     if not 1 <= position <= batch.length:
         raise DomainError(f"position {position} outside 1..{batch.length}")
-    counts = np.bincount(
-        batch.outcomes[:, position - 1] - 1, minlength=batch.num_categories
-    )
+    # Counted in intp as they stand (entry v lands in bin v, bin 0 stays
+    # empty), so no dtype is ever shifted or wrapped.
+    column = batch.outcomes[:, position - 1].astype(np.intp)
+    counts = np.bincount(column, minlength=batch.num_categories + 1)[1:]
     return EmpiricalMarginal(position, counts, batch.count)
 
 
@@ -350,9 +382,12 @@ def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovar
     _check_pair_positions(m, n)
     if n > batch.length:
         raise DomainError(f"position {n} outside 1..{batch.length}")
-    k = batch.num_categories
-    left = batch.outcomes[:, m - 1] - 1
-    right = batch.outcomes[:, n - 1] - 1
-    joint = np.bincount(left * k + right, minlength=k * k).reshape(k, k) / batch.count
+    # Pair (i, j) lands in bin i (K+1) + j, an index computed in intp.
+    width = batch.num_categories + 1
+    pairs = batch.outcomes[:, m - 1].astype(np.intp)
+    pairs *= width
+    pairs += batch.outcomes[:, n - 1]
+    counts = np.bincount(pairs, minlength=width * width)
+    joint = counts.reshape(width, width)[1:, 1:] / batch.count
     matrix = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
     return CrossCovariance(m, n, matrix, exponent_basis_for(batch.spec), "empirical")

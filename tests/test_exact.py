@@ -464,3 +464,16 @@ class TestPairJointsProperty:
                 assert np.max(np.abs(pair - (closed + independent))) <= EXACT_TOL
         checks = verification_suite(p, delta, spec, length)
         assert all(check.passed for check in checks), checks
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_tables())
+    def test_enumerated_pair_is_the_pair_joints_entry(self, case):
+        # The single-pair route sums only the axes it needs; it must agree
+        # with the all-pairs pass over the same length-n joint.
+        spec, length, p, delta = case
+        for n in range(2, length + 1):
+            pairs = _pair_joints(joint_distribution(p, delta, spec, n))
+            for m in range(1, n):
+                enumerated = _pair_joint_enumerated(p, delta, spec, m, n)
+                assert enumerated.shape == pairs[m - 1, n - 1].shape
+                assert np.max(np.abs(enumerated - pairs[m - 1, n - 1])) <= 1e-12

@@ -80,3 +80,22 @@ def test_rejects_bad_arguments():
         uniform_grid(1, 0, 10, 0)
     with pytest.raises(DomainError):
         uniform_grid(1.5, 0, 10, 3)
+
+
+def test_position_chunks_reproduce_full_grid():
+    full = uniform_grid(42, 5, 30, 9)
+    parts = np.hstack(
+        [uniform_grid(42, 5, 30, width, first) for first, width in ((0, 4), (4, 4), (8, 1))]
+    )
+    assert np.array_equal(full, parts)
+    assert uniform_grid(987654321, 3, 5, 2, 6)[4, 1] == reference_uniform(987654321, 7, 7)
+
+
+def test_each_position_is_contiguous():
+    grid = uniform_grid(3, 0, 50, 6)
+    assert all(grid[:, c].flags.c_contiguous for c in range(6))
+
+
+def test_rejects_negative_first_position():
+    with pytest.raises(DomainError):
+        uniform_grid(1, 0, 10, 3, -1)

@@ -180,6 +180,65 @@ class TestOutcomeOwnership:
         assert peak < 1.5 * batch.outcomes.nbytes
 
 
+class TestOutcomeDtype:
+    """Outcomes are kept in the smallest unsigned dtype that holds K."""
+
+    @pytest.mark.parametrize(
+        "k, dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)]
+    )
+    def test_batch_dtype_follows_k(self, k, dtype):
+        batch = sample_batch(np.full(k, 1 / k), 0.4, FSQRT, 5, 40, seed=3)
+        assert batch.outcomes.dtype == dtype
+        assert batch.outcomes.flags.c_contiguous
+        hashlib.sha256(batch.outcomes)  # hashable as it stands
+
+    @pytest.mark.parametrize("bad", [0, -1, 4, 257, 65537])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_out_of_range_entries_are_rejected_before_narrowing(self, bad, as_list):
+        # 257 and 65537 would wrap to 1 in uint8 and uint16.
+        outcomes = np.array([[1, 2, 3], [3, bad, 1]], dtype=np.int64)
+        given = outcomes.tolist() if as_list else outcomes
+        with pytest.raises(DomainError):
+            SampleBatch(given, 1, as_marginal([0.5, 0.3, 0.2]), 0.4, SEQ)
+
+    def test_other_input_is_copied_into_the_batch_dtype(self):
+        for outcomes in ([[1, 3], [2, 1]], np.asfortranarray(np.array([[1, 3], [2, 1]]))):
+            batch = SampleBatch(outcomes, 1, as_marginal([0.5, 0.3, 0.2]), 0.4, SEQ)
+            assert batch.outcomes.dtype == np.uint8
+            assert batch.outcomes.flags.c_contiguous
+            assert batch.outcomes.tolist() == [[1, 3], [2, 1]]
+
+    @pytest.mark.parametrize("kept", [None, np.uint64, np.int32])
+    @pytest.mark.parametrize("k", [3, 255, 256, 300])
+    def test_empirical_statistics_match_an_int64_oracle(self, k, kept):
+        outcomes = np.random.default_rng(k).integers(1, k + 1, size=(600, 4))
+        outcomes[0], outcomes[1] = 1, k  # every column holds both ends
+        outcomes[2, ::2], outcomes[2, 1::2] = k, 1  # and the pairs (K, 1), (1, K)
+        given = outcomes
+        if kept is not None:  # read-only: int32 is kept as it is, uint64 copied
+            given = outcomes.astype(kept)
+            given.flags.writeable = False
+        batch = SampleBatch(given, 1, as_marginal(np.full(k, 1 / k)), 0.4, SEQ)
+        narrow = kept in (None, np.uint64)  # uint64 does not cast safely to intp
+        assert batch.outcomes.dtype == (np.min_scalar_type(k) if narrow else kept)
+        zero_based = outcomes.astype(np.int64) - 1
+        for position in range(1, 5):
+            expected = np.bincount(zero_based[:, position - 1], minlength=k)
+            assert np.array_equal(empirical_marginals(batch, position).counts, expected)
+        for m, n in [(1, 2), (1, 4), (2, 3), (3, 4)]:
+            pairs = zero_based[:, m - 1] * k + zero_based[:, n - 1]
+            joint = np.bincount(pairs, minlength=k * k).reshape(k, k) / len(outcomes)
+            expected = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+            got = empirical_cross_covariance(batch, m, n).matrix
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [3, 256])
+    def test_sequence_holds_python_ints(self, k):
+        sequence = sample_sequence(np.full(k, 1 / k), 0.4, SEQ, 6, seed=4, index=2)
+        assert isinstance(sequence, tuple) and len(sequence) == 6
+        assert all(type(v) is int and 1 <= v <= k for v in sequence)
+
+
 class TestErrors:
     def test_empty_batch_statistics_raise(self):
         batch = sample_batch([0.5, 0.5], 0.4, SEQ, 3, 0, seed=1)
