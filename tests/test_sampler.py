@@ -318,6 +318,26 @@ class TestGuideTableExactness:
         assert digest(batch) == expected
         assert batch.metadata()["algorithm"] == ALGORITHM_ID == "splitmix64-2level"
 
+    # Recorded from the float-uniform draw loop, at a count that spans three
+    # row blocks and splits unevenly between two threads.
+    @pytest.mark.parametrize(
+        "p, delta, spec, seed, expected",
+        [
+            ([0.5, 0.3, 0.2], 0.4, FSQRT, 7,
+             "b8c5dbd91fb4ffcf1d6eabcef5b0b8e34a6e1c2320a853ae4be31e2e0faca66a"),
+            (np.full(64, 1 / 64), 0.6, SEQ, 11,
+             "b3c535ef27924afc136ffe94f05bd47d29f35f242f5c0d7402e17d8d7ae974d9"),
+        ],
+        ids=["k3-floor_sqrt", "k64-sequential"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_across_block_and_thread_boundaries(
+        self, p, delta, spec, seed, expected, workers
+    ):
+        count = 2 * 2**14 + 17  # _BLOCK_ROWS is 2**14
+        batch = sample_batch(p, delta, spec, 64, count, seed=seed, workers=workers)
+        assert digest(batch) == expected
+
     @given(
         k=st.integers(min_value=2, max_value=300),
         shape_seed=st.integers(min_value=0, max_value=2**32 - 1),
