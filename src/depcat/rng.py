@@ -8,9 +8,13 @@ three-round xor-shift/multiply finalizer -- so any sub-grid of variates
 can be generated independently, in any order, on any number of workers,
 with identical results.
 
-Words map to floats in the half-open-from-below interval (0, 1]; the open
-left end keeps zero-probability categories unreachable under right-closed
-inverse-CDF bucketing.
+A word maps to the 53-bit integer mantissa m = (word >> 11) + 1 in
+1..2^53, and m to the float u = m * 2^-53 in the half-open-from-below
+interval (0, 1]; the open left end keeps zero-probability categories
+unreachable under right-closed inverse-CDF bucketing.  `mantissa_grid`
+fills a caller-owned buffer with mantissas, mixing a block's stream keys
+as they are given and allocating nothing, so a sampler can mix each block's
+keys once and reuse its buffers; `uniform_grid` is that grid times 2^-53.
 """
 
 from __future__ import annotations
@@ -27,21 +31,30 @@ _MULT2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-_S11 = np.uint64(11)
 _ONE = np.uint64(1)
-_UNIT = 2.0**-53
+# A word's top _MANTISSA_BITS bits plus one are its mantissa m in 1..2^53; u = m * _UNIT.
+_MANTISSA_BITS = 53
+_UNIT = 2.0**-_MANTISSA_BITS
+_DROPPED = np.uint64(64 - _MANTISSA_BITS)
 
 _U64_MASK = (1 << 64) - 1
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array, in place (modular arithmetic)."""
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array, in place (modular arithmetic).
+
+    `scratch` has the shape of `z` and holds the shifted words, so the mix
+    allocates nothing.
+    """
     with np.errstate(over="ignore"):
-        z ^= z >> _S30
+        np.right_shift(z, _S30, out=scratch)
+        z ^= scratch
         z *= _MULT1
-        z ^= z >> _S27
+        np.right_shift(z, _S27, out=scratch)
+        z ^= scratch
         z *= _MULT2
-        z ^= z >> _S31
+        np.right_shift(z, _S31, out=scratch)
+        z ^= scratch
     return z
 
 
@@ -60,7 +73,34 @@ def stream_keys(seed: int, first_index: int, count: int) -> np.ndarray:
         keys += _ONE
         keys *= _GOLDEN
         keys += _as_seed(seed)
-    return _mix64(keys)
+    return _mix64(keys, np.empty_like(keys))
+
+
+def mantissa_grid(
+    keys: np.ndarray, first_position: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Fill `out` with the 53-bit mantissas of the stream `keys`, in place.
+
+    `out` and `scratch` are C-contiguous uint64 arrays of shape
+    (width, len(keys)).  Entry [i, r] of `out` becomes the mantissa m in
+    1..2^53 of (keys[r], first_position + i), whose uniform is m * 2^-53;
+    `scratch` is overwritten.  Nothing is allocated.
+    """
+    if first_position < 0:
+        raise DomainError(f"first_position must be >= 0, got {first_position}")
+    for buffer in (out, scratch):
+        if not (
+            buffer.dtype == np.uint64
+            and buffer.flags.c_contiguous
+            and buffer.shape == (out.shape[0], keys.shape[0])
+        ):
+            raise DomainError("out and scratch must be C-contiguous uint64 (width, len(keys))")
+    for offset, row in enumerate(out, start=first_position + 1):
+        np.add(keys, np.uint64(int(_GOLDEN) * offset & _U64_MASK), out=row)
+    _mix64(out, scratch)
+    out >>= _DROPPED
+    out += _ONE
+    return out
 
 
 def uniform_grid(
@@ -72,16 +112,12 @@ def uniform_grid(
     so generating a batch in chunks of rows or of positions reproduces the
     corresponding entries of the full grid.  The grid is laid out
     position-major (the transpose of a C-ordered (length, count) array), so
-    the entries of one position are contiguous.
+    the entries of one position are contiguous.  It is `mantissa_grid`
+    times 2^-53, an exact scaling.
     """
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
-    if first_position < 0:
-        raise DomainError(f"first_position must be >= 0, got {first_position}")
     keys = stream_keys(seed, first_index, count)
-    positions = np.arange(first_position, first_position + length, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = _mix64(keys[None, :] + _GOLDEN * (positions[:, None] + _ONE))
-    words >>= _S11
-    words += _ONE
+    words = np.empty((length, count), dtype=np.uint64)
+    mantissa_grid(keys, first_position, words, np.empty_like(words))
     return (words * _UNIT).T

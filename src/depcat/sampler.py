@@ -10,21 +10,37 @@ forced to 1.0, and a uniform u in (0, 1] draws category
 The count is read from a guide table (Chen & Asau 1974; Devroye 1986,
 section III.2), built once per call and shared read-only by all threads.
 Its K + 1 rows are the base and the K kernel rows.  Its columns are the
-buckets [b/G, (b+1)/G) for b = 0..G, where G is a power of two of about
-32 K, capped by a fixed entry budget.  An entry holds 1 + the number of
-the row's cuts below b/G, or 0 when one of them lies inside the bucket.
-A draw reads the entry at b = floor(u G); only a 0 falls back to the
-compare-count over the row.
+buckets [b/G, (b+1)/G) for b = 0..G, where G = 2^g is a power of two of
+about 32 K, capped so that the guide and the bucket-start table together
+hold at most a fixed number of entries.  A start entry holds 1 + the
+number of the row's cuts below b/G; a guide entry holds the same for a
+bucket that holds no cut of the row, and 0 for one that does.
 
-The lookup is exact, not approximate.  G is a power of two, so u G and
-its floor are exact, and b/G <= u < (b+1)/G.  A bucket that holds no cut
-holds none in [b/G, u) either, so the count below u equals the count
-below b/G.  Outcomes are therefore bit-identical to right-closed
-inverse-CDF bucketing, also for zero-probability categories, for rows
-whose cumulative sum overshoots 1.0, and for u = 1.0 (bucket G holds the
-cut at 1.0 and always refines).  At most K of a row's buckets hold a cut,
-so at most K/G <= 1/32 of the draws refine while the table fits its
-budget: the cost of a draw does not grow with K.
+A uniform is u = m * 2^-53 for a 53-bit integer mantissa m in 1..2^53
+(see `depcat.rng`), so its bucket floor(u G) is the integer shift
+m >> (53 - g), exactly, with no float pass.  A draw reads the guide entry
+at its bucket.  Only a 0 refines: the draw starts from the bucket's first
+cut, the one at its start entry, and steps forward while that cut lies
+below u.
+
+The lookup is exact, not approximate.  b/G <= u < (b+1)/G, so a bucket
+that holds no cut holds none in [b/G, u) either, and the count below u
+equals the count below b/G.  The refinement is exact because the cuts
+below u are a prefix of the row: cuts rise until they pass 1, and every
+later cut, the forced last cut 1.0 included, is >= u.  Outcomes are
+therefore bit-identical to right-closed inverse-CDF bucketing, also for
+zero-probability categories, for rows whose cumulative sum overshoots 1.0,
+and for u = 1.0 (bucket G holds the cut at 1.0 and always refines).  A
+refined draw steps over at most the cuts its bucket holds, not over K:
+while G is about 32 K only the buckets holding a cut refine, about K/G of
+the draws; when the budget caps G (G = 256 at K = 4096) every draw may
+refine, over about K/G cuts.
+
+Each thread draws a block of 2^14 rows at a time.  The block's stream
+keys are mixed once; each group of positions gets its mantissas, bucket
+indices, parent rows and values in buffers made once per thread, so the
+loop allocates no array per position or group.  Only refinement makes
+arrays, the size of its refined draws.
 
 Batches are a pure function of (seed, parameters); worker counts, row
 blocks and chunking cannot change the result because the underlying
@@ -52,15 +68,16 @@ from .exact import CrossCovariance, exponent_basis_for, _check_pair_positions
 from .generators import GeneratorSpec
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
-from .rng import ALGORITHM_ID, uniform_grid
+from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, mantissa_grid, stream_keys
 
 
-# A guide table holds at most this many entries, whatever K is.
+# The guide and bucket-start tables hold at most this many entries together,
+# whatever K is.
 _TABLE_BUDGET = 1 << 22
 _BUCKETS_PER_CUT = 32
 _MIN_BUCKETS = 1024
 # Rows are drawn in blocks of _BLOCK_ROWS, straight into the batch, and the
-# uniforms of a block are generated about _GRID_VARIATES at a time, so a
+# mantissas of a block are generated about _GRID_VARIATES at a time, so a
 # thread's scratch memory is bounded whatever `count` and the length are.
 _BLOCK_ROWS = 1 << 14
 _GRID_VARIATES = 1 << 15
@@ -75,13 +92,37 @@ _PAD = ord(" ")
 class _DrawTable:
     """Row 0 of `cuts` is the base cumulative, row j the cumsum of kernel row j.
 
-    `guide[j, b]` is 1 + #{c : cuts[j, c] < b/G} for a bucket [b/G, (b+1)/G)
-    holding no cut of row j, and 0 for a bucket that holds one.
+    `start[j, b]` is 1 + #{c : cuts[j, c] < b/G} for the bucket [b/G, (b+1)/G);
+    `guide[j, b]` is the same for a bucket holding no cut of row j, and 0 for
+    a bucket that holds one.
     """
 
     cuts: np.ndarray  # (K+1, K) float64
     guide: np.ndarray  # (K+1, G+1) smallest unsigned dtype holding K
+    start: np.ndarray  # (K+1, G+1), the guide's dtype
     buckets: int  # G, a power of two
+    depth: int  # the most cuts any one bucket holds
+
+    @property
+    def shift(self) -> int:
+        """floor(m * 2^-53 * G) == m >> shift for every mantissa m."""
+        return _MANTISSA_BITS - (self.buckets.bit_length() - 1)
+
+
+class _Scratch:
+    """One thread's draw buffers, made once per `_sample_rows` call.
+
+    `mantissas` and `words` hold `variates` entries each, a group of
+    positions of one block of `rows` rows; `words` is the mixing scratch
+    and then, viewed as intp, the group's guide-table indices.
+    """
+
+    def __init__(self, variates: int, rows: int, dtype: np.dtype):
+        self.mantissas = np.empty(variates, dtype=np.uint64)
+        self.words = np.empty(variates, dtype=np.uint64)
+        self.offset = np.empty(rows, dtype=np.intp)
+        self.values = np.empty(rows, dtype=dtype)
+        self.held = np.empty(rows, dtype=bool)
 
 
 @functools.lru_cache(maxsize=8)
@@ -203,7 +244,7 @@ class SampleBatch:
 
 
 def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
-    """Cut points and guide table shared read-only by every draw of a call."""
+    """Cut points, bucket starts and guide table, shared read-only by every draw of a call."""
     k = marginal.num_categories
     cuts = np.empty((k + 1, k), dtype=np.float64)
     cuts[0] = np.cumsum(marginal.probs)
@@ -213,50 +254,73 @@ def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
     cuts[:, -1] = 1.0
 
     buckets = max(_MIN_BUCKETS, 1 << (_BUCKETS_PER_CUT * k - 1).bit_length())
-    while buckets > 1 and (k + 1) * (buckets + 1) > _TABLE_BUDGET:
+    while buckets > 1 and 2 * (k + 1) * (buckets + 1) > _TABLE_BUDGET:
         buckets //= 2
 
     # A cut lies below b/G exactly when its bucket floor(cut*G) lies below b;
     # cuts above 1 (a cumulative sum that overshoots) are never below a
     # uniform and join the last bucket, which always holds the cut at 1.0.
     holding = np.minimum(np.floor(cuts * buckets), buckets).astype(np.intp)
-    guide = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
-    for row, held in zip(guide, holding):
+    start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
+    guide = np.empty_like(start)
+    depth = 0
+    for row_start, row_guide, held in zip(start, guide, holding):
         counts = np.bincount(held, minlength=buckets + 1)
-        row[:] = np.where(counts, 0, np.cumsum(counts) - counts + 1)
-    return _DrawTable(cuts, guide, buckets)
+        row_start[:] = np.cumsum(counts) - counts + 1
+        row_guide[:] = np.where(counts, 0, row_start)
+        depth = max(depth, int(counts.max()))
+    return _DrawTable(cuts, guide, start, buckets, depth)
 
 
 def _draw_block(
     table: _DrawTable,
     parents: np.ndarray,
-    uniforms: np.ndarray,
+    mantissas: np.ndarray,
     out: np.ndarray,
-    first_column: int = 0,
+    first_column: int,
+    scratch: _Scratch,
 ) -> None:
-    """Columns first_column, first_column + 1, ... of `out`, one per column of `uniforms`.
+    """Columns first_column, first_column + 1, ... of `out`, one per row of `mantissas`.
 
-    Draws position by position: column c of `out` reads the kernel row of
-    its parent's column, which must already hold its draws.
+    `mantissas` is a (width, rows) uint64 group from `mantissa_grid`.  Draws
+    position by position: column c of `out` reads the kernel row of its
+    parent's column, which must already hold its draws.
     """
+    width, rows = mantissas.shape
+    k = table.cuts.shape[1]
     stride = np.intp(table.buckets + 1)
-    guide = table.guide.ravel()
-    for offset in range(uniforms.shape[1]):
-        column = first_column + offset
-        column_uniforms = uniforms[:, offset]
-        if column:
-            rows = out[:, parents[column - 1] - 1]
-        else:
-            rows = np.zeros(out.shape[0], dtype=out.dtype)  # position 1 reads row 0
-        # floor(u*G), exact: G is a power of two and the cast truncates, u > 0.
-        # The row offset is taken in intp, so a narrow dtype never wraps.
-        index = (column_uniforms * table.buckets).astype(np.intp)
-        index += rows * stride
-        values = np.take(guide, index)
-        refine = np.flatnonzero(values == 0)
-        if refine.size:
-            cut_rows = table.cuts[rows[refine]]
-            values[refine] = (cut_rows < column_uniforms[refine, None]).sum(axis=1) + 1
+    guide, start, cuts = table.guide.ravel(), table.start.ravel(), table.cuts.ravel()
+    # Bucket b = floor(u*G) = m >> (53 - g) of the whole group in one shift.
+    index = scratch.words[: width * rows].reshape(width, rows)
+    np.right_shift(mantissas, table.shift, out=index)
+    index = index.view(np.intp)
+    offset, values, held = scratch.offset[:rows], scratch.values[:rows], scratch.held[:rows]
+    for position in range(width):
+        column = first_column + position
+        bucket = index[position]
+        if column:  # position 1 reads row 0, the others the row of their parent's draw
+            # Widened by a copy, then scaled in place: a mixed-dtype multiply
+            # would allocate a cast buffer on every call.
+            offset[:] = out[:, parents[column - 1] - 1]
+            offset *= stride
+            bucket += offset
+        guide.take(bucket, out=values, mode="clip")
+        np.equal(values, 0, out=held)
+        hit = held.nonzero()[0]
+        if hit.size:
+            # The cuts below u are a prefix of the row: start from the first
+            # cut not below the bucket's start and step past those below u.
+            flat = bucket[hit]
+            cut = flat // stride * k
+            cut += start[flat]
+            cut -= 1
+            u = mantissas[position, hit] * _UNIT
+            for _ in range(table.depth):
+                below = cuts[cut] < u
+                if not below.any():
+                    break
+                cut += below
+            values[hit] = cut % k + 1
         out[:, column] = values
 
 
@@ -265,26 +329,25 @@ def _sample_rows(
 ) -> None:
     """Rows first_index, first_index + 1, ... of the batch, written into `out`.
 
-    Rows are drawn in blocks of _BLOCK_ROWS, and each block's uniforms are
-    generated a few positions at a time, so the scratch memory depends on
+    Rows are drawn in blocks of _BLOCK_ROWS: each block's stream keys are
+    mixed once, and its mantissas are generated a group of positions at a
+    time into buffers made once per call, so the scratch memory depends on
     neither `count` nor the sequence length.
     """
     count, length = out.shape
+    rows = min(count, _BLOCK_ROWS)
+    variates = rows * min(length, max(1, _GRID_VARIATES // rows))
+    scratch = _Scratch(variates, rows, table.guide.dtype)
     for start in range(0, count, _BLOCK_ROWS):
         part = out[start : start + _BLOCK_ROWS]
-        width = min(length, max(1, _GRID_VARIATES // part.shape[0]))
+        rows = part.shape[0]
+        keys = stream_keys(seed, first_index + start, rows)
+        width = min(length, variates // rows)
         for column in range(0, length, width):
-            # Passed inline, so a group's uniforms are freed before the next
-            # group is generated.
-            _draw_block(
-                table,
-                parents,
-                uniform_grid(
-                    seed, first_index + start, part.shape[0], min(width, length - column), column
-                ),
-                part,
-                column,
-            )
+            size = min(width, length - column) * rows
+            group = scratch.mantissas[:size].reshape(-1, rows)
+            mantissa_grid(keys, column, group, scratch.words[:size].reshape(-1, rows))
+            _draw_block(table, parents, group, part, column, scratch)
 
 
 def sample_batch(
@@ -295,16 +358,21 @@ def sample_batch(
     count: int,
     seed: int,
     workers: int = 1,
+    first_index: int = 0,
 ) -> SampleBatch:
     """Draw `count` sequences of the given length, keyed per sequence index.
 
-    `workers` only partitions the row range across threads, at most one per
-    CPU; the batch is identical for any worker count.
+    The batch holds rows first_index .. first_index + count - 1 of the
+    seed's grid, so any range of rows can be drawn on its own.  `workers`
+    only partitions the row range across threads, at most one per CPU; the
+    batch is identical for any worker count.
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
+    if first_index < 0:
+        raise DomainError(f"first_index must be >= 0, got {first_index}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     tree = build_tree(spec, length)  # validates the generator up to length
@@ -317,7 +385,9 @@ def sample_batch(
         starts = range(0, count, chunk)
 
         def fill(start: int) -> None:
-            _sample_rows(table, tree.parents, seed, start, outcomes[start : start + chunk])
+            _sample_rows(
+                table, tree.parents, seed, first_index + start, outcomes[start : start + chunk]
+            )
 
         if threads == 1:
             fill(0)
@@ -338,15 +408,8 @@ def sample_sequence(
     index: int = 0,
 ) -> tuple[int, ...]:
     """The single sequence a batch would place at the given row index."""
-    marginal = as_marginal(p)
-    d = as_delta(delta)
-    if index < 0:
-        raise DomainError(f"index must be >= 0, got {index}")
-    tree = build_tree(spec, length)
-    table = _draw_table(marginal, d)
-    row = np.empty((1, length), dtype=table.guide.dtype)
-    _sample_rows(table, tree.parents, int(seed), index, row)
-    return tuple(int(v) for v in row[0])
+    batch = sample_batch(p, delta, spec, length, 1, seed, first_index=index)
+    return tuple(int(v) for v in batch.outcomes[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,12 @@
 """Counter-based variates against a scalar reference implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from depcat.errors import DomainError
-from depcat.rng import ALGORITHM_ID, stream_keys, uniform_grid
+from depcat.rng import ALGORITHM_ID, mantissa_grid, stream_keys, uniform_grid
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -99,3 +101,52 @@ def test_each_position_is_contiguous():
 def test_rejects_negative_first_position():
     with pytest.raises(DomainError):
         uniform_grid(1, 0, 10, 3, -1)
+
+
+def filled_mantissas(seed, first_index, count, width, first_position):
+    out = np.empty((width, count), dtype=np.uint64)
+    keys = stream_keys(seed, first_index, count)
+    return mantissa_grid(keys, first_position, out, np.empty_like(out))
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 987654321])
+@pytest.mark.parametrize("first_index", [0, 2**63 - 3, 2**63 + 11])
+@pytest.mark.parametrize("first_position", [0, 5])
+def test_mantissas_scaled_are_the_uniform_grid(seed, first_index, first_position):
+    mantissas = filled_mantissas(seed, first_index, 40, 6, first_position)
+    assert mantissas.min() >= 1 and mantissas.max() <= 2**53
+    grid = uniform_grid(seed, first_index, 40, 6, first_position)
+    assert np.array_equal(mantissas.T * 2.0**-53, grid)  # bit for bit
+    for row, col in ((0, 0), (39, 5), (17, 2)):
+        expected = reference_uniform(seed & MASK, first_index + row, first_position + col)
+        assert int(mantissas[col, row]) * 2.0**-53 == expected
+
+
+def test_mantissa_grid_allocates_nothing():
+    keys = stream_keys(3, 0, 1 << 12)
+    out = np.empty((4, keys.size), dtype=np.uint64)
+    scratch = np.empty_like(out)
+    mantissa_grid(keys, 0, out, scratch)
+    tracemalloc.start()
+    try:
+        mantissa_grid(keys, 7, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096  # the buffers are 128 KiB each
+    assert np.array_equal(out, filled_mantissas(3, 0, keys.size, 4, 7))
+
+
+def test_mantissa_grid_rejects_bad_buffers():
+    keys = stream_keys(1, 0, 8)
+    good = np.empty((2, 8), dtype=np.uint64)
+    for out, scratch in [
+        (np.empty((2, 8), dtype=np.int64), good),
+        (good, np.empty((2, 7), dtype=np.uint64)),
+        (np.empty((8, 2), dtype=np.uint64).T, good),
+        (good, np.empty((3, 8), dtype=np.uint64)),
+    ]:
+        with pytest.raises(DomainError):
+            mantissa_grid(keys, 0, out, scratch)
+    with pytest.raises(DomainError):
+        mantissa_grid(keys, -1, good, np.empty_like(good))

@@ -24,7 +24,7 @@ from depcat import (
 )
 from depcat.graph import build_tree
 from depcat.kernel import as_marginal
-from depcat.rng import ALGORITHM_ID, uniform_grid
+from depcat.rng import ALGORITHM_ID, mantissa_grid, stream_keys, uniform_grid
 from depcat.sampler import SampleBatch
 
 FK = GeneratorSpec.builtin("fk")
@@ -380,22 +380,29 @@ class TestGuideTableExactness:
     )
     @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0 - 1e-12, 1.0])
     def test_uniforms_on_cuts_and_bucket_edges(self, p, delta):
-        # Uniforms placed on every cut point and bucket edge, and one ulp to
-        # either side, for every parent category: the hardest inputs for a
-        # bucketed lookup.
+        # Uniforms on the 2^-53 grid the RNG draws from, at the mantissas just
+        # below and above every cut point and on every bucket edge, one step
+        # to either side of each, and at both ends m = 1 and m = 2^53, for
+        # every parent category: the hardest inputs for a bucketed lookup.
         table = depcat.sampler._draw_table(as_marginal(p), delta)
-        edges = np.arange(table.buckets + 1) / table.buckets
-        points = np.concatenate([table.cuts.ravel(), edges, [2.0**-53]])
-        points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0)])
-        points = np.unique(points[(points > 0.0) & (points <= 1.0)])
-        first = np.unique(table.cuts[0])
-        first = first[(first > 0.0) & (first <= 1.0)]  # reaches every possible category
-        uniforms = np.stack(
-            [np.repeat(first, points.size), np.tile(points, first.size)], axis=1
-        )
+        scaled = table.cuts.ravel() * 2.0**53
+        edges = np.arange(table.buckets + 1, dtype=np.int64) << table.shift
+        mantissas = np.concatenate([np.floor(scaled), np.ceil(scaled)]).astype(np.int64)
+        mantissas = np.concatenate([mantissas, edges])
+        mantissas = np.concatenate([mantissas - 1, mantissas, mantissas + 1, [1, 2**53]])
+        mantissas = np.unique(mantissas[(mantissas >= 1) & (mantissas <= 2**53)])
+        # The largest mantissa at or below each base cut reaches every
+        # possible category.
+        first = np.unique(np.floor(table.cuts[0] * 2.0**53).astype(np.int64))
+        first = first[(first >= 1) & (first <= 2**53)]
+        grid = np.stack(
+            [np.repeat(first, mantissas.size), np.tile(mantissas, first.size)]
+        ).astype(np.uint64)
+        uniforms = grid.T * 2.0**-53
         parents = np.array([1])
         out = np.empty(uniforms.shape, dtype=np.int64)
-        depcat.sampler._draw_block(table, parents, uniforms, out)
+        scratch = depcat.sampler._Scratch(grid.size, grid.shape[1], table.guide.dtype)
+        depcat.sampler._draw_block(table, parents, grid, out, 0, scratch)
         assert np.array_equal(out, compare_count_oracle(p, delta, parents, uniforms))
 
     @pytest.mark.parametrize("k", [2, 64, 300, 1000])
@@ -412,6 +419,102 @@ class TestGuideTableExactness:
             assert sample_sequence(p, 0.7, SIN_DRIFT, 9, seed=2**63 + 5, index=index) == tuple(
                 batch.outcomes[index]
             )
+
+
+class TestDrawKernel:
+    """Integer buckets, bounded refinement, one key mix per block, no per-column arrays."""
+
+    @pytest.mark.parametrize("g", range(54))
+    def test_mantissa_shift_is_the_floor_of_u_times_g(self, g):
+        # Every g that _draw_table can choose (G from 16 to 8192) and more.
+        # Bucket edges b * 2^(53-g): the first and last 1024 of them.
+        ends = np.arange(min(2**g, 1024) + 1, dtype=np.int64)
+        edges = np.concatenate([ends, 2**g - ends]) << (53 - g)
+        mantissas = np.concatenate(
+            [edges - 1, edges, edges + 1, [1, 2**53, 2**53 - 1, 2**52, 2**52 + 1]]
+        )
+        mantissas = np.unique(mantissas[(mantissas >= 1) & (mantissas <= 2**53)])
+        shifted = mantissas.astype(np.uint64) >> np.uint64(53 - g)
+        scaled = np.floor(mantissas * 2.0**-53 * 2.0**g)
+        assert np.array_equal(shifted, scaled.astype(np.uint64))
+        assert int(np.uint64(2**53) >> np.uint64(53 - g)) == 2**g  # u = 1.0: bucket G
+
+    @pytest.mark.parametrize("k", [2, 64, 181, 256, 1000])
+    def test_tables_share_the_budget_and_shift_matches_buckets(self, k):
+        table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.5)
+        assert table.guide.size + table.start.size <= depcat.sampler._TABLE_BUDGET
+        assert table.start.shape == table.guide.shape == (k + 1, table.buckets + 1)
+        assert 1 << (53 - table.shift) == table.buckets
+        held = table.guide == 0
+        assert np.array_equal(table.guide[~held], table.start[~held])
+
+    @pytest.mark.parametrize("spec", [FSQRT, SEQ])
+    def test_budget_capped_k4096_matches_compare_count_oracle(self, spec):
+        # At K = 4096 the budget caps G at 256: every bucket of every row
+        # holds cuts, so every draw refines, stepping over up to `depth` cuts.
+        k, delta, length, count, seed = 4096, 0.002, 6, 400, 2**64 - 7
+        p = np.full(k, 1 / k)
+        table = depcat.sampler._draw_table(as_marginal(p), delta)
+        assert table.buckets == 256 and np.all(table.guide == 0) and table.depth > 1
+        del table
+        batch = sample_batch(p, delta, spec, length, count, seed=seed)
+        parents = build_tree(spec, length).parents
+        expected = compare_count_oracle(p, delta, parents, uniform_grid(seed, 0, count, length))
+        assert np.array_equal(batch.outcomes, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_block_mixes_its_keys_once(self, monkeypatch, workers):
+        calls = []
+
+        def counting(seed, first_index, count):
+            calls.append((first_index, count))
+            return stream_keys(seed, first_index, count)
+
+        monkeypatch.setattr(depcat.sampler, "stream_keys", counting)
+        count = 2 * 2**14 + 17
+        batch = sample_batch([0.5, 0.3, 0.2], 0.4, FSQRT, 64, count, seed=3, workers=workers)
+        threads = min(workers, depcat.sampler.os.cpu_count() or 1)
+        chunk = -(-count // threads)
+        blocks = sum(-(-min(chunk, count - s) // 2**14) for s in range(0, count, chunk))
+        assert len(calls) == blocks
+        assert sorted(calls)[0][0] == 0 and sum(n for _, n in calls) == count
+        assert np.array_equal(batch.outcomes, sample_batch(
+            [0.5, 0.3, 0.2], 0.4, FSQRT, 64, count, seed=3).outcomes)
+
+    @pytest.mark.parametrize("k, spec", [(3, FSQRT), (64, SEQ)])
+    def test_draw_block_allocates_less_than_one_column(self, k, spec):
+        # The parents, bucket indices, values and refine mask of a column
+        # live in the thread's scratch; only refinement makes arrays, the
+        # size of its refined draws.
+        table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.4)
+        rows, width = 2**14, 8
+        parents = build_tree(spec, width).parents
+        scratch = depcat.sampler._Scratch(rows * width, rows, table.guide.dtype)
+        group = scratch.mantissas.reshape(width, rows)
+        mantissa_grid(stream_keys(5, 0, rows), 0, group, scratch.words.reshape(width, rows))
+        expected = compare_count_oracle(
+            np.full(k, 1 / k), 0.4, parents, group.T * 2.0**-53
+        )
+        out = np.empty((rows, width), dtype=table.guide.dtype)
+        tracemalloc.start()
+        try:
+            depcat.sampler._draw_block(table, parents, group, out, 0, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * np.dtype(np.intp).itemsize
+        assert np.array_equal(out, expected)
+
+    def test_first_index_draws_any_range_of_rows(self):
+        kwargs = dict(p=[0.5, 0.3, 0.2], delta=0.4, spec=FSQRT, length=9, seed=21)
+        full = sample_batch(**kwargs, count=2**14 + 40)
+        for first, count in ((0, 10), (2**14 - 5, 30), (2**14 + 1, 39)):
+            part = sample_batch(**kwargs, count=count, first_index=first)
+            assert np.array_equal(part.outcomes, full.outcomes[first : first + count])
+        with pytest.raises(DomainError):
+            sample_batch(**kwargs, count=3, first_index=-1)
+        with pytest.raises(DomainError):
+            sample_sequence(kwargs["p"], 0.4, FSQRT, 9, seed=21, index=-1)
 
 
 class RecordingPool:
