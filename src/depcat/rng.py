@@ -11,10 +11,12 @@ with identical results.
 A word maps to the 53-bit integer mantissa m = (word >> 11) + 1 in
 1..2^53, and m to the float u = m * 2^-53 in the half-open-from-below
 interval (0, 1]; the open left end keeps zero-probability categories
-unreachable under right-closed inverse-CDF bucketing.  `mantissa_grid`
-fills a caller-owned buffer with mantissas, mixing a block's stream keys
-as they are given and allocating nothing, so a sampler can mix each block's
-keys once and reuse its buffers; `uniform_grid` is that grid times 2^-53.
+unreachable under right-closed inverse-CDF bucketing.  `uniform_grid`
+returns the floats, or, given caller-owned buffers, writes the mantissas
+in place and allocates nothing; a caller that fills one block of rows a
+group of positions at a time passes the block's `stream_keys` as well, so
+they are mixed once.  The float grid is the mantissa grid times 2^-53, an
+exact scaling.
 """
 
 from __future__ import annotations
@@ -76,25 +78,10 @@ def stream_keys(seed: int, first_index: int, count: int) -> np.ndarray:
     return _mix64(keys, np.empty_like(keys))
 
 
-def mantissa_grid(
+def _fill_mantissas(
     keys: np.ndarray, first_position: int, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Fill `out` with the 53-bit mantissas of the stream `keys`, in place.
-
-    `out` and `scratch` are C-contiguous uint64 arrays of shape
-    (width, len(keys)).  Entry [i, r] of `out` becomes the mantissa m in
-    1..2^53 of (keys[r], first_position + i), whose uniform is m * 2^-53;
-    `scratch` is overwritten.  Nothing is allocated.
-    """
-    if first_position < 0:
-        raise DomainError(f"first_position must be >= 0, got {first_position}")
-    for buffer in (out, scratch):
-        if not (
-            buffer.dtype == np.uint64
-            and buffer.flags.c_contiguous
-            and buffer.shape == (out.shape[0], keys.shape[0])
-        ):
-            raise DomainError("out and scratch must be C-contiguous uint64 (width, len(keys))")
+    """Entry [i, r] of `out` becomes the mantissa of (keys[r], first_position + i)."""
     for offset, row in enumerate(out, start=first_position + 1):
         np.add(keys, np.uint64(int(_GOLDEN) * offset & _U64_MASK), out=row)
     _mix64(out, scratch)
@@ -104,7 +91,15 @@ def mantissa_grid(
 
 
 def uniform_grid(
-    seed: int, first_index: int, count: int, length: int, first_position: int = 0
+    seed: int,
+    first_index: int,
+    count: int,
+    length: int,
+    first_position: int = 0,
+    *,
+    keys: np.ndarray | None = None,
+    mantissas: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """(count, length) array of floats in (0, 1], one per (index, position).
 
@@ -112,12 +107,35 @@ def uniform_grid(
     so generating a batch in chunks of rows or of positions reproduces the
     corresponding entries of the full grid.  The grid is laid out
     position-major (the transpose of a C-ordered (length, count) array), so
-    the entries of one position are contiguous.  It is `mantissa_grid`
-    times 2^-53, an exact scaling.
+    the entries of one position are contiguous.
+
+    Given `keys`, which must be `stream_keys(seed, first_index, count)`, and
+    `mantissas` and `scratch`, distinct C-contiguous uint64 arrays of shape
+    (length, count), the grid is written into `mantissas` in integer form
+    instead: entry [c, r] is the m in 1..2^53 whose uniform m * 2^-53 is
+    entry [r, c] of the float grid.  `mantissas` is returned, `scratch` is
+    overwritten, and nothing is allocated; a caller that fills one block of
+    rows a group of positions at a time mixes the block's keys only once.
     """
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
-    keys = stream_keys(seed, first_index, count)
-    words = np.empty((length, count), dtype=np.uint64)
-    mantissa_grid(keys, first_position, words, np.empty_like(words))
-    return (words * _UNIT).T
+    if first_position < 0:
+        raise DomainError(f"first_position must be >= 0, got {first_position}")
+    if keys is None and mantissas is None and scratch is None:
+        keys = stream_keys(seed, first_index, count)
+        words = np.empty((length, count), dtype=np.uint64)
+        return (_fill_mantissas(keys, first_position, words, np.empty_like(words)) * _UNIT).T
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.shape == (count,)):
+        raise DomainError(f"keys must be a uint64 array of {count} stream keys")
+    for buffer in (mantissas, scratch):
+        if not (
+            isinstance(buffer, np.ndarray)
+            and buffer.dtype == np.uint64
+            and buffer.flags.c_contiguous
+            and buffer.shape == (length, count)
+        ):
+            raise DomainError("mantissas and scratch must be C-contiguous uint64 (length, count)")
+    # An overlap would let the mix read words it has already overwritten.
+    if np.shares_memory(mantissas, scratch) or np.shares_memory(mantissas, keys):
+        raise DomainError("mantissas must not overlap scratch or keys")
+    return _fill_mantissas(keys, first_position, mantissas, scratch)

@@ -68,7 +68,7 @@ from .exact import CrossCovariance, exponent_basis_for, _check_pair_positions
 from .generators import GeneratorSpec
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
-from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, mantissa_grid, stream_keys
+from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, stream_keys, uniform_grid
 
 
 # The guide and bucket-start tables hold at most this many entries together,
@@ -101,7 +101,6 @@ class _DrawTable:
     guide: np.ndarray  # (K+1, G+1) smallest unsigned dtype holding K
     start: np.ndarray  # (K+1, G+1), the guide's dtype
     buckets: int  # G, a power of two
-    depth: int  # the most cuts any one bucket holds
 
     @property
     def shift(self) -> int:
@@ -263,13 +262,11 @@ def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
     holding = np.minimum(np.floor(cuts * buckets), buckets).astype(np.intp)
     start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
     guide = np.empty_like(start)
-    depth = 0
     for row_start, row_guide, held in zip(start, guide, holding):
         counts = np.bincount(held, minlength=buckets + 1)
         row_start[:] = np.cumsum(counts) - counts + 1
         row_guide[:] = np.where(counts, 0, row_start)
-        depth = max(depth, int(counts.max()))
-    return _DrawTable(cuts, guide, start, buckets, depth)
+    return _DrawTable(cuts, guide, start, buckets)
 
 
 def _draw_block(
@@ -282,7 +279,7 @@ def _draw_block(
 ) -> None:
     """Columns first_column, first_column + 1, ... of `out`, one per row of `mantissas`.
 
-    `mantissas` is a (width, rows) uint64 group from `mantissa_grid`.  Draws
+    `mantissas` is a (width, rows) uint64 group of `uniform_grid` mantissas.  Draws
     position by position: column c of `out` reads the kernel row of its
     parent's column, which must already hold its draws.
     """
@@ -310,12 +307,13 @@ def _draw_block(
         if hit.size:
             # The cuts below u are a prefix of the row: start from the first
             # cut not below the bucket's start and step past those below u.
+            # The forced last cut 1.0 is never below u, so no step leaves the row.
             flat = bucket[hit]
             cut = flat // stride * k
             cut += start[flat]
             cut -= 1
             u = mantissas[position, hit] * _UNIT
-            for _ in range(table.depth):
+            while True:
                 below = cuts[cut] < u
                 if not below.any():
                     break
@@ -346,7 +344,11 @@ def _sample_rows(
         for column in range(0, length, width):
             size = min(width, length - column) * rows
             group = scratch.mantissas[:size].reshape(-1, rows)
-            mantissa_grid(keys, column, group, scratch.words[:size].reshape(-1, rows))
+            words = scratch.words[:size].reshape(group.shape)
+            uniform_grid(
+                seed, first_index + start, rows, len(group), column,
+                keys=keys, mantissas=group, scratch=words,
+            )
             _draw_block(table, parents, group, part, column, scratch)
 
 
@@ -408,6 +410,8 @@ def sample_sequence(
     index: int = 0,
 ) -> tuple[int, ...]:
     """The single sequence a batch would place at the given row index."""
+    if index < 0:
+        raise DomainError(f"index must be >= 0, got {index}")
     batch = sample_batch(p, delta, spec, length, 1, seed, first_index=index)
     return tuple(int(v) for v in batch.outcomes[0])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from depcat.errors import DomainError
-from depcat.rng import ALGORITHM_ID, mantissa_grid, stream_keys, uniform_grid
+from depcat.rng import ALGORITHM_ID, stream_keys, uniform_grid
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -106,7 +106,10 @@ def test_rejects_negative_first_position():
 def filled_mantissas(seed, first_index, count, width, first_position):
     out = np.empty((width, count), dtype=np.uint64)
     keys = stream_keys(seed, first_index, count)
-    return mantissa_grid(keys, first_position, out, np.empty_like(out))
+    return uniform_grid(
+        seed, first_index, count, width, first_position,
+        keys=keys, mantissas=out, scratch=np.empty_like(out),
+    )
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 987654321])
@@ -122,14 +125,14 @@ def test_mantissas_scaled_are_the_uniform_grid(seed, first_index, first_position
         assert int(mantissas[col, row]) * 2.0**-53 == expected
 
 
-def test_mantissa_grid_allocates_nothing():
+def test_mantissa_form_allocates_nothing():
     keys = stream_keys(3, 0, 1 << 12)
     out = np.empty((4, keys.size), dtype=np.uint64)
     scratch = np.empty_like(out)
-    mantissa_grid(keys, 0, out, scratch)
+    uniform_grid(3, 0, keys.size, 4, keys=keys, mantissas=out, scratch=scratch)
     tracemalloc.start()
     try:
-        mantissa_grid(keys, 7, out, scratch)
+        uniform_grid(3, 0, keys.size, 4, 7, keys=keys, mantissas=out, scratch=scratch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -137,16 +140,30 @@ def test_mantissa_grid_allocates_nothing():
     assert np.array_equal(out, filled_mantissas(3, 0, keys.size, 4, 7))
 
 
-def test_mantissa_grid_rejects_bad_buffers():
+def test_mantissa_form_rejects_bad_buffers():
     keys = stream_keys(1, 0, 8)
     good = np.empty((2, 8), dtype=np.uint64)
+    both = np.empty((2, 2, 8), dtype=np.uint64)
     for out, scratch in [
         (np.empty((2, 8), dtype=np.int64), good),
         (good, np.empty((2, 7), dtype=np.uint64)),
         (np.empty((8, 2), dtype=np.uint64).T, good),
         (good, np.empty((3, 8), dtype=np.uint64)),
+        (good, None),
+        (good, good),  # the mix would xor each word with itself
+        (both[0], both.reshape(4, 8)[1:3]),  # overlapping views of one buffer
     ]:
         with pytest.raises(DomainError):
-            mantissa_grid(keys, 0, out, scratch)
+            uniform_grid(1, 0, 8, 2, keys=keys, mantissas=out, scratch=scratch)
+    with pytest.raises(DomainError):  # keys inside the output
+        uniform_grid(1, 0, 8, 2, keys=good[1], mantissas=good, scratch=np.empty_like(good))
+    for bad_keys in (keys[:7], None):
+        with pytest.raises(DomainError):
+            uniform_grid(1, 0, 8, 2, keys=bad_keys, mantissas=good, scratch=np.empty_like(good))
+    with pytest.raises(DomainError):  # keys alone do not make the in-place form
+        uniform_grid(1, 0, 8, 2, keys=keys)
     with pytest.raises(DomainError):
-        mantissa_grid(keys, -1, good, np.empty_like(good))
+        uniform_grid(1, 0, 8, 2, -1, keys=keys, mantissas=good, scratch=np.empty_like(good))
+    # Distinct halves of one buffer do not overlap and are accepted.
+    uniform_grid(1, 0, 8, 2, keys=keys, mantissas=both[0], scratch=both[1])
+    assert np.array_equal(both[0], filled_mantissas(1, 0, 8, 2, 0))

@@ -24,7 +24,7 @@ from depcat import (
 )
 from depcat.graph import build_tree
 from depcat.kernel import as_marginal
-from depcat.rng import ALGORITHM_ID, mantissa_grid, stream_keys, uniform_grid
+from depcat.rng import ALGORITHM_ID, stream_keys, uniform_grid
 from depcat.sampler import SampleBatch
 
 FK = GeneratorSpec.builtin("fk")
@@ -451,11 +451,12 @@ class TestDrawKernel:
     @pytest.mark.parametrize("spec", [FSQRT, SEQ])
     def test_budget_capped_k4096_matches_compare_count_oracle(self, spec):
         # At K = 4096 the budget caps G at 256: every bucket of every row
-        # holds cuts, so every draw refines, stepping over up to `depth` cuts.
+        # holds cuts, so every draw refines, stepping over the cuts of its bucket.
         k, delta, length, count, seed = 4096, 0.002, 6, 400, 2**64 - 7
         p = np.full(k, 1 / k)
         table = depcat.sampler._draw_table(as_marginal(p), delta)
-        assert table.buckets == 256 and np.all(table.guide == 0) and table.depth > 1
+        assert table.buckets == 256 and np.all(table.guide == 0)
+        assert np.diff(table.start, axis=1).max() > 1  # some bucket holds several cuts
         del table
         batch = sample_batch(p, delta, spec, length, count, seed=seed)
         parents = build_tree(spec, length).parents
@@ -481,6 +482,19 @@ class TestDrawKernel:
         assert np.array_equal(batch.outcomes, sample_batch(
             [0.5, 0.3, 0.2], 0.4, FSQRT, 64, count, seed=3).outcomes)
 
+    def test_every_variate_is_drawn_through_uniform_grid(self, monkeypatch):
+        # The public uniform_grid is where a variate is produced and counted.
+        drawn = []
+
+        def counting(seed, first_index, count, length, first_position=0, **buffers):
+            drawn.append(count * length)
+            return uniform_grid(seed, first_index, count, length, first_position, **buffers)
+
+        monkeypatch.setattr(depcat.sampler, "uniform_grid", counting)
+        count, length = 2**14 + 17, 9
+        sample_batch([0.5, 0.3, 0.2], 0.4, FSQRT, length, count, seed=3, workers=2)
+        assert sum(drawn) == count * length
+
     @pytest.mark.parametrize("k, spec", [(3, FSQRT), (64, SEQ)])
     def test_draw_block_allocates_less_than_one_column(self, k, spec):
         # The parents, bucket indices, values and refine mask of a column
@@ -491,7 +505,8 @@ class TestDrawKernel:
         parents = build_tree(spec, width).parents
         scratch = depcat.sampler._Scratch(rows * width, rows, table.guide.dtype)
         group = scratch.mantissas.reshape(width, rows)
-        mantissa_grid(stream_keys(5, 0, rows), 0, group, scratch.words.reshape(width, rows))
+        keys, words = stream_keys(5, 0, rows), scratch.words.reshape(width, rows)
+        uniform_grid(5, 0, rows, width, keys=keys, mantissas=group, scratch=words)
         expected = compare_count_oracle(
             np.full(k, 1 / k), 0.4, parents, group.T * 2.0**-53
         )
