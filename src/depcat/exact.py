@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError
 from .generators import GeneratorSpec
-from .graph import build_tree, lowest_common_ancestor, path_to_root, tree_distance
+from .graph import DependencyTree, build_tree, lowest_common_ancestor, tree_distance
 from .kernel import (
     DeltaLike,
+    Marginal,
     MarginalLike,
     as_delta,
     as_marginal,
@@ -176,15 +177,8 @@ def marginal_at(
     """
     if position < 1:
         raise DomainError(f"position must be >= 1, got {position}")
-    marginal = as_marginal(p)
-    if position == 1:
-        return PositionMarginal(1, marginal.probs.copy())
-    kernel = transition_kernel(marginal, delta)
-    depth = len(path_to_root(build_tree(spec, position), position)) - 1
-    probs = marginal.probs.copy()
-    for _ in range(depth):
-        probs = probs @ kernel.matrix
-    return PositionMarginal(position, probs)
+    route = _Propagation(as_marginal(p), delta, build_tree(spec, position))
+    return PositionMarginal(position, route.marginal(position))
 
 
 def enumerated_marginals(
@@ -255,23 +249,76 @@ def _pair_joint_enumerated(
     return ones[: block.shape[1]] @ block
 
 
+class _Propagation:
+    """Route two on one dependency tree: kernel powers, no outcome space.
+
+    The draw at node n is one kernel step P from the draw at its parent
+    alpha(n), so the marginal at n is the marginal at alpha(n) times P.
+    Conditioned on the value at the lowest common ancestor c of m and n,
+    the branches down to m and n are independent, and a branch of e edges
+    is the kernel power P^e.  So the joint of the draws at m and n is
+    (P^a)^T diag(marginal at c) P^b, where a and b are the depths of m and
+    n below c.
+
+    Marginals and depths are filled in once per node, each from its
+    parent's, the first time a walk reaches the node; asking for nodes in
+    ascending order is one pass down the tree.  Kernel powers are cached
+    as they are needed.
+    """
+
+    def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
+        self.tree = tree
+        self.kernel = transition_kernel(marginal, delta).matrix
+        self.depths = np.full(tree.size, -1, dtype=np.int64)
+        self.depths[0] = 0
+        self._marginals = {1: marginal.probs}
+        self._powers = [np.eye(marginal.num_categories)]
+
+    def marginal(self, node: int) -> np.ndarray:
+        """Marginal at `node`, pushed down from its nearest reached ancestor."""
+        path = []
+        while self.depths[node - 1] < 0:
+            path.append(node)
+            node = self.tree.parent_of(node)
+        for child in reversed(path):
+            self._marginals[child] = self._marginals[node] @ self.kernel
+            self.depths[child - 1] = self.depths[node - 1] + 1
+            node = child
+        return self._marginals[node]
+
+    def powers(self, top: int) -> np.ndarray:
+        """P^0 .. P^top stacked, shape (top + 1, K, K)."""
+        while len(self._powers) <= top:
+            self._powers.append(self._powers[-1] @ self.kernel)
+        return np.array(self._powers[: top + 1])
+
+    def pair_joints(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Joint law of each (m, n) in `pairs`, and each pair's tree distance.
+
+        One lowest-common-ancestor walk per pair; the branch lengths a and
+        b are read from the depths.  Returns the (len(pairs), K, K) joints
+        and the distances a + b.
+        """
+        ancestors = []
+        for m, n in pairs:
+            ancestors.append(lowest_common_ancestor(self.tree, m, n))
+            self.marginal(m)  # fills in the depths of m and n
+            self.marginal(n)
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2) - 1
+        above = self.depths[np.array(ancestors, dtype=np.int64) - 1]
+        up, down = self.depths[ends[:, 0]] - above, self.depths[ends[:, 1]] - above
+        powers = self.powers(int(max(up.max(), down.max())))
+        at_ancestor = np.array([self._marginals[c] for c in ancestors])
+        joints = powers[up].transpose(0, 2, 1) @ (at_ancestor[:, :, None] * powers[down])
+        return joints, up + down
+
+
 def _pair_joint_propagated(
     p: MarginalLike, delta: DeltaLike, spec: GeneratorSpec, m: int, n: int
 ) -> np.ndarray:
-    """Same pairwise joint via the lowest common ancestor factorization.
-
-    Conditioned on the ancestor's value, the branches leading to the two
-    positions are independent, and each branch conditional is a power of
-    the kernel (one factor per edge).
-    """
-    marginal = as_marginal(p)
-    kernel = transition_kernel(marginal, delta)
-    tree = build_tree(spec, n)
-    ancestor = lowest_common_ancestor(tree, m, n)
-    down_m = np.linalg.matrix_power(kernel.matrix, tree_distance(tree, ancestor, m))
-    down_n = np.linalg.matrix_power(kernel.matrix, tree_distance(tree, ancestor, n))
-    at_ancestor = marginal_at(marginal, delta, spec, ancestor).probs
-    return down_m.T @ (at_ancestor[:, None] * down_n)
+    """Same pairwise joint via the lowest common ancestor factorization."""
+    route = _Propagation(as_marginal(p), delta, build_tree(spec, n))
+    return route.pair_joints([(m, n)])[0][0]
 
 
 class PairProbability(NamedTuple):
@@ -482,16 +529,17 @@ def verification_suite(
     """Cross-route agreement checks at one parameter point.
 
     normalization        total enumerated probability vs 1
-    identical-marginals  per-position marginals (both routes) vs the base p
-    covariance-agreement enumerated vs closed-form matrices, all pairs
-    endpoint-match       enumerated vs closed-form chain endpoint identity
+    identical-marginals  per-position marginals, both routes, vs the base p
+    covariance-agreement enumerated and propagated pair covariances, every
+                         pair, vs the closed form at their tree distance
+    endpoint-match       propagated chain endpoint joints vs the closed form
 
-    The enumeration route builds the length-N joint of ``spec`` once and
-    the length-N chain joint once (the same joint when ``spec`` is the
-    chain), one after the other, and reads every enumerated marginal, pair
-    joint and endpoint joint from them.  The dependency tree is built once
-    for the closed-form exponents; ``marginal_at`` propagates each position
-    on its own.
+    Each route runs once.  Enumeration builds the length-N joint of
+    ``spec`` and reads every marginal and pair joint from it.  Propagation
+    builds the tree and the kernel, computes every marginal in one pass
+    down the tree and every pair joint at its lowest common ancestor.  The
+    chain's (1, n) joint is diag(p) P^(n-1), read from the same cached
+    kernel powers, since every generator shares the one kernel.
     """
     marginal = as_marginal(p)
     if length < 2:
@@ -500,42 +548,34 @@ def verification_suite(
     joint = joint_distribution(marginal, delta, spec, length, cap)
     total = float(joint.sum())
     pairs = _pair_joints(joint)
-    del joint  # so the chain joint below never sits beside it
-    chain = GeneratorSpec.builtin("sequential")
-    chain_pairs = (
-        pairs
-        if spec == chain
-        else _pair_joints(joint_distribution(marginal, delta, chain, length, cap))
-    )
-    checks = []
+    route = _Propagation(marginal, delta, build_tree(spec, length))
+    checks = [VerificationCheck("normalization", abs(total - 1.0), EXACT_TOL)]
 
-    checks.append(VerificationCheck("normalization", abs(total - 1.0), EXACT_TOL))
-
-    by_position = _diagonal_marginals(pairs)
-    err = float(np.max(np.abs(by_position - probs[None, :])))
-    for position in range(1, length + 1):
-        propagated = marginal_at(marginal, delta, spec, position).probs
-        err = max(err, float(np.max(np.abs(propagated - probs))))
+    propagated = np.array([route.marginal(n) for n in range(1, length + 1)])
+    both = np.stack([_diagonal_marginals(pairs), propagated])
+    err = float(np.max(np.abs(both - probs)))
     checks.append(VerificationCheck("identical-marginals", err, EXACT_TOL))
 
-    tree = build_tree(spec, length)
-    independent = np.outer(probs, probs)
-    err = 0.0
-    for m in range(1, length):
-        for n in range(m + 1, length + 1):
-            enumerated = pairs[m - 1, n - 1] - independent
-            closed = closed_form_covariance_matrix(
-                marginal, delta, tree_distance(tree, m, n)
-            )
-            err = max(err, float(np.max(np.abs(enumerated - closed))))
+    positions = [(m, n) for m in range(1, length) for n in range(m + 1, length + 1)]
+    propagated, distances = route.pair_joints(positions)
+    exponents, which = np.unique(distances, return_inverse=True)
+    closed = np.array(
+        [closed_form_covariance_matrix(marginal, delta, int(e)) for e in exponents]
+    )[which]
+    both = np.stack([pairs[np.triu_indices(length, 1)], propagated])
+    err = float(np.max(np.abs(both - np.outer(probs, probs) - closed)))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
-    err = 0.0
-    for n in range(2, length + 1):
-        enumerated = np.diagonal(chain_pairs[0, n - 1])
-        for category in range(1, marginal.num_categories + 1):
-            closed = endpoint_match_probability(marginal, delta, n, category)
-            err = max(err, abs(float(enumerated[category - 1]) - closed))
+    # diagonal of diag(p) P^(n-1), for n = 2..length
+    propagated = probs * np.diagonal(route.powers(length - 1)[1:], axis1=1, axis2=2)
+    categories = range(1, marginal.num_categories + 1)
+    closed = np.array(
+        [
+            [endpoint_match_probability(marginal, delta, n, i) for i in categories]
+            for n in range(2, length + 1)
+        ]
+    )
+    err = float(np.max(np.abs(propagated - closed)))
     checks.append(VerificationCheck("endpoint-match", err, EXACT_TOL))
 
     return checks

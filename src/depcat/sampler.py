@@ -68,7 +68,7 @@ from .exact import CrossCovariance, exponent_basis_for, _check_pair_positions
 from .generators import GeneratorSpec
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
-from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, stream_keys, uniform_grid
+from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _as_seed, stream_keys, uniform_grid
 
 
 # The guide and bucket-start tables hold at most this many entries together,
@@ -377,6 +377,7 @@ def sample_batch(
         raise DomainError(f"first_index must be >= 0, got {first_index}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    _as_seed(seed)  # checked here too, as an empty batch draws no stream key
     tree = build_tree(spec, length)  # validates the generator up to length
     table = _draw_table(marginal, d)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import depcat.cli
+import depcat.exact
 import depcat.sampler
 from depcat.cli import (
     EXIT_CAP,
@@ -372,6 +373,24 @@ class TestVerify:
         code, out, _ = run(["verify", *SEQ_ARGS], capsys)
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("generator", ["fk", "sequential", "floor_sqrt",
+                                           "sin_drift", "prime_partition"])
+    def test_propagation_route_is_compared(self, generator, capsys, monkeypatch):
+        # A propagation route that lost the dependence fails the covariance
+        # check, though enumeration still agrees with the closed form.
+        original = depcat.exact._Propagation.pair_joints
+
+        def independent(self, pairs):
+            joints, distances = original(self, pairs)
+            p = self.marginal(1)
+            return np.broadcast_to(np.outer(p, p), joints.shape), distances
+
+        monkeypatch.setattr(depcat.exact._Propagation, "pair_joints", independent)
+        code, out, _ = run(["verify", "--generator", generator, *SEQ_ARGS[2:]], capsys)
+        assert code == EXIT_VERIFICATION
+        failed = [line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")]
+        assert failed == ["covariance-agreement"]
 
 
 # A table with no entry for n = 3, and one whose parent of 3 is out of range.

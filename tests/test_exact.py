@@ -411,7 +411,7 @@ class TestIncompleteTable:
 
 class TestOneEnumerationPerSuite:
     @pytest.mark.parametrize(
-        "spec, builds", [(FSQRT, 2), (SEQ, 1)], ids=["floor_sqrt", "sequential"]
+        "spec, builds", [(FSQRT, 1), (SEQ, 1)], ids=["floor_sqrt", "sequential"]
     )
     def test_joint_builds(self, spec, builds, monkeypatch):
         lengths = []
@@ -425,6 +425,21 @@ class TestOneEnumerationPerSuite:
         checks = verification_suite(P3, 0.4, spec, 8)
         assert all(check.passed for check in checks)
         assert lengths == [8] * builds
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.kind)
+    def test_tree_builds(self, spec, monkeypatch):
+        # One tree for the joint, one for propagation.
+        sizes = []
+        original = depcat.exact.build_tree
+
+        def counting(generator, size):
+            sizes.append(size)
+            return original(generator, size)
+
+        monkeypatch.setattr(depcat.exact, "build_tree", counting)
+        checks = verification_suite(P3, 0.4, spec, 8)
+        assert all(check.passed for check in checks)
+        assert sizes == [8, 8]
 
 
 @st.composite

@@ -262,6 +262,13 @@ class TestErrors:
         with pytest.raises(DomainError):
             sample_batch([0.5, 0.5], 0.4, SEQ, 3, 5, seed=1, workers=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_non_integer_seed(self, seed, count):
+        # An empty batch draws no stream key, so the seed is checked first.
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            sample_batch([0.5, 0.5], 0.4, FK, 3, count, seed=seed)
+
 
 def compare_count_oracle(p, delta, parents, uniforms):
     """The sampler's rule before guide tables, kept as the reference.
