@@ -558,11 +558,11 @@ def verification_suite(
 
     positions = [(m, n) for m in range(1, length) for n in range(m + 1, length + 1)]
     propagated, distances = route.pair_joints(positions)
-    exponents, which = np.unique(distances, return_inverse=True)
-    closed = np.array(
-        [closed_form_covariance_matrix(marginal, delta, int(e)) for e in exponents]
-    )[which]
-    both = np.stack([pairs[np.triu_indices(length, 1)], propagated])
+    distances = distances.tolist()
+    closed = {d: closed_form_covariance_matrix(marginal, delta, d) for d in set(distances)}
+    closed = np.array([closed[d] for d in distances])
+    first, second = (np.array(positions) - 1).T
+    both = np.stack([pairs[first, second], propagated])
     err = float(np.max(np.abs(both - np.outer(probs, probs) - closed)))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
