@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError
 from .generators import GeneratorSpec
-from .graph import DependencyTree, build_tree, lowest_common_ancestor, tree_distance
+from .graph import DependencyTree, branch_lengths, build_tree, tree_distance
 from .kernel import (
     DeltaLike,
     Marginal,
@@ -260,57 +260,57 @@ class _Propagation:
     (P^a)^T diag(marginal at c) P^b, where a and b are the depths of m and
     n below c.
 
-    Marginals and depths are filled in once per node, each from its
-    parent's, the first time a walk reaches the node; asking for nodes in
-    ascending order is one pass down the tree.  Kernel powers are cached
-    as they are needed.
+    Only what is asked for is kept: the marginal of each node asked for
+    and each kernel power used.  A node's marginal is pushed down from its
+    nearest kept ancestor, so asking for nodes in ascending order is one
+    pass down the tree.  A power is one product from the power below it
+    when that one is kept, and repeated squaring otherwise.
     """
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
         self.tree = tree
         self.kernel = transition_kernel(marginal, delta).matrix
-        self.depths = np.full(tree.size, -1, dtype=np.int64)
-        self.depths[0] = 0
         self._marginals = {1: marginal.probs}
-        self._powers = [np.eye(marginal.num_categories)]
+        self._powers = {0: np.eye(marginal.num_categories)}
 
     def marginal(self, node: int) -> np.ndarray:
-        """Marginal at `node`, pushed down from its nearest reached ancestor."""
-        path = []
-        while self.depths[node - 1] < 0:
-            path.append(node)
-            node = self.tree.parent_of(node)
-        for child in reversed(path):
-            self._marginals[child] = self._marginals[node] @ self.kernel
-            self.depths[child - 1] = self.depths[node - 1] + 1
-            node = child
-        return self._marginals[node]
+        """Marginal at `node`, pushed down from its nearest kept ancestor."""
+        ancestor, steps = node, 0
+        while ancestor not in self._marginals:
+            ancestor, steps = self.tree.parent_of(ancestor), steps + 1
+        probs = self._marginals[ancestor]
+        for _ in range(steps):
+            probs = probs @ self.kernel
+        self._marginals[node] = probs
+        return probs
 
-    def powers(self, top: int) -> np.ndarray:
-        """P^0 .. P^top stacked, shape (top + 1, K, K)."""
-        while len(self._powers) <= top:
-            self._powers.append(self._powers[-1] @ self.kernel)
-        return np.array(self._powers[: top + 1])
+    def power(self, exponent: int) -> np.ndarray:
+        """The kernel power P^exponent."""
+        power = self._powers.get(exponent)
+        if power is None:
+            below = self._powers.get(exponent - 1)
+            if below is None:
+                power = np.linalg.matrix_power(self.kernel, exponent)
+            else:
+                power = below @ self.kernel
+            self._powers[exponent] = power
+        return power
 
     def pair_joints(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """Joint law of each (m, n) in `pairs`, and each pair's tree distance.
 
-        One lowest-common-ancestor walk per pair; the branch lengths a and
-        b are read from the depths.  Returns the (len(pairs), K, K) joints
-        and the distances a + b.
+        One walk per pair up to its lowest common ancestor, which also
+        counts the branch lengths a and b.  Returns the (len(pairs), K, K)
+        joints and the distances a + b.
         """
-        ancestors = []
-        for m, n in pairs:
-            ancestors.append(lowest_common_ancestor(self.tree, m, n))
-            self.marginal(m)  # fills in the depths of m and n
-            self.marginal(n)
-        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2) - 1
-        above = self.depths[np.array(ancestors, dtype=np.int64) - 1]
-        up, down = self.depths[ends[:, 0]] - above, self.depths[ends[:, 1]] - above
-        powers = self.powers(int(max(up.max(), down.max())))
-        at_ancestor = np.array([self._marginals[c] for c in ancestors])
-        joints = powers[up].transpose(0, 2, 1) @ (at_ancestor[:, :, None] * powers[down])
-        return joints, up + down
+        ancestors, up, down = zip(*(branch_lengths(self.tree, m, n) for m, n in pairs))
+        for exponent in sorted(set(up) | set(down)):
+            self.power(exponent)
+        at_ancestor = np.array([self.marginal(c) for c in ancestors])
+        left = np.array([self.power(a).T for a in up])
+        right = np.array([self.power(b) for b in down])
+        joints = left @ (at_ancestor[:, :, None] * right)
+        return joints, np.array(up, dtype=np.int64) + np.array(down, dtype=np.int64)
 
 
 def _pair_joint_propagated(
@@ -567,7 +567,7 @@ def verification_suite(
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
     # diagonal of diag(p) P^(n-1), for n = 2..length
-    propagated = probs * np.diagonal(route.powers(length - 1)[1:], axis1=1, axis2=2)
+    propagated = probs * np.array([np.diagonal(route.power(e)) for e in range(1, length)])
     categories = range(1, marginal.num_categories + 1)
     closed = np.array(
         [

@@ -95,33 +95,32 @@ def path_to_root(tree: DependencyTree, node: int) -> list[int]:
     return path
 
 
-def tree_distance(tree: DependencyTree, m: int, n: int) -> int:
-    """Edge count of the unique path between m and n.
+def branch_lengths(tree: DependencyTree, m: int, n: int) -> tuple[int, int, int]:
+    """The lowest common ancestor c of m and n, and the edges c..m and c..n.
 
     Walks the larger index up its parent chain until the two meet; because
-    parents strictly decrease this converges at the lowest common ancestor.
+    parents strictly decrease this converges at c, after exactly the edges
+    of the path between m and n.
     """
     tree._check_node(m)
     tree._check_node(n)
-    distance = 0
+    up = down = 0
     while m != n:
         if m > n:
-            m = tree.parent_of(m)
+            m, up = tree.parent_of(m), up + 1
         else:
-            n = tree.parent_of(n)
-        distance += 1
-    return distance
+            n, down = tree.parent_of(n), down + 1
+    return m, up, down
+
+
+def tree_distance(tree: DependencyTree, m: int, n: int) -> int:
+    """Edge count of the unique path between m and n."""
+    _, up, down = branch_lengths(tree, m, n)
+    return up + down
 
 
 def lowest_common_ancestor(tree: DependencyTree, m: int, n: int) -> int:
-    tree._check_node(m)
-    tree._check_node(n)
-    while m != n:
-        if m > n:
-            m = tree.parent_of(m)
-        else:
-            n = tree.parent_of(n)
-    return m
+    return branch_lengths(tree, m, n)[0]
 
 
 def export_dot(tree: DependencyTree) -> str:

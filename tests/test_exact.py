@@ -7,6 +7,7 @@ and propagation code paths.
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,24 @@ class TestJointPairProbability:
                 assert prop.method == "propagate"
                 assert auto.method == "propagate"
                 assert enum.value == pytest.approx(prop.value, abs=1e-10)
+
+    def test_far_apart_pair_holds_only_a_few_kernel_powers(self):
+        # Propagating across 10^5 edges keeps the tree and a few K x K
+        # matrices; it never holds one kernel power per edge (3.3 GB here).
+        k, n = 64, 100_001
+        p = np.full(k, 1.0 / k)
+        tracemalloc.start()
+        try:
+            depcat.exact.build_tree(SEQ, n)
+            tree_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            result = joint_pair_probability(p, 0.9, SEQ, 1, 1, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tree_peak + 16 * k * k * 8
+        expected = endpoint_match_probability(p, 0.9, n, 1)
+        assert result.value == pytest.approx(expected, abs=1e-12)
 
     def test_enumerate_respects_cap(self):
         with pytest.raises(EnumerationTooLargeError):
