@@ -100,16 +100,18 @@ def branch_lengths(tree: DependencyTree, m: int, n: int) -> tuple[int, int, int]
 
     Walks the larger index up its parent chain until the two meet; because
     parents strictly decrease this converges at c, after exactly the edges
-    of the path between m and n.
+    of the path between m and n.  m and n are checked once; every hop
+    after that stays inside 1..size, so it reads `tree.parents` directly.
     """
     tree._check_node(m)
     tree._check_node(n)
+    parent = tree.parents.item  # parent(i) is the parent of node i + 2
     up = down = 0
     while m != n:
         if m > n:
-            m, up = tree.parent_of(m), up + 1
+            m, up = parent(m - 2), up + 1
         else:
-            n, down = tree.parent_of(n), down + 1
+            n, down = parent(n - 2), down + 1
     return m, up, down
 
 

@@ -5,9 +5,11 @@ over explicit weighting arithmetic, independent of the library's tensor
 and propagation code paths.
 """
 
+import hashlib
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from depcat import (
     joint_pair_probability,
     marginal_at,
     outcome_probability,
+    transition_kernel,
     verification_suite,
 )
 from depcat.exact import (
@@ -40,6 +43,7 @@ from depcat.exact import (
     _pair_joint_propagated,
     _pair_joints,
 )
+from depcat.graph import build_tree
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -133,9 +137,7 @@ class TestEnumeration:
             joint = joint_distribution(P3, 0.45, spec, 4)
             for omega in enumerate_outcomes(4, 3):
                 index = tuple(v - 1 for v in omega)
-                assert joint[index] == pytest.approx(
-                    outcome_probability(omega, P3, 0.45, spec), abs=1e-14
-                )
+                assert joint[index] == outcome_probability(omega, P3, 0.45, spec)
 
     def test_normalization_at_desk_scale(self):
         # total probability 1 within 1e-10 for every builtin, up to the
@@ -158,6 +160,47 @@ class TestEnumeration:
             )
         direct = float(joint_distribution(P3, 0.3, spec, 5).sum())
         assert total == pytest.approx(direct, abs=1e-12)
+
+
+# sha256 of joint_distribution(p, delta, spec, n).tobytes(), concatenated over
+# both marginals, delta in (0, 0.45, 1) and n = 1..JOINT_GOLDEN_LENGTH[K], in
+# that order; recorded from the one-broadcast-product-per-position build.
+JOINT_GOLDEN_MARGINALS = {
+    2: ([0.7, 0.3], [0.0, 1.0]),
+    3: ([0.5, 0.3, 0.2], [0.6, 0.0, 0.4]),
+    4: ([0.4, 0.3, 0.2, 0.1], [0.25, 0.0, 0.5, 0.25]),
+}
+JOINT_GOLDEN_LENGTH = {2: 12, 3: 9, 4: 8}
+JOINT_GOLDENS = {
+    ("fk", 2): "8b4d75495d1d88e32f21ceb69878d72b143343925976517ab5edff181d57d2cd",
+    ("fk", 3): "18280169a300175f98eb9af93d03a1a46ec9189b1b0b96a302fb1f5ae55c5f5f",
+    ("fk", 4): "14bcbb9a2c892f91521ec5ddc39fd2181229d94b6557c6c2bb1d44270641ee02",
+    ("sequential", 2): "7177891508caf5ec807a50be9a9edaeba66b5c36d2a7da2784be3fcb23493b1c",
+    ("sequential", 3): "5792fa907210434618524cc9ff598a4ade103519387ae635acd0d152d209c4d8",
+    ("sequential", 4): "80f096d0dde801a4ac74fab827fcf019d0eb20bb8653f4af1b3fcf827ee98774",
+    ("floor_sqrt", 2): "5b93b3967911755a818546beadb451cafcab1bb20c72472dbf66cb0550edfe15",
+    ("floor_sqrt", 3): "d6787b2c3bc3f566d00542065e1d5dc22fd33d854748dfec15c2258351e1f1a8",
+    ("floor_sqrt", 4): "94d89774a23c61983951c566a0d4dc99034aa06543acb168faee75997ef2890d",
+    ("sin_drift", 2): "6d20fe60e0b1d7d1227cb62162762fe9747462e50238a630430dbc75466f1222",
+    ("sin_drift", 3): "0ec8c4c5375d81ed276fba5d0f96add058bf54e6bb19587970b04af3334e47b6",
+    ("sin_drift", 4): "3509a0af78d763cb2c69585c5f2fe10e57a22b8644d3fa509d55217a09227c21",
+    ("prime_partition", 2): "f626b8e03c2e378eda55bee4dfe1bd40a4a5fd941dddd637f8115e5eacdc428f",
+    ("prime_partition", 3): "a3ebca671ac00c32f484ba35ecefb0f2c26518318f8854a4529a766e30409ed3",
+    ("prime_partition", 4): "b84d2a2f9bb54f88af07e6e61a5b68efacffca8257ed86a1105ec46ecbd622ae",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, k", sorted(JOINT_GOLDENS), ids=lambda value: str(value)
+)
+def test_joint_bits_are_pinned(kind, k):
+    spec = GeneratorSpec.builtin(kind)
+    digest = hashlib.sha256()
+    for p in JOINT_GOLDEN_MARGINALS[k]:
+        for delta in (0.0, 0.45, 1.0):
+            for n in range(1, JOINT_GOLDEN_LENGTH[k] + 1):
+                digest.update(joint_distribution(p, delta, spec, n).tobytes())
+    assert digest.hexdigest() == JOINT_GOLDENS[kind, k]
 
 
 class TestMarginals:
@@ -472,6 +515,31 @@ def valid_tables(draw):
     )
     delta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     return GeneratorSpec.from_table(table), length, weights / weights.sum(), delta
+
+
+def broadcast_joint(p, delta, spec, length):
+    """Oracle: the joint grown by one broadcast product per position."""
+    k = len(p)
+    kernel = transition_kernel(p, delta).matrix
+    joint = np.array(p, dtype=np.float64)
+    for parent in build_tree(spec, length).parents:
+        joint = joint.reshape(k ** (parent - 1), k, -1, 1) * kernel.reshape(1, k, 1, k)
+    return joint.reshape((k,) * length)
+
+
+class TestJointGrowth:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_tables())
+    def test_bitwise_equal_to_the_broadcast_build(self, case):
+        spec, length, p, delta = case
+        expected = broadcast_joint(p, delta, spec, length)
+        joint = joint_distribution(p, delta, spec, length)
+        assert joint.shape == expected.shape
+        assert joint.tobytes() == expected.tobytes()
+        # every step in the sliced forms, however small the joint
+        with mock.patch.object(depcat.exact, "_SLICED_MIN_ENTRIES", 0):
+            joint = joint_distribution(p, delta, spec, length)
+        assert joint.tobytes() == expected.tobytes()
 
 
 class TestPairJointsProperty:

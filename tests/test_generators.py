@@ -1,9 +1,12 @@
 """Generator catalog: parent values, axiom validation, serialization."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depcat import (
     AxiomViolationError,
@@ -150,6 +153,31 @@ class TestBulkAgreement:
             bulk = parent_indices(spec, 500)
             for n in range(2, 501):
                 assert bulk[n - 2] == evaluate(spec, n), (spec.kind, n)
+
+
+BULK_MAX = 10**5
+
+
+@functools.lru_cache(maxsize=None)
+def bulk_parents(kind):
+    return parent_indices(GeneratorSpec.builtin(kind), BULK_MAX)
+
+
+class TestScalarIsTheBulkEntry:
+    """evaluate(spec, n) is entry n - 2 of parent_indices(spec, 10**5)."""
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, BULK_MAX))
+    def test_any_index(self, spec, n):
+        assert evaluate(spec, n) == bulk_parents(spec.kind)[n - 2]
+
+    def test_floor_sqrt_next_to_every_square(self):
+        bulk = bulk_parents("floor_sqrt")
+        for root in range(1, math.isqrt(BULK_MAX) + 1):
+            for n in (root * root - 1, root * root, root * root + 1):
+                if 2 <= n <= BULK_MAX:
+                    assert evaluate(FSQRT, n) == bulk[n - 2], n
 
 
 class TestSerialization:
