@@ -67,9 +67,9 @@ from .kernel import (
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 # How `joint_distribution` grows a step (timed on 2 CPUs, numpy 2.4.6):
-# K multiplies beat one broadcast product from about a thousand entries on,
-# up to K = 4; from K = 5 on the slices' K-strided writes lose.  A chain
-# step multiplies rows of at least _CHAIN_RUN entries (a power of K).
+# K slice multiplies beat one broadcast product from about a thousand
+# entries on, up to K = 4; from K = 5 on the slices' K-strided writes lose.
+# A chain step multiplies rows of at least _CHAIN_RUN entries.
 _SLICED_MIN_ENTRIES = 1024
 _SLICED_MAX_CATEGORIES = 4
 _CHAIN_RUN = 128
@@ -172,28 +172,29 @@ def joint_distribution(
     Each slice is one multiply whose inner loop runs along `after`, where
     a broadcast product of the whole step would loop K entries at a time.
     When the parent is the last axis `after` is empty, so the joint is read
-    as rows of `run` entries and multiplied by column j repeated along the
-    row.  Every entry is the same two factors either way, so the bits do
-    not depend on the form.  Small steps, and K past a few categories,
-    keep the one broadcast product, which is faster there.
+    as rows of a power of K entries and multiplied by column j repeated
+    along the row.  Every entry is the same two factors either way, so the
+    bits do not depend on the form.  Small steps, and K past a few
+    categories, keep the one broadcast product, which is faster there.
     """
     marginal = as_marginal(p)
     k = marginal.num_categories
     _check_enumeration_size(k, length, cap)
     kernel = transition_kernel(marginal, delta).matrix
     parents = build_tree(spec, length).parents
-    sliced = k <= _SLICED_MAX_CATEGORIES
-    run = k
-    while sliced and run < _CHAIN_RUN:
-        run *= k
-    runs = np.tile(kernel.T, run // k)  # runs[j, r] = kernel[r % k, j]
+    runs = None  # runs[j, r] = kernel[r % k, j], made at the first chain step
     joint = marginal.probs.copy()
     for size, parent in enumerate(parents, start=1):
-        if not sliced or joint.size < _SLICED_MIN_ENTRIES:
+        if k > _SLICED_MAX_CATEGORIES or joint.size < _SLICED_MIN_ENTRIES:
             joint = joint.reshape(k ** (parent - 1), k, -1, 1) * kernel.reshape(1, k, 1, k)
             continue
         if parent == size:  # the parent is the last of the `size` axes
-            period = min(run, joint.size)
+            if runs is None:
+                repeats = 1
+                while k * repeats < _CHAIN_RUN:
+                    repeats *= k
+                runs = np.tile(kernel.T, repeats)
+            period = min(runs.shape[1], joint.size)
             factor, columns = joint.reshape(-1, period), runs[:, :period]
         else:
             factor, columns = joint.reshape(k ** (parent - 1), k, -1), kernel.T[:, :, None]
