@@ -190,9 +190,7 @@ JOINT_GOLDENS = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind, k", sorted(JOINT_GOLDENS), ids=lambda value: str(value)
-)
+@pytest.mark.parametrize("kind, k", sorted(JOINT_GOLDENS))
 def test_joint_bits_are_pinned(kind, k):
     spec = GeneratorSpec.builtin(kind)
     digest = hashlib.sha256()
