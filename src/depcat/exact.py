@@ -12,10 +12,9 @@ Cross-covariance matrices carry an ``exponent_basis`` tag describing where
 their delta exponent comes from: ``theorem`` for chains (exponent n - m),
 ``fk`` for star structures (exponent 1 or 2), and ``tree-conjecture`` for
 every other generator, where the exponent is the tree distance between the
-two positions -- a generalization we validate numerically against
-enumeration instead of asserting outright.
-
-The tree-distance exponent in fact holds for every valid generator.  Write
+two positions.  That tag is historical: it dates from when the
+tree-distance exponent was only checked numerically against enumeration.
+The proof below shows it holds for every valid generator.  Write
 the kernel as P = delta I + (1 - delta) Q with Q = 1 p^T, so row i of P is
 delta e_i + (1 - delta) p.
 
@@ -66,13 +65,14 @@ from .kernel import (
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
-# How `joint_distribution` grows a step (timed on 2 CPUs, numpy 2.4.6):
-# K slice multiplies beat one broadcast product from about a thousand
-# entries on, up to K = 4; from K = 5 on the slices' K-strided writes lose.
-# A chain step multiplies rows of at least _CHAIN_RUN entries.
+# How `joint_distribution` grows a step; the timings behind each cut are in
+# BENCH_8.json (`joint_step_by_form`, `joint_build_cuts`).  The K slice
+# multiplies beat one broadcast product from about a thousand entries on
+# and up to K = 6; from K = 7 on their K-strided writes lose.  Each slice
+# multiply runs inner loops of at least _SLICED_RUN entries.
 _SLICED_MIN_ENTRIES = 1024
-_SLICED_MAX_CATEGORIES = 4
-_CHAIN_RUN = 128
+_SLICED_MAX_CATEGORIES = 6
+_SLICED_RUN = 128
 
 # Enumeration-vs-propagation comparisons; kernel-level algebra is tighter.
 EXACT_TOL = 1e-10
@@ -169,35 +169,33 @@ def joint_distribution(
     A step writes the grown (before, K, after, K) tensor -- axes before the
     parent, the parent, after it, the new position -- one new-axis slice
     [..., j] at a time: the (before, K, after) joint times kernel column j.
-    Each slice is one multiply whose inner loop runs along `after`, where
-    a broadcast product of the whole step would loop K entries at a time.
-    When the parent is the last axis `after` is empty, so the joint is read
-    as rows of a power of K entries and multiplied by column j repeated
-    along the row.  Every entry is the same two factors either way, so the
-    bits do not depend on the form.  Small steps, and K past a few
-    categories, keep the one broadcast product, which is faster there.
+    Each slice is one multiply with a long inner loop, where a broadcast
+    product of the whole step would loop K entries at a time.  When `after`
+    is short (on a chain it is empty) the column is repeated along it and
+    tiled over a power of K parent rows, so the joint is read as rows of at
+    least _SLICED_RUN entries.  Every entry is the same two factors either
+    way, so the bits do not depend on the form.  Small steps, and K past a
+    few categories, keep the one broadcast product, which is faster there.
     """
     marginal = as_marginal(p)
     k = marginal.num_categories
     _check_enumeration_size(k, length, cap)
     kernel = transition_kernel(marginal, delta).matrix
     parents = build_tree(spec, length).parents
-    runs = None  # runs[j, r] = kernel[r % k, j], made at the first chain step
     joint = marginal.probs.copy()
     for size, parent in enumerate(parents, start=1):
         if k > _SLICED_MAX_CATEGORIES or joint.size < _SLICED_MIN_ENTRIES:
             joint = joint.reshape(k ** (parent - 1), k, -1, 1) * kernel.reshape(1, k, 1, k)
             continue
-        if parent == size:  # the parent is the last of the `size` axes
-            if runs is None:
-                repeats = 1
-                while k * repeats < _CHAIN_RUN:
-                    repeats *= k
-                runs = np.tile(kernel.T, repeats)
-            period = min(runs.shape[1], joint.size)
-            factor, columns = joint.reshape(-1, period), runs[:, :period]
-        else:
-            factor, columns = joint.reshape(k ** (parent - 1), k, -1), kernel.T[:, :, None]
+        after = k ** (size - parent)
+        repeat = after if after < _SLICED_RUN else 1
+        tile = 1
+        while k * tile * after < _SLICED_RUN and tile < k ** (parent - 1):
+            tile *= k
+        # columns[j, t * K + i, a] = kernel[i, j] for every t < tile, a < repeat
+        columns = np.broadcast_to(kernel.T[:, None, :, None], (k, tile, k, repeat))
+        columns = columns.reshape(k, k * tile, repeat)
+        factor = joint.reshape(-1, k * tile, after)
         grown = np.empty(factor.shape + (k,))
         for j in range(k):
             np.multiply(factor, columns[j], out=grown[..., j])

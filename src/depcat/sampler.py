@@ -259,12 +259,14 @@ def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
     # A cut lies below b/G exactly when its bucket floor(cut*G) lies below b;
     # cuts above 1 (a cumulative sum that overshoots) are never below a
     # uniform and join the last bucket, which always holds the cut at 1.0.
-    # Holdings are taken one row at a time: for the whole table at once the
-    # floor, the minimum and the cast would each make a (K+1) x K temporary.
+    # Cuts are >= 0, so the cast's truncation is the floor; writing straight
+    # into the integer holdings makes no (K+1) x K float temporary.
+    holding = np.empty((k + 1, k), dtype=np.intp)
+    np.multiply(cuts, buckets, out=holding, casting="unsafe")
+    np.minimum(holding, buckets, out=holding)
     start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
     guide = np.empty_like(start)
-    for row_start, row_guide, row_cuts in zip(start, guide, cuts):
-        held = np.minimum(np.floor(row_cuts * buckets), buckets).astype(np.intp)
+    for row_start, row_guide, held in zip(start, guide, holding):
         counts = np.bincount(held, minlength=buckets + 1)
         row_start[:] = np.cumsum(counts) - counts + 1
         row_guide[:] = np.where(counts, 0, row_start)

@@ -534,10 +534,19 @@ class TestJointGrowth:
         joint = joint_distribution(p, delta, spec, length)
         assert joint.shape == expected.shape
         assert joint.tobytes() == expected.tobytes()
-        # every step in the sliced forms, however small the joint
+        # every step in the sliced form, however small the joint
         with mock.patch.object(depcat.exact, "_SLICED_MIN_ENTRIES", 0):
             joint = joint_distribution(p, delta, spec, length)
         assert joint.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("k, length", [(5, 7), (6, 6)])
+    def test_largest_sliced_k_matches_the_broadcast_build(self, spec, k, length):
+        # K = 5 and 6 grow their last steps sliced; no golden covers them
+        assert k <= depcat.exact._SLICED_MAX_CATEGORIES
+        p = np.arange(k, 0, -1) / (k * (k + 1) / 2)
+        expected = broadcast_joint(p, 0.45, spec, length)
+        assert joint_distribution(p, 0.45, spec, length).tobytes() == expected.tobytes()
 
 
 class TestPairJointsProperty:

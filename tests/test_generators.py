@@ -1,6 +1,5 @@
 """Generator catalog: parent values, axiom validation, serialization."""
 
-import functools
 import math
 
 import numpy as np
@@ -141,43 +140,29 @@ class TestValidate:
         assert np.min(np.abs(value - np.round(value))) > 1e-9
 
 
+BULK_MAX = 10**5
+
+
 class TestBulkAgreement:
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
-    def test_bulk_matches_scalar(self, spec):
-        bulk = parent_indices(spec, 10_000)
-        for n in (2, 3, 5, 17, 99, 100, 101, 961, 1024, 9999, 10_000):
-            assert bulk[n - 2] == evaluate(spec, n)
+    @settings(max_examples=25, deadline=None)
+    @given(drawn=st.lists(st.integers(2, BULK_MAX), min_size=1, max_size=40))
+    def test_bulk_matches_scalar(self, spec, drawn):
+        # evaluate(spec, n) is entry n - 2 of parent_indices(spec, 10**5): at
+        # fixed n, hypothesis-drawn n, and next to every square for floor_sqrt
+        bulk = parent_indices(spec, BULK_MAX)
+        cases = [2, 3, 5, 17, 99, 100, 101, 961, 1024, 9999, 10_000] + drawn
+        if spec.kind == "floor_sqrt":
+            roots = range(1, math.isqrt(BULK_MAX) + 1)
+            cases += [r * r + d for r in roots for d in (-1, 0, 1) if 2 <= r * r + d <= BULK_MAX]
+        for n in cases:
+            assert bulk[n - 2] == evaluate(spec, n), n
 
     def test_bulk_matches_scalar_dense_small_range(self):
         for spec in ALL_BUILTINS:
             bulk = parent_indices(spec, 500)
             for n in range(2, 501):
                 assert bulk[n - 2] == evaluate(spec, n), (spec.kind, n)
-
-
-BULK_MAX = 10**5
-
-
-@functools.lru_cache(maxsize=None)
-def bulk_parents(kind):
-    return parent_indices(GeneratorSpec.builtin(kind), BULK_MAX)
-
-
-class TestScalarIsTheBulkEntry:
-    """evaluate(spec, n) is entry n - 2 of parent_indices(spec, 10**5)."""
-
-    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(2, BULK_MAX))
-    def test_any_index(self, spec, n):
-        assert evaluate(spec, n) == bulk_parents(spec.kind)[n - 2]
-
-    def test_floor_sqrt_next_to_every_square(self):
-        bulk = bulk_parents("floor_sqrt")
-        for root in range(1, math.isqrt(BULK_MAX) + 1):
-            for n in (root * root - 1, root * root, root * root + 1):
-                if 2 <= n <= BULK_MAX:
-                    assert evaluate(FSQRT, n) == bulk[n - 2], n
 
 
 class TestSerialization:
