@@ -193,7 +193,8 @@ def joint_distribution(
         while k * tile * after < _SLICED_RUN and tile < k ** (parent - 1):
             tile *= k
         # columns[j, t * K + i, a] = kernel[i, j] for every t < tile, a < repeat
-        columns = np.broadcast_to(kernel.T[:, None, :, None], (k, tile, k, repeat))
+        columns = np.empty((k, tile, k, repeat))
+        columns[...] = kernel.T[:, None, :, None]
         columns = columns.reshape(k, k * tile, repeat)
         factor = joint.reshape(-1, k * tile, after)
         grown = np.empty(factor.shape + (k,))
