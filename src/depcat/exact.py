@@ -68,10 +68,11 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 # How `joint_distribution` grows a step; the timings behind each cut are in
 # BENCH_8.json (`joint_step_by_form`, `joint_build_cuts`).  The K slice
 # multiplies beat one broadcast product from about a thousand entries on
-# and up to K = 6; from K = 7 on their K-strided writes lose.  Each slice
-# multiply runs inner loops of at least _SLICED_RUN entries.
+# and up to K = 5; at K = 6 neither form wins, and from K = 7 on the
+# slices' K-strided writes lose.  Each slice multiply runs inner loops of
+# at least _SLICED_RUN entries (32 to 512 time the same).
 _SLICED_MIN_ENTRIES = 1024
-_SLICED_MAX_CATEGORIES = 6
+_SLICED_MAX_CATEGORIES = 5
 _SLICED_RUN = 128
 
 # Enumeration-vs-propagation comparisons; kernel-level algebra is tighter.
