@@ -169,24 +169,30 @@ JOINT_GOLDEN_MARGINALS = {
     2: ([0.7, 0.3], [0.0, 1.0]),
     3: ([0.5, 0.3, 0.2], [0.6, 0.0, 0.4]),
     4: ([0.4, 0.3, 0.2, 0.1], [0.25, 0.0, 0.5, 0.25]),
+    5: ([0.3, 0.25, 0.2, 0.15, 0.1], [0.2, 0.0, 0.3, 0.3, 0.2]),
 }
-JOINT_GOLDEN_LENGTH = {2: 12, 3: 9, 4: 8}
+JOINT_GOLDEN_LENGTH = {2: 12, 3: 9, 4: 8, 5: 7}
 JOINT_GOLDENS = {
     ("fk", 2): "8b4d75495d1d88e32f21ceb69878d72b143343925976517ab5edff181d57d2cd",
     ("fk", 3): "18280169a300175f98eb9af93d03a1a46ec9189b1b0b96a302fb1f5ae55c5f5f",
     ("fk", 4): "14bcbb9a2c892f91521ec5ddc39fd2181229d94b6557c6c2bb1d44270641ee02",
+    ("fk", 5): "e21bad0495d968bb1e048127f2ac7eeb87b6865b17682140c50dfae0c3f2739d",
     ("sequential", 2): "7177891508caf5ec807a50be9a9edaeba66b5c36d2a7da2784be3fcb23493b1c",
     ("sequential", 3): "5792fa907210434618524cc9ff598a4ade103519387ae635acd0d152d209c4d8",
     ("sequential", 4): "80f096d0dde801a4ac74fab827fcf019d0eb20bb8653f4af1b3fcf827ee98774",
+    ("sequential", 5): "0cf319ae2e9e05692c76c7361640e4f9770cdee77879478992b65db0887112ba",
     ("floor_sqrt", 2): "5b93b3967911755a818546beadb451cafcab1bb20c72472dbf66cb0550edfe15",
     ("floor_sqrt", 3): "d6787b2c3bc3f566d00542065e1d5dc22fd33d854748dfec15c2258351e1f1a8",
     ("floor_sqrt", 4): "94d89774a23c61983951c566a0d4dc99034aa06543acb168faee75997ef2890d",
+    ("floor_sqrt", 5): "c2375476565317ce258fb536515d3331a3a3e6bc7dcf059982f9040e33cf1a95",
     ("sin_drift", 2): "6d20fe60e0b1d7d1227cb62162762fe9747462e50238a630430dbc75466f1222",
     ("sin_drift", 3): "0ec8c4c5375d81ed276fba5d0f96add058bf54e6bb19587970b04af3334e47b6",
     ("sin_drift", 4): "3509a0af78d763cb2c69585c5f2fe10e57a22b8644d3fa509d55217a09227c21",
+    ("sin_drift", 5): "636c15b15d7bee13f9400da9e063d0169671b578ec40c5ea1e20c508b26d8e34",
     ("prime_partition", 2): "f626b8e03c2e378eda55bee4dfe1bd40a4a5fd941dddd637f8115e5eacdc428f",
     ("prime_partition", 3): "a3ebca671ac00c32f484ba35ecefb0f2c26518318f8854a4529a766e30409ed3",
     ("prime_partition", 4): "b84d2a2f9bb54f88af07e6e61a5b68efacffca8257ed86a1105ec46ecbd622ae",
+    ("prime_partition", 5): "f2de09c032ddcf77bb009ac7fae875d1c66ddef659b9d0b5d7acaa2659379161",
 }
 
 
@@ -538,15 +544,6 @@ class TestJointGrowth:
         with mock.patch.object(depcat.exact, "_SLICED_MIN_ENTRIES", 0):
             joint = joint_distribution(p, delta, spec, length)
         assert joint.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
-    def test_largest_sliced_k_matches_the_broadcast_build(self, spec):
-        # K = 5 grows its last steps sliced; no golden covers it
-        k, length = 5, 7
-        assert k == depcat.exact._SLICED_MAX_CATEGORIES
-        p = np.arange(k, 0, -1) / (k * (k + 1) / 2)
-        expected = broadcast_joint(p, 0.45, spec, length)
-        assert joint_distribution(p, 0.45, spec, length).tobytes() == expected.tobytes()
 
 
 class TestPairJointsProperty:
