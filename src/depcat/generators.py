@@ -226,11 +226,23 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
     raised.  An empty report means the generator restricted to the range
     is a valid dependency generator.
     """
+    return _validated_parents(spec, max_index)[0]
+
+
+def _validated_parents(
+    spec: GeneratorSpec, max_index: int
+) -> tuple[ValidationReport, np.ndarray | None]:
+    """The `validate` report, and alpha(n) for n = 2..max_index if it is empty.
+
+    A builtin's parents are evaluated once, by `parent_indices`, and the
+    report is read from that array; a table is checked entry by entry.
+    """
     if max_index < 2:
         raise DomainError(f"max_index must be >= 2, got {max_index}")
     violations: list[GeneratorViolation] = []
     if spec.kind == TABLE_KIND:
         assert spec.table is not None
+        parents = []
         for n in range(2, max_index + 1):
             if n not in spec.table:
                 violations.append(
@@ -238,6 +250,7 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
                 )
                 continue
             parent = spec.table[n]
+            parents.append(parent)
             if not 1 <= parent <= n - 1:
                 violations.append(
                     GeneratorViolation(
@@ -254,4 +267,5 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
             violations.append(
                 GeneratorViolation(n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}")
             )
-    return ValidationReport(spec.kind, max_index, tuple(violations))
+    report = ValidationReport(spec.kind, max_index, tuple(violations))
+    return report, np.asarray(parents, dtype=np.int64) if report.ok else None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError
-from .generators import GeneratorSpec, parent_indices, validate
+from .generators import GeneratorSpec, _validated_parents
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +75,14 @@ def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
         raise DomainError(f"tree size must be >= 1, got {size}")
     if size == 1:
         return DependencyTree(1, np.empty(0, dtype=np.int64))
-    report = validate(spec, size)
+    report, parents = _validated_parents(spec, size)
     if not report.ok:
         first = report.violations[0]
         raise AxiomViolationError(
             f"generator {spec.kind!r} fails validation up to {size} "
             f"({len(report.violations)} violation(s); first: {first.reason})"
         )
-    return DependencyTree(size, parent_indices(spec, size))
+    return DependencyTree(size, parents)
 
 
 def path_to_root(tree: DependencyTree, node: int) -> list[int]:

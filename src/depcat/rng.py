@@ -66,16 +66,28 @@ def _as_seed(seed: int) -> np.uint64:
     return np.uint64(int(seed) & _U64_MASK)
 
 
-def stream_keys(seed: int, first_index: int, count: int) -> np.ndarray:
-    """One derived key per sequence index in [first_index, first_index+count)."""
+def stream_keys(
+    seed: int, first_index: int, count: int, *, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """One derived key per sequence index in [first_index, first_index+count).
+
+    `scratch`, a uint64 array of `count` entries, is overwritten by the
+    mix in place of a buffer made for it.
+    """
     if first_index < 0 or count < 0:
         raise DomainError("first_index and count must be nonnegative")
     keys = np.arange(first_index, first_index + count, dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(keys)
+    elif not (
+        isinstance(scratch, np.ndarray) and scratch.dtype == np.uint64 and scratch.shape == (count,)
+    ):
+        raise DomainError(f"scratch must be a uint64 array of {count} entries")
     with np.errstate(over="ignore"):
         keys += _ONE
         keys *= _GOLDEN
         keys += _as_seed(seed)
-    return _mix64(keys, np.empty_like(keys))
+    return _mix64(keys, scratch)
 
 
 def _fill_mantissas(

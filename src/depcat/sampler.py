@@ -37,17 +37,26 @@ the draws; when the budget caps G (G = 256 at K = 4096) every draw may
 refine, over about K/G cuts.
 
 Each thread draws a block of 2^14 rows at a time.  The block's stream
-keys are mixed once; each group of positions gets its mantissas, bucket
-indices, parent rows and values in buffers made once per thread, so the
-loop allocates no array per position or group.  Only refinement makes
-arrays, the size of its refined draws.
+keys are mixed once, in buffers the thread holds; each group of
+positions gets its mantissas, bucket indices and parent rows in buffers
+made once per thread, so the loop allocates no array per position or
+group.  Only refinement makes arrays, the size of its refined draws.
+
+Draws go into a position-major tile of at most _TILE positions by the
+block's rows, so each position's draws are one contiguous tile row.  A
+position reads its parent's draws from the parent's tile row when the
+parent lies in the current tile, and from the parent's column of the
+row-major block otherwise.  A finished tile is written back into the
+block with one transposed assignment, or column by column when the
+block's rows hold at most _COLUMNS_MAX_ROW_BYTES, where numpy's
+transposed copy would iterate the short rows.
 
 Batches are a pure function of (seed, parameters); worker counts, row
-blocks and chunking cannot change the result because the underlying
-variates are counter-based.  Outcomes are stored in the smallest unsigned
-dtype that holds K (`np.min_scalar_type(K)`: uint8 up to K = 255, uint16
-up to K = 65535), the dtype of the guide table, and are drawn straight
-into the batch; index arithmetic on them is done in intp, so no narrow
+blocks, tiles and chunking cannot change the result because the
+underlying variates are counter-based.  Outcomes are stored in the
+smallest unsigned dtype that holds K (`np.min_scalar_type(K)`: uint8 up
+to K = 255, uint16 up to K = 65535), the dtype of the guide table and of
+the tile; index arithmetic on them is done in intp, so no narrow
 value ever wraps.  Batch text is encoded by gathering the bytes of each
 outcome from a token table, with the same bytes as formatting each cell
 with str().
@@ -76,11 +85,17 @@ from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _as_seed, stream_keys, uni
 _TABLE_BUDGET = 1 << 22
 _BUCKETS_PER_CUT = 32
 _MIN_BUCKETS = 1024
-# Rows are drawn in blocks of _BLOCK_ROWS, straight into the batch, and the
-# mantissas of a block are generated about _GRID_VARIATES at a time, so a
-# thread's scratch memory is bounded whatever `count` and the length are.
+# Rows are drawn in blocks of _BLOCK_ROWS, the mantissas of a block are
+# generated about _GRID_VARIATES at a time, and its draws go through a tile
+# of at most _TILE positions, so a thread's scratch memory is bounded
+# whatever `count` and the length are.  The tiles of a block whose rows hold
+# at most _COLUMNS_MAX_ROW_BYTES are written back column by column.  Both
+# constants are backed by the timings in BENCH_9.json (`tile_width`,
+# `write_back`).
 _BLOCK_ROWS = 1 << 14
 _GRID_VARIATES = 1 << 15
+_TILE = 32
+_COLUMNS_MAX_ROW_BYTES = 16
 # Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
 # compact JSON array, so the same cells framed by "[" and "]".
 _CSV_FRAME = (b"", b"\n")
@@ -113,15 +128,17 @@ class _Scratch:
 
     `mantissas` and `words` hold `variates` entries each, a group of
     positions of one block of `rows` rows; `words` is the mixing scratch
-    and then, viewed as intp, the group's guide-table indices.
+    (of the block's stream keys too) and then, viewed as intp, the group's
+    guide-table indices.  Row i of `tile` holds the draws of the tile's
+    i-th position.
     """
 
-    def __init__(self, variates: int, rows: int, dtype: np.dtype):
+    def __init__(self, variates: int, rows: int, positions: int, dtype: np.dtype):
         self.mantissas = np.empty(variates, dtype=np.uint64)
         self.words = np.empty(variates, dtype=np.uint64)
         self.offset = np.empty(rows, dtype=np.intp)
-        self.values = np.empty(rows, dtype=dtype)
         self.held = np.empty(rows, dtype=bool)
+        self.tile = np.empty((positions, rows), dtype=dtype)
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,15 +294,19 @@ def _draw_block(
     table: _DrawTable,
     parents: np.ndarray,
     mantissas: np.ndarray,
-    out: np.ndarray,
+    block: np.ndarray,
+    tile_first: int,
     first_column: int,
     scratch: _Scratch,
 ) -> None:
-    """Columns first_column, first_column + 1, ... of `out`, one per row of `mantissas`.
+    """Positions first_column, first_column + 1, ... of `block`, one per row of `mantissas`.
 
-    `mantissas` is a (width, rows) uint64 group of `uniform_grid` mantissas.  Draws
-    position by position: column c of `out` reads the kernel row of its
-    parent's column, which must already hold its draws.
+    `mantissas` is a (width, rows) uint64 group of `uniform_grid` mantissas.
+    The tile `scratch.tile` holds positions tile_first, tile_first + 1, ...
+    of the block's rows, and the draws of column c go into its row
+    c - tile_first.  Draws position by position: a column reads the kernel
+    row of its parent's draw, from the tile when the parent's column is
+    tile_first or later, else from `block`, which must already hold it.
     """
     width, rows = mantissas.shape
     k = table.cuts.shape[1]
@@ -295,14 +316,17 @@ def _draw_block(
     index = scratch.words[: width * rows].reshape(width, rows)
     np.right_shift(mantissas, table.shift, out=index)
     index = index.view(np.intp)
-    offset, values, held = scratch.offset[:rows], scratch.values[:rows], scratch.held[:rows]
+    tile = scratch.tile[:, :rows]
+    offset, held = scratch.offset[:rows], scratch.held[:rows]
     for position in range(width):
         column = first_column + position
         bucket = index[position]
+        values = tile[column - tile_first]
         if column:  # position 1 reads row 0, the others the row of their parent's draw
+            parent = parents[column - 1] - 1
             # Widened by a copy, then scaled in place: a mixed-dtype multiply
             # would allocate a cast buffer on every call.
-            offset[:] = out[:, parents[column - 1] - 1]
+            offset[:] = tile[parent - tile_first] if parent >= tile_first else block[:, parent]
             offset *= stride
             bucket += offset
         guide.take(bucket, out=values, mode="clip")
@@ -323,7 +347,6 @@ def _draw_block(
                     break
                 cut += below
             values[hit] = cut % k + 1
-        out[:, column] = values
 
 
 def _sample_rows(
@@ -331,29 +354,38 @@ def _sample_rows(
 ) -> None:
     """Rows first_index, first_index + 1, ... of the batch, written into `out`.
 
-    Rows are drawn in blocks of _BLOCK_ROWS: each block's stream keys are
-    mixed once, and its mantissas are generated a group of positions at a
-    time into buffers made once per call, so the scratch memory depends on
-    neither `count` nor the sequence length.
+    Rows are drawn in blocks of _BLOCK_ROWS, and each block a tile of
+    positions at a time: the block's stream keys are mixed once, and its
+    mantissas are generated a group of positions at a time into buffers
+    made once per call, so the scratch memory depends on neither `count`
+    nor the sequence length.
     """
     count, length = out.shape
     rows = min(count, _BLOCK_ROWS)
-    variates = rows * min(length, max(1, _GRID_VARIATES // rows))
-    scratch = _Scratch(variates, rows, table.guide.dtype)
+    variates = rows * min(length, _TILE, max(1, _GRID_VARIATES // rows))
+    scratch = _Scratch(variates, rows, min(length, _TILE), table.guide.dtype)
     for start in range(0, count, _BLOCK_ROWS):
-        part = out[start : start + _BLOCK_ROWS]
-        rows = part.shape[0]
-        keys = stream_keys(seed, first_index + start, rows)
-        width = min(length, variates // rows)
-        for column in range(0, length, width):
-            size = min(width, length - column) * rows
-            group = scratch.mantissas[:size].reshape(-1, rows)
-            words = scratch.words[:size].reshape(group.shape)
-            uniform_grid(
-                seed, first_index + start, rows, len(group), column,
-                keys=keys, mantissas=group, scratch=words,
-            )
-            _draw_block(table, parents, group, part, column, scratch)
+        block = out[start : start + _BLOCK_ROWS]
+        rows = block.shape[0]
+        keys = stream_keys(seed, first_index + start, rows, scratch=scratch.words[:rows])
+        width = min(_TILE, variates // rows)
+        for tile_first in range(0, length, _TILE):
+            tile_stop = min(tile_first + _TILE, length)
+            for column in range(tile_first, tile_stop, width):
+                size = min(width, tile_stop - column) * rows
+                group = scratch.mantissas[:size].reshape(-1, rows)
+                words = scratch.words[:size].reshape(group.shape)
+                uniform_grid(
+                    seed, first_index + start, rows, len(group), column,
+                    keys=keys, mantissas=group, scratch=words,
+                )
+                _draw_block(table, parents, group, block, tile_first, column, scratch)
+            tile = scratch.tile[: tile_stop - tile_first, :rows]
+            if block.shape[1] * block.itemsize <= _COLUMNS_MAX_ROW_BYTES:
+                for column, values in enumerate(tile, start=tile_first):
+                    block[:, column] = values
+            else:
+                block[:, tile_first:tile_stop] = tile.T
 
 
 def sample_batch(

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import depcat.generators
+import depcat.graph
 from depcat import (
     AxiomViolationError,
     DependencyTree,
@@ -15,6 +17,7 @@ from depcat import (
     path_to_root,
     tree_distance,
 )
+from depcat.generators import parent_indices
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -50,6 +53,24 @@ class TestBuildTree:
     def test_invalid_generator_raises(self):
         with pytest.raises(AxiomViolationError):
             build_tree(GeneratorSpec.from_table({2: 1, 3: 3}), 3)
+
+    @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.kind)
+    def test_parents_are_evaluated_once(self, spec, monkeypatch):
+        calls = []
+
+        def counting(spec, max_index):
+            calls.append(max_index)
+            return parent_indices(spec, max_index)
+
+        monkeypatch.setattr(depcat.generators, "parent_indices", counting)
+        monkeypatch.setattr(depcat.graph, "parent_indices", counting, raising=False)
+        tree = build_tree(spec, 11)
+        assert calls == [11]
+        assert np.array_equal(tree.parents, parent_indices(spec, 11))
+
+    def test_table_parents_are_its_entries(self):
+        table = {2: 1, 3: 1, 4: 2, 5: 4}
+        assert build_tree(GeneratorSpec.from_table(table), 5).to_parent_map() == table
 
     def test_direct_construction_rejects_forward_edges(self):
         with pytest.raises(AxiomViolationError):

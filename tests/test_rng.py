@@ -36,6 +36,14 @@ def test_stream_keys_match_reference():
         assert int(keys[index]) == reference_mix(12345 + GOLDEN * (index + 1))
 
 
+def test_stream_keys_mix_in_a_given_scratch():
+    scratch = np.empty(20, dtype=np.uint64)
+    assert np.array_equal(stream_keys(12345, 3, 20, scratch=scratch), stream_keys(12345, 3, 20))
+    for bad in (scratch[:19], scratch.view(np.int64), [0] * 20):
+        with pytest.raises(DomainError):
+            stream_keys(12345, 3, 20, scratch=bad)
+
+
 def test_grid_matches_reference():
     grid = uniform_grid(987654321, 3, 5, 7)
     for row in range(5):

@@ -301,6 +301,37 @@ def zero_category_marginal():
     return weights / weights.sum()
 
 
+ORACLE_CASES = dict(
+    k=st.integers(min_value=2, max_value=300),
+    shape_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zeros=st.integers(min_value=0, max_value=299),
+    tiny=st.integers(min_value=0, max_value=299),
+    drift=st.sampled_from([-0.99e-9, -3e-10, 0.0, 3e-10, 0.99e-9]),
+    delta=st.sampled_from(
+        [0.0, 5e-324, 1e-12, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0)), 1.0]
+    ) | st.floats(min_value=0.0, max_value=1.0),
+    spec=st.sampled_from([FK, SEQ, FSQRT, SIN_DRIFT, PRIME]),
+    length=st.integers(min_value=1, max_value=12),
+    count=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+
+
+def assert_matches_oracle(k, shape_seed, zeros, tiny, drift, delta, spec, length, count, seed):
+    # p with zero entries, 1e-13 entries and a sum of 1 +/- 1e-9.
+    rng = np.random.default_rng(shape_seed)
+    weights = rng.dirichlet(np.ones(k))
+    order = rng.permutation(k)
+    weights[order[: min(zeros, k - 1)]] = 0.0
+    weights[order[k - 1 - min(tiny, k - 1) : k - 1]] = 1e-13
+    p = np.minimum(weights / weights.sum() * (1.0 + drift), 1.0)
+    batch = sample_batch(p, delta, spec, length, count, seed=seed)
+    parents = build_tree(spec, length).parents
+    uniforms = uniform_grid(seed, 0, count, length)
+    expected = compare_count_oracle(p, delta, parents, uniforms)
+    assert np.array_equal(batch.outcomes, expected)
+
+
 class TestGuideTableExactness:
     """Guide-table draws reproduce right-closed inverse-CDF bucketing bit for bit."""
 
@@ -345,36 +376,41 @@ class TestGuideTableExactness:
         batch = sample_batch(p, delta, spec, 64, count, seed=seed, workers=workers)
         assert digest(batch) == expected
 
-    @given(
-        k=st.integers(min_value=2, max_value=300),
-        shape_seed=st.integers(min_value=0, max_value=2**32 - 1),
-        zeros=st.integers(min_value=0, max_value=299),
-        tiny=st.integers(min_value=0, max_value=299),
-        drift=st.sampled_from([-0.99e-9, -3e-10, 0.0, 3e-10, 0.99e-9]),
-        delta=st.sampled_from(
-            [0.0, 5e-324, 1e-12, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0)), 1.0]
-        ) | st.floats(min_value=0.0, max_value=1.0),
-        spec=st.sampled_from([FK, SEQ, FSQRT, SIN_DRIFT, PRIME]),
-        length=st.integers(min_value=1, max_value=12),
-        count=st.integers(min_value=1, max_value=300),
-        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    # Recorded from the draw loop that wrote every position straight into
+    # the batch.  N = 100 makes three full 32-position tiles and a partial
+    # one, so parents are read both from the tile and from the row block.
+    @pytest.mark.parametrize(
+        "p, delta, spec, seed, expected",
+        [
+            (np.full(64, 1 / 64), 0.6, SEQ, 11,
+             "7e034ed69ab404bf7bd658582038d5e06f05c1e2d149cea74bbe0c6528a2ecb2"),
+            ([0.1, 0.2, 0.3, 0.2, 0.2], 0.7, SIN_DRIFT, 5,
+             "36b9547a55d14e1a301dd0f47168b37eca516185cd410e50ba3eec4fa2a11b3e"),
+            ([0.4, 0.6], 0.3, PRIME, 17,
+             "09ddbb24124c551507ab8c36f170c4e4f81747f9a8c0ab3c3e8b34dd2f925c95"),
+        ],
+        ids=["k64-sequential", "k5-sin_drift", "k2-prime_partition"],
     )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_across_tile_edges(self, p, delta, spec, seed, expected, workers):
+        count = 2 * 2**14 + 17
+        batch = sample_batch(p, delta, spec, 100, count, seed=seed, workers=workers)
+        assert digest(batch) == expected
+
+    @given(**ORACLE_CASES)
     @settings(max_examples=100, deadline=None)
-    def test_matches_compare_count_oracle(
-        self, k, shape_seed, zeros, tiny, drift, delta, spec, length, count, seed
-    ):
-        # p with zero entries, 1e-13 entries and a sum of 1 +/- 1e-9.
-        rng = np.random.default_rng(shape_seed)
-        weights = rng.dirichlet(np.ones(k))
-        order = rng.permutation(k)
-        weights[order[: min(zeros, k - 1)]] = 0.0
-        weights[order[k - 1 - min(tiny, k - 1) : k - 1]] = 1e-13
-        p = np.minimum(weights / weights.sum() * (1.0 + drift), 1.0)
-        batch = sample_batch(p, delta, spec, length, count, seed=seed)
-        parents = build_tree(spec, length).parents
-        uniforms = uniform_grid(seed, 0, count, length)
-        expected = compare_count_oracle(p, delta, parents, uniforms)
-        assert np.array_equal(batch.outcomes, expected)
+    def test_matches_compare_count_oracle(self, **case):
+        assert_matches_oracle(**case)
+
+    # Lengths of at most 12 never cross a 32-position tile; narrow tiles
+    # make parents reach back across tile edges into the row block.
+    @given(**ORACLE_CASES)
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_matches_compare_count_oracle_in_narrow_tiles(self, tile, **case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(depcat.sampler, "_TILE", tile)
+            assert_matches_oracle(**case)
 
     @pytest.mark.parametrize(
         "p",
@@ -408,8 +444,9 @@ class TestGuideTableExactness:
         uniforms = grid.T * 2.0**-53
         parents = np.array([1])
         out = np.empty(uniforms.shape, dtype=np.int64)
-        scratch = depcat.sampler._Scratch(grid.size, grid.shape[1], table.guide.dtype)
-        depcat.sampler._draw_block(table, parents, grid, out, 0, scratch)
+        scratch = depcat.sampler._Scratch(grid.size, grid.shape[1], 2, table.guide.dtype)
+        depcat.sampler._draw_block(table, parents, grid, out, 0, 0, scratch)
+        out[:] = scratch.tile.T
         assert np.array_equal(out, compare_count_oracle(p, delta, parents, uniforms))
 
     @pytest.mark.parametrize("k", [2, 64, 300, 1000])
@@ -474,9 +511,9 @@ class TestDrawKernel:
     def test_each_block_mixes_its_keys_once(self, monkeypatch, workers):
         calls = []
 
-        def counting(seed, first_index, count):
+        def counting(seed, first_index, count, **buffers):
             calls.append((first_index, count))
-            return stream_keys(seed, first_index, count)
+            return stream_keys(seed, first_index, count, **buffers)
 
         monkeypatch.setattr(depcat.sampler, "stream_keys", counting)
         count = 2 * 2**14 + 17
@@ -504,13 +541,13 @@ class TestDrawKernel:
 
     @pytest.mark.parametrize("k, spec", [(3, FSQRT), (64, SEQ)])
     def test_draw_block_allocates_less_than_one_column(self, k, spec):
-        # The parents, bucket indices, values and refine mask of a column
+        # The parents, bucket indices, draws and refine mask of a column
         # live in the thread's scratch; only refinement makes arrays, the
         # size of its refined draws.
         table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.4)
         rows, width = 2**14, 8
         parents = build_tree(spec, width).parents
-        scratch = depcat.sampler._Scratch(rows * width, rows, table.guide.dtype)
+        scratch = depcat.sampler._Scratch(rows * width, rows, width, table.guide.dtype)
         group = scratch.mantissas.reshape(width, rows)
         keys, words = stream_keys(5, 0, rows), scratch.words.reshape(width, rows)
         uniform_grid(5, 0, rows, width, keys=keys, mantissas=group, scratch=words)
@@ -520,12 +557,27 @@ class TestDrawKernel:
         out = np.empty((rows, width), dtype=table.guide.dtype)
         tracemalloc.start()
         try:
-            depcat.sampler._draw_block(table, parents, group, out, 0, scratch)
+            depcat.sampler._draw_block(table, parents, group, out, 0, 0, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        out[:] = scratch.tile.T
         assert peak < rows * np.dtype(np.intp).itemsize
         assert np.array_equal(out, expected)
+
+    def test_scratch_is_bounded_in_the_length(self):
+        # Any buffer of rows x N entries would grow the peak by about 2 MiB
+        # per 128 positions here; tiles, groups and keys are the same size
+        # at N = 64 and N = 2048.
+        peaks = []
+        for length in (64, 2048):
+            tracemalloc.start()
+            try:
+                batch = sample_batch([0.5, 0.3, 0.2], 0.4, SEQ, length, 2**14, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1] - batch.outcomes.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 64 * 1024
 
     def test_first_index_draws_any_range_of_rows(self):
         kwargs = dict(p=[0.5, 0.3, 0.2], delta=0.4, spec=FSQRT, length=9, seed=21)
