@@ -18,7 +18,6 @@ violations as data while ``evaluate`` raises on them.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -26,11 +25,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, IncompleteGeneratorError
-from .primes import prime_index, smallest_prime_factor, smallest_prime_factor_sieve
+from .primes import smallest_prime_factor_sieve
 
 BUILTIN_KINDS = ("fk", "sequential", "floor_sqrt", "sin_drift", "prime_partition")
 TABLE_KIND = "table"
 ALL_KINDS = BUILTIN_KINDS + (TABLE_KIND,)
+_MAX_INDEX = 2**53  # every index up to here is exact in float64
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class GeneratorSpec:
                 parent = int(value)
                 if n < 2:
                     raise DomainError(f"table keys must be indices >= 2, got {key!r}")
-                if parent < 1:
-                    raise DomainError(f"table parents must be >= 1, got {value!r}")
+                if not 1 <= parent <= _MAX_INDEX:
+                    raise DomainError(f"table parents must lie in 1..2**53, got {value!r}")
                 entries[n] = parent
             object.__setattr__(self, "table", MappingProxyType(entries))
         elif self.table is not None:
@@ -110,65 +110,12 @@ class GeneratorSpec:
         return cls.from_dict(data)
 
 
-def prime_partition(n: int) -> int:
-    """Parent index for the prime-partition generator.
+def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
+    """alpha(n) for each n >= 2 of an int64 array, without range checks.
 
-    Positive integers split into disjoint blocks: block m holds the
-    multiples of the m-th prime not divisible by any smaller prime, i.e.
-    the integers whose smallest prime factor is the m-th prime.  The
-    parent of n is its block number m.
+    The one evaluator behind `evaluate`, `parent_indices` and `validate`.
+    A table's missing entries read 0, which no table can hold as a parent.
     """
-    if n < 2:
-        raise DomainError(f"generator domain starts at n = 2, got {n}")
-    return prime_index(smallest_prime_factor(n))
-
-
-def _raw_parent(spec: GeneratorSpec, n: int) -> int:
-    """alpha(n) without the range check; table misses still raise."""
-    kind = spec.kind
-    if kind == "fk":
-        return 1
-    if kind == "sequential":
-        return n - 1
-    if kind == "floor_sqrt":
-        return math.isqrt(n)
-    if kind == "sin_drift":
-        return math.floor((math.sqrt(n) / 2.0) * math.sin(n) + n / 2.0)
-    if kind == "prime_partition":
-        return prime_partition(n)
-    assert spec.table is not None
-    try:
-        return spec.table[n]
-    except KeyError:
-        raise IncompleteGeneratorError(
-            f"table generator has no entry for n = {n}"
-        ) from None
-
-
-def evaluate(spec: GeneratorSpec, n: int) -> int:
-    """Parent index alpha(n), checked to lie in {1..n-1}."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"index must be an integer, got {n!r}")
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"generator domain starts at n = 2, got {n}")
-    parent = _raw_parent(spec, n)
-    if not 1 <= parent <= n - 1:
-        raise AxiomViolationError(
-            f"generator {spec.kind!r} maps {n} to {parent}, outside 1..{n - 1}"
-        )
-    return parent
-
-
-def parent_indices(spec: GeneratorSpec, max_index: int) -> np.ndarray:
-    """Vectorized alpha(n) for n = 2..max_index, without range checks.
-
-    Entry i holds the raw parent of index i + 2.  Matches evaluate()
-    entrywise wherever evaluate() does not raise.
-    """
-    if max_index < 2:
-        raise DomainError(f"max_index must be >= 2, got {max_index}")
-    indices = np.arange(2, max_index + 1, dtype=np.int64)
     kind = spec.kind
     if kind == "fk":
         return np.ones_like(indices)
@@ -184,16 +131,64 @@ def parent_indices(spec: GeneratorSpec, max_index: int) -> np.ndarray:
         x = indices.astype(np.float64)
         return np.floor((np.sqrt(x) / 2.0) * np.sin(x) + x / 2.0).astype(np.int64)
     if kind == "prime_partition":
-        sieve = smallest_prime_factor_sieve(max_index)
-        values = np.arange(max_index + 1, dtype=np.int64)
-        primes = np.flatnonzero((sieve == values) & (values >= 2))
-        return np.searchsorted(primes, sieve[indices]) + 1
+        sieve = smallest_prime_factor_sieve(int(indices.max()))
+        is_prime = sieve == np.arange(sieve.size)
+        is_prime[:2] = False
+        return np.cumsum(is_prime)[sieve[indices]]  # rank of the smallest prime factor
     assert spec.table is not None
-    parents = np.empty(indices.size, dtype=np.int64)
-    for offset, n in enumerate(range(2, max_index + 1)):
-        if n not in spec.table:
-            raise IncompleteGeneratorError(f"table generator has no entry for n = {n}")
-        parents[offset] = spec.table[n]
+    return np.array([spec.table.get(n, 0) for n in indices.tolist()], dtype=np.int64)
+
+
+def evaluate(spec: GeneratorSpec, n: int) -> int:
+    """Parent index alpha(n), checked to lie in {1..n-1}.
+
+    The domain is 2 <= n <= 2**53: every index up to there is exact in
+    float64, which floor_sqrt and sin_drift evaluate in.  prime_partition
+    sieves up to n, so one call costs time and memory linear in n.
+    """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise DomainError(f"index must be an integer, got {n!r}")
+    n = int(n)
+    if not 2 <= n <= _MAX_INDEX:
+        raise DomainError(f"generator domain is n = 2..2**53, got {n}")
+    parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])
+    if parent == 0:
+        raise IncompleteGeneratorError(f"table generator has no entry for n = {n}")
+    if not 1 <= parent <= n - 1:
+        raise AxiomViolationError(
+            f"generator {spec.kind!r} maps {n} to {parent}, outside 1..{n - 1}"
+        )
+    return parent
+
+
+_PRIME_PARTITION = GeneratorSpec.builtin("prime_partition")
+
+
+def prime_partition(n: int) -> int:
+    """Parent index for the prime-partition generator.
+
+    Positive integers split into disjoint blocks: block m holds the
+    multiples of the m-th prime not divisible by any smaller prime, i.e.
+    the integers whose smallest prime factor is the m-th prime.  The
+    parent of n is its block number m.
+    """
+    return evaluate(_PRIME_PARTITION, n)
+
+
+def parent_indices(spec: GeneratorSpec, max_index: int) -> np.ndarray:
+    """Vectorized alpha(n) for n = 2..max_index, without range checks.
+
+    Entry i holds the raw parent of index i + 2.  Matches evaluate()
+    entrywise wherever evaluate() does not raise.
+    """
+    if max_index < 2:
+        raise DomainError(f"max_index must be >= 2, got {max_index}")
+    parents = _parents(spec, np.arange(2, max_index + 1, dtype=np.int64))
+    missing = np.flatnonzero(parents == 0)
+    if missing.size:
+        raise IncompleteGeneratorError(
+            f"table generator has no entry for n = {int(missing[0]) + 2}"
+        )
     return parents
 
 
@@ -234,38 +229,21 @@ def _validated_parents(
 ) -> tuple[ValidationReport, np.ndarray | None]:
     """The `validate` report, and alpha(n) for n = 2..max_index if it is empty.
 
-    A builtin's parents are evaluated once, by `parent_indices`, and the
-    report is read from that array; a table is checked entry by entry.
+    The parents are evaluated once, by `_parents`, and the report is read
+    from that array; a missing table entry reads 0.
     """
     if max_index < 2:
         raise DomainError(f"max_index must be >= 2, got {max_index}")
-    violations: list[GeneratorViolation] = []
-    if spec.kind == TABLE_KIND:
-        assert spec.table is not None
-        parents = []
-        for n in range(2, max_index + 1):
-            if n not in spec.table:
-                violations.append(
-                    GeneratorViolation(n, None, f"n={n}: no table entry")
-                )
-                continue
-            parent = spec.table[n]
-            parents.append(parent)
-            if not 1 <= parent <= n - 1:
-                violations.append(
-                    GeneratorViolation(
-                        n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}"
-                    )
-                )
-    else:
-        parents = parent_indices(spec, max_index)
-        indices = np.arange(2, max_index + 1, dtype=np.int64)
-        bad = np.flatnonzero((parents < 1) | (parents > indices - 1))
-        for pos in bad:
-            n = int(indices[pos])
-            parent = int(parents[pos])
+    indices = np.arange(2, max_index + 1, dtype=np.int64)
+    parents = _parents(spec, indices)
+    violations = []
+    for pos in np.flatnonzero((parents < 1) | (parents >= indices)):
+        n, parent = int(indices[pos]), int(parents[pos])
+        if parent == 0:
+            violations.append(GeneratorViolation(n, None, f"n={n}: no table entry"))
+        else:
             violations.append(
                 GeneratorViolation(n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}")
             )
     report = ValidationReport(spec.kind, max_index, tuple(violations))
-    return report, np.asarray(parents, dtype=np.int64) if report.ok else None
+    return report, parents if report.ok else None

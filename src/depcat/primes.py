@@ -1,76 +1,21 @@
-"""Prime factor utilities backing the prime-partition generator.
+"""Smallest-prime-factor sieve backing the prime-partition generator.
 
-A module-level sieve grows geometrically on demand and is shared across
-calls; all functions are pure with respect to their return values.
+Each call sieves afresh up to its limit; the module keeps no state.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import isqrt
 
 import numpy as np
 
 from .errors import DomainError
 
-_primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-_sieve_limit = 31
-
-
-def _extend_sieve(limit: int) -> None:
-    global _primes, _sieve_limit
-    if limit <= _sieve_limit:
-        return
-    limit = max(limit, 2 * _sieve_limit)
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    _primes = [i for i, f in enumerate(flags) if f]
-    _sieve_limit = limit
-
-
-def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n, for n >= 2."""
-    if n < 2:
-        raise DomainError(f"smallest_prime_factor requires n >= 2, got {n}")
-    _extend_sieve(isqrt(n) + 1)
-    for p in _primes:
-        if p * p > n:
-            break
-        if n % p == 0:
-            return p
-    return n
-
-
-def prime_index(p: int) -> int:
-    """1-based rank of the prime p (2 -> 1, 3 -> 2, 5 -> 3, ...)."""
-    _extend_sieve(p)
-    pos = bisect_left(_primes, p)
-    if pos >= len(_primes) or _primes[pos] != p:
-        raise DomainError(f"{p} is not prime")
-    return pos + 1
-
-
-def nth_prime(rank: int) -> int:
-    """The prime with 1-based rank `rank`."""
-    if rank < 1:
-        raise DomainError(f"prime rank must be >= 1, got {rank}")
-    # p_r < r*(ln r + ln ln r) for r >= 6; pad generously below that.
-    bound = 32
-    while True:
-        _extend_sieve(bound)
-        if len(_primes) >= rank:
-            return _primes[rank - 1]
-        bound *= 2
-
 
 def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     """Vectorized SPF table: entry n holds the least prime factor of n.
 
-    Entries 0 and 1 are set to 0.  Used for bulk generator evaluation;
-    agrees with smallest_prime_factor entrywise.
+    Entries 0 and 1 are set to 0.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -78,9 +23,8 @@ def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     sieve_range = np.arange(limit + 1, dtype=np.int64)
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == 0:
-            block = slice(p * p, limit + 1, p)
-            unset = spf[block] == 0
-            spf[block] = np.where(unset, p, spf[block])
+            multiples = spf[p * p :: p]  # a view: writes land in spf
+            multiples[multiples == 0] = p
     remaining = (spf == 0) & (sieve_range >= 2)
     spf[remaining] = sieve_range[remaining]
     return spf

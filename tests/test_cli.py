@@ -43,6 +43,17 @@ class TestValidate:
         assert code == EXIT_VALIDATION
         assert "n=3" in out and "alpha=5" in out
 
+    def test_table_reasons_in_index_order(self, capsys):
+        spec = json.dumps({"kind": "table", "table": {"2": 1, "4": 4, "5": 9}})
+        code, out, _ = run(["validate", "--generator", spec, "--n", "6"], capsys)
+        assert code == EXIT_VALIDATION
+        assert out.splitlines() == [
+            "n=3: no table entry",
+            "n=4: alpha=4 not in 1..3",
+            "n=5: alpha=9 not in 1..4",
+            "n=6: no table entry",
+        ]
+
     def test_sin_drift_ten_thousand(self, capsys):
         code, _, _ = run(["validate", "--generator", "sin_drift", "--n", "10000"], capsys)
         assert code == EXIT_OK

@@ -51,6 +51,26 @@ class TestEvaluate:
             with pytest.raises(DomainError):
                 evaluate(spec, 1)
 
+    def test_floor_sqrt_at_the_domain_end(self):
+        assert evaluate(FSQRT, 2**53) == math.isqrt(2**53)
+        top = math.isqrt(2**53)
+        for n in (r * r + d for r in range(top - 300, top + 1) for d in (-1, 0, 1)):
+            assert evaluate(FSQRT, n) == math.isqrt(n), n
+
+    def test_matches_math_formulas(self):
+        # the scalar math formulas are the reference for the vectorized map
+        indices = range(2, BULK_MAX + 1)
+        assert parent_indices(FSQRT, BULK_MAX).tolist() == [math.isqrt(n) for n in indices]
+        assert parent_indices(SIN, BULK_MAX).tolist() == [
+            math.floor((math.sqrt(n) / 2.0) * math.sin(n) + n / 2.0) for n in indices
+        ]
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 2**63 - 1, 2**70])
+    def test_domain_ends_at_two_to_the_53(self, n):
+        for spec in ALL_BUILTINS:
+            with pytest.raises(DomainError):
+                evaluate(spec, n)
+
     def test_table_lookup_and_miss(self):
         spec = GeneratorSpec.from_table({2: 1, 3: 2, 4: 1})
         assert evaluate(spec, 3) == 2
@@ -124,6 +144,19 @@ class TestValidate:
         assert [v.index for v in report.violations] == [3, 4]
         assert report.violations[0].parent is None
 
+    def test_table_report_in_index_order(self):
+        report = validate(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
+        assert [(v.index, v.parent, v.reason) for v in report.violations] == [
+            (3, None, "n=3: no table entry"),
+            (4, 4, "n=4: alpha=4 not in 1..3"),
+            (5, 9, "n=5: alpha=9 not in 1..4"),
+            (6, None, "n=6: no table entry"),
+        ]
+
+    def test_parent_indices_names_first_missing_entry(self):
+        with pytest.raises(IncompleteGeneratorError, match=r"no entry for n = 3\b"):
+            parent_indices(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
+
     def test_sin_drift_exhaustive_to_ten_thousand(self):
         assert validate(SIN, 10_000).ok
 
@@ -181,6 +214,11 @@ class TestSerialization:
             GeneratorSpec.builtin("fibonacci")
         with pytest.raises(DomainError):
             GeneratorSpec.from_dict({"kind": "mystery"})
+
+    def test_table_parent_beyond_domain_rejected(self):
+        assert GeneratorSpec.from_table({2: 2**53}).table == {2: 2**53}
+        with pytest.raises(DomainError):
+            GeneratorSpec.from_table({2: 2**53 + 1})
 
     def test_builtin_with_table_rejected(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import depcat.generators
-import depcat.graph
 from depcat import (
     AxiomViolationError,
     DependencyTree,
@@ -57,13 +56,13 @@ class TestBuildTree:
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.kind)
     def test_parents_are_evaluated_once(self, spec, monkeypatch):
         calls = []
+        evaluator = depcat.generators._parents
 
-        def counting(spec, max_index):
-            calls.append(max_index)
-            return parent_indices(spec, max_index)
+        def counting(spec, indices):
+            calls.append(int(indices[-1]))
+            return evaluator(spec, indices)
 
-        monkeypatch.setattr(depcat.generators, "parent_indices", counting)
-        monkeypatch.setattr(depcat.graph, "parent_indices", counting, raising=False)
+        monkeypatch.setattr(depcat.generators, "_parents", counting)
         tree = build_tree(spec, 11)
         assert calls == [11]
         assert np.array_equal(tree.parents, parent_indices(spec, 11))

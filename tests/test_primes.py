@@ -1,14 +1,10 @@
-"""Prime utilities against independent oracles (trial division, sympy)."""
+"""The prime sieve and prime ranks against independent oracles (trial division, sympy)."""
 
 import numpy as np
 import sympy
 
-from depcat.primes import (
-    nth_prime,
-    prime_index,
-    smallest_prime_factor,
-    smallest_prime_factor_sieve,
-)
+from depcat import prime_partition
+from depcat.primes import smallest_prime_factor_sieve
 
 
 def spf_by_trial_division(n):
@@ -21,30 +17,27 @@ def spf_by_trial_division(n):
 
 
 def test_smallest_prime_factor_vs_trial_division():
+    sieve = smallest_prime_factor_sieve(10_000)
     for n in range(2, 10_001):
-        assert smallest_prime_factor(n) == spf_by_trial_division(n)
+        assert sieve[n] == spf_by_trial_division(n)
+    assert sieve[0] == 0 and sieve[1] == 0
 
 
 def test_smallest_prime_factor_vs_sympy_spot():
+    sieve = smallest_prime_factor_sieve(2**20)
     for n in (2, 97, 99991, 2**20, 3**11, 101 * 103, 999_983):
-        assert smallest_prime_factor(n) == min(sympy.primefactors(n))
+        assert sieve[n] == min(sympy.primefactors(n))
 
 
 def test_prime_index_vs_sympy():
+    # the parent of a prime p is its rank
     for p in (2, 3, 5, 7, 97, 541, 7919):
-        assert prime_index(p) == sympy.primepi(p)
+        assert prime_partition(p) == sympy.primepi(p)
 
 
 def test_nth_prime_round_trip():
     for rank in (1, 2, 10, 100, 1000):
-        assert prime_index(nth_prime(rank)) == rank
-
-
-def test_sieve_matches_scalar_path():
-    sieve = smallest_prime_factor_sieve(5000)
-    for n in range(2, 5001):
-        assert sieve[n] == smallest_prime_factor(n)
-    assert sieve[0] == 0 and sieve[1] == 0
+        assert prime_partition(sympy.prime(rank)) == rank
 
 
 def test_sieve_prime_detection():
