@@ -20,7 +20,15 @@ def test_smallest_prime_factor_vs_trial_division():
     sieve = smallest_prime_factor_sieve(10_000)
     for n in range(2, 10_001):
         assert sieve[n] == spf_by_trial_division(n)
-    assert sieve[0] == 0 and sieve[1] == 0
+
+
+def test_sieve_matches_scalar_path():
+    # each limit sieves afresh; a short sieve must be the prefix of a long one,
+    # including limits that end on a square or just past one
+    full = smallest_prime_factor_sieve(5000)
+    assert full[0] == 0 and full[1] == 0
+    for limit in [*range(2, 300), 4095, 4096, 4097, 4999, 5000]:
+        assert np.array_equal(smallest_prime_factor_sieve(limit), full[: limit + 1])
 
 
 def test_smallest_prime_factor_vs_sympy_spot():
