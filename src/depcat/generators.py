@@ -46,8 +46,11 @@ class GeneratorSpec:
                 f"unknown generator kind {self.kind!r}; expected one of {ALL_KINDS}"
             )
         if self.kind == TABLE_KIND:
-            if self.table is None:
-                raise DomainError("table generators require a table mapping")
+            if not isinstance(self.table, Mapping):
+                raise DomainError(
+                    "table generators require a table mapping index -> parent, "
+                    f"got {type(self.table).__name__}"
+                )
             entries = {}
             for key, value in self.table.items():
                 n = int(key)
@@ -82,7 +85,7 @@ class GeneratorSpec:
         if kind == TABLE_KIND:
             if table is None:
                 raise DomainError("table generators require a 'table' field")
-            return cls.from_table({int(k): int(v) for k, v in table.items()})
+            return cls.from_table(table)
         if table is not None:
             raise DomainError(f"generator kind {kind!r} does not take a table")
         return cls.builtin(kind)

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyBatchError
-from .exact import CrossCovariance, exponent_basis_for, _check_pair_positions
+from .exact import CrossCovariance, _check_pair_positions
 from .generators import GeneratorSpec
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
@@ -494,4 +494,4 @@ def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovar
     counts = np.bincount(pairs, minlength=width * width)
     joint = counts.reshape(width, width)[1:, 1:] / batch.count
     matrix = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
-    return CrossCovariance(m, n, matrix, exponent_basis_for(batch.spec), "empirical")
+    return CrossCovariance(m, n, matrix, "empirical")

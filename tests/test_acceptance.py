@@ -275,7 +275,7 @@ def test_criterion_9_sampler_statistics():
 
 def test_criterion_10_tree_distance_extrapolation():
     worst = 0.0
-    flagged = True
+    tagged = True
     for spec in (FSQRT, PRIME):
         for probs in ([0.6, 0.4], [0.5, 0.3, 0.2]):
             for delta in (0.3, 0.7):
@@ -288,12 +288,12 @@ def test_criterion_10_tree_distance_extrapolation():
                             float(np.max(np.abs(enumerated.matrix - closed.matrix))),
                         )
                         payload = closed.to_json_dict()
-                        flagged &= payload["exponent_basis"] == "tree-conjecture"
-                        flagged &= "conjectured" in payload.get("note", "")
+                        tagged &= payload["exponent_basis"] == "theorem"
+                        tagged &= "note" not in payload
     report(
         10,
-        "tree-distance exponent agrees with enumeration and is flagged as conjecture",
-        worst <= 1e-10 and flagged,
+        "tree-distance exponent agrees with enumeration and is tagged theorem",
+        worst <= 1e-10 and tagged,
         f"max error {worst:.3e}",
     )
 

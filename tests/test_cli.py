@@ -119,8 +119,11 @@ class TestCovariance:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["max_abs_discrepancy"] < 1e-10
-        assert payload["exponent_basis"] == "tree-conjecture"
-        assert "conjectured" in payload["note"]
+        assert payload["exponent_basis"] == "theorem"
+        assert list(payload) == [
+            "m", "n", "exponent_basis", "method", "enumerated", "closed_form",
+            "max_abs_discrepancy",
+        ]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -426,6 +429,43 @@ def test_bad_table_is_a_validation_error(command, table, capsys):
     assert code == EXIT_VALIDATION
     assert out == "" and err.startswith("error: generator 'table' fails validation")
     assert "n=3" in err
+
+
+# A generator table must be an object; a list or a string is a usage error.
+NON_OBJECT_TABLES = {"list": [1, 2], "str": "12"}
+EVERY_COMMAND = {
+    "validate": ["validate"],
+    "graph": ["graph"],
+    "covariance": ["covariance", "1", "2"],
+    "sample": ["sample", "--seed", "1", "--count", "3"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("table", list(NON_OBJECT_TABLES))
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_non_object_table_is_a_usage_error(command, table, through_config, capsys, tmp_path):
+    generator = {"kind": "table", "table": NON_OBJECT_TABLES[table]}
+    if through_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"generator": generator}))
+        source = ["--config", str(config)]
+    else:
+        source = ["--generator", json.dumps(generator)]
+    argv = [*EVERY_COMMAND[command], *source, "--p", "0.5,0.5", "--delta", "0.4", "--n", "4"]
+    if command == "sample":
+        argv += ["--out-prefix", str(tmp_path / "batch")]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: table generators require a table mapping index -> parent, "
+        f"got {type(NON_OBJECT_TABLES[table]).__name__}"
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == (
+        ["run.json"] if through_config else []
+    )
 
 
 class TestConfigHandling:

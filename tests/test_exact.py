@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depcat.cli
 import depcat.exact
 from depcat import (
     AxiomViolationError,
@@ -25,6 +26,7 @@ from depcat import (
     cross_covariance_closed_form,
     cross_covariance_enumerated,
     closed_form_covariance_matrix,
+    empirical_cross_covariance,
     endpoint_match_probability,
     endpoint_match_probability_enumerated,
     enumerate_outcomes,
@@ -34,6 +36,7 @@ from depcat import (
     joint_pair_probability,
     marginal_at,
     outcome_probability,
+    sample_batch,
     transition_kernel,
     verification_suite,
 )
@@ -51,6 +54,7 @@ FSQRT = GeneratorSpec.builtin("floor_sqrt")
 SIN = GeneratorSpec.builtin("sin_drift")
 PRIME = GeneratorSpec.builtin("prime_partition")
 ALL_BUILTINS = (FK, SEQ, FSQRT, SIN, PRIME)
+TABLE = GeneratorSpec.from_table({2: 1, 3: 1, 4: 2})
 
 P3 = [0.5, 0.3, 0.2]
 
@@ -368,20 +372,15 @@ class TestCrossCovariance:
             assert np.max(np.abs(cov.matrix - cov.matrix.T)) <= 1e-10
 
     def test_exponent_basis_tags(self):
-        assert cross_covariance_closed_form(P3, 0.4, SEQ, 1, 2).exponent_basis == "theorem"
-        assert cross_covariance_closed_form(P3, 0.4, FK, 1, 2).exponent_basis == "fk"
-        for spec in (FSQRT, SIN, PRIME):
-            assert (
-                cross_covariance_closed_form(P3, 0.4, spec, 1, 2).exponent_basis
-                == "tree-conjecture"
-            )
+        for spec in (*ALL_BUILTINS, TABLE):
+            assert cross_covariance_closed_form(P3, 0.4, spec, 1, 2).exponent_basis == "theorem"
 
     def test_serialization(self):
         cov = cross_covariance_closed_form(P3, 0.4, FSQRT, 2, 4)
         data = json.loads(cov.to_json())
         assert data["m"] == 2 and data["n"] == 4
-        assert data["exponent_basis"] == "tree-conjecture"
-        assert "conjectured" in data["note"]
+        assert data["exponent_basis"] == "theorem"
+        assert list(data) == ["m", "n", "exponent_basis", "method", "matrix"]
         assert np.allclose(np.array(data["matrix"]), cov.matrix, atol=0)
         csv_text = cov.to_csv()
         lines = csv_text.strip().splitlines()
@@ -389,9 +388,25 @@ class TestCrossCovariance:
         parsed = [float(v) for v in lines[1].split(",")[1:]]
         assert parsed == [float(v) for v in cov.matrix[0]]
 
-    def test_theorem_basis_has_no_conjecture_note(self):
-        data = cross_covariance_closed_form(P3, 0.4, SEQ, 2, 4).to_json_dict()
-        assert "note" not in data
+    @pytest.mark.parametrize("spec", [*ALL_BUILTINS, TABLE], ids=lambda spec: spec.kind)
+    def test_theorem_basis_has_no_conjecture_note(self, spec, capsys):
+        batch = sample_batch(P3, 0.4, spec, 4, 200, seed=3)
+        for cov in (
+            cross_covariance_closed_form(P3, 0.4, spec, 2, 4),
+            cross_covariance_enumerated(P3, 0.4, spec, 2, 4),
+            empirical_cross_covariance(batch, 2, 4),
+        ):
+            data = cov.to_json_dict()
+            assert data["exponent_basis"] == "theorem" and "note" not in data
+            assert "conjecture" not in cov.to_json()
+        for method in ("enumerate", "closed", "both"):
+            argv = ["covariance", "2", "4", "--generator", spec.to_json(),
+                    "--p", "0.5,0.3,0.2", "--delta", "0.4", "--n", "4", "--method", method]
+            assert depcat.cli.main(argv) == 0
+            out = capsys.readouterr().out
+            payload = json.loads(out)
+            assert payload["exponent_basis"] == "theorem" and "note" not in payload
+            assert "conjecture" not in out
 
 
 class TestEndpointMatch:

@@ -224,6 +224,16 @@ class TestSerialization:
         with pytest.raises(DomainError):
             GeneratorSpec(kind="fk", table={2: 1})
 
+    @pytest.mark.parametrize("table", [[1, 2], "12"], ids=["list", "str"])
+    def test_table_that_is_not_a_mapping_rejected(self, table):
+        for build in (
+            lambda: GeneratorSpec.from_table(table),
+            lambda: GeneratorSpec.from_dict({"kind": "table", "table": table}),
+            lambda: GeneratorSpec(kind="table", table=table),
+        ):
+            with pytest.raises(DomainError, match="table generators require a table mapping"):
+                build()
+
 
 def test_sin_drift_uses_radians():
     # floor(sqrt(13)/2 * sin(13 rad) + 6.5) = 7; the degree reading gives 6.
