@@ -19,14 +19,11 @@ from .errors import (
 from .exact import (
     DEFAULT_ENUMERATION_CAP,
     CrossCovariance,
-    PairProbability,
-    PositionMarginal,
     VerificationCheck,
     cross_covariance_closed_form,
     cross_covariance_enumerated,
     closed_form_covariance_matrix,
     endpoint_match_probability,
-    endpoint_match_probability_enumerated,
     enumerate_outcomes,
     enumerated_marginals,
     joint_distribution,
@@ -41,7 +38,6 @@ from .generators import (
     GeneratorViolation,
     ValidationReport,
     evaluate,
-    parent_indices,
     prime_partition,
     validate,
 )
@@ -49,7 +45,6 @@ from .graph import (
     DependencyTree,
     build_tree,
     export_dot,
-    lowest_common_ancestor,
     path_to_root,
     tree_distance,
 )
@@ -89,8 +84,6 @@ __all__ = [
     "GeneratorViolation",
     "IncompleteGeneratorError",
     "Marginal",
-    "PairProbability",
-    "PositionMarginal",
     "SampleBatch",
     "TransitionKernel",
     "ValidationReport",
@@ -102,17 +95,14 @@ __all__ = [
     "empirical_cross_covariance",
     "empirical_marginals",
     "endpoint_match_probability",
-    "endpoint_match_probability_enumerated",
     "enumerate_outcomes",
     "enumerated_marginals",
     "evaluate",
     "export_dot",
     "joint_distribution",
     "joint_pair_probability",
-    "lowest_common_ancestor",
     "marginal_at",
     "outcome_probability",
-    "parent_indices",
     "path_to_root",
     "prime_partition",
     "repeat_probability",

@@ -31,7 +31,7 @@ from .exact import (
     cross_covariance_enumerated,
     verification_suite,
 )
-from .generators import GeneratorSpec, validate
+from .generators import GeneratorSpec, as_integer, validate
 from .graph import build_tree, export_dot
 from .kernel import DependencyCoefficient, Marginal
 from .sampler import SampleBatch, sample_batch
@@ -93,13 +93,6 @@ def _parse_probs(value) -> list[float]:
     return [float(v) for v in value]
 
 
-def _parse_int(value, key: str) -> int:
-    # int() would truncate 6.7 to 6 and read true as 1; JSON gives both.
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise UsageError(f"{key} must be an integer, got {json.dumps(value)}")
-    return int(value)
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge the JSON config file (if any) with flag overrides."""
     data: dict = {}
@@ -133,22 +126,22 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     try:
         spec = _parse_generator(raw_generator)
-        length = _parse_int(raw_length, "N")
+        length = as_integer(raw_length, "N")
         if length < 1:
             raise UsageError(f"N must be >= 1, got {length}")
         marginal = None
         if raw_probs is not None:
             marginal = Marginal(np.asarray(_parse_probs(raw_probs)))
-            k = None if raw_k is None else _parse_int(raw_k, "K")
+            k = None if raw_k is None else as_integer(raw_k, "K")
             if k is not None and k != marginal.num_categories:
                 raise UsageError(f"K={k} conflicts with a {marginal.num_categories}-entry p")
         elif raw_k is not None:
             raise UsageError("K was given without p; set the marginal explicitly")
         delta = None if raw_delta is None else DependencyCoefficient(float(raw_delta)).value
-        seed = None if raw_seed is None else _parse_int(raw_seed, "seed")
-        count = None if raw_count is None else _parse_int(raw_count, "count")
+        seed = None if raw_seed is None else as_integer(raw_seed, "seed")
+        count = None if raw_count is None else as_integer(raw_count, "count")
         cap = (
-            DEFAULT_ENUMERATION_CAP if raw_cap is None else _parse_int(raw_cap, "enumeration_cap")
+            DEFAULT_ENUMERATION_CAP if raw_cap is None else as_integer(raw_cap, "enumeration_cap")
         )
         if cap < 1:
             raise UsageError(f"enumeration cap must be >= 1, got {cap}")

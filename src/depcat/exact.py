@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -184,29 +184,9 @@ def joint_distribution(
     return joint.reshape((k,) * length)
 
 
-@dataclass(frozen=True, eq=False)
-class PositionMarginal:
-    """Distribution of the draw at one sequence position."""
-
-    position: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        if self.position < 1:
-            raise DomainError(f"position must be >= 1, got {self.position}")
-        probs = np.array(self.probs, dtype=np.float64)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise DomainError(
-                f"position marginal sums to {total!r}; expected 1 within 1e-10"
-            )
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-
 def marginal_at(
     p: MarginalLike, delta: DeltaLike, spec: GeneratorSpec, position: int
-) -> PositionMarginal:
+) -> Marginal:
     """Exact marginal at a position, by propagation through the tree.
 
     Pushes the base distribution through one kernel application per edge
@@ -217,7 +197,8 @@ def marginal_at(
     if position < 1:
         raise DomainError(f"position must be >= 1, got {position}")
     route = _Propagation(as_marginal(p), delta, build_tree(spec, position))
-    return PositionMarginal(position, route.marginal(position))
+    # a kernel step can round an entry of a near-degenerate p one ulp past 1
+    return Marginal(np.clip(route.marginal(position), 0.0, 1.0))
 
 
 def enumerated_marginals(
@@ -360,13 +341,6 @@ def _pair_joint_propagated(
     return route.pair_joints([(m, n)])[0][0]
 
 
-class PairProbability(NamedTuple):
-    """A joint pair probability together with the route that produced it."""
-
-    value: float
-    method: str
-
-
 def joint_pair_probability(
     p: MarginalLike,
     delta: DeltaLike,
@@ -375,28 +349,26 @@ def joint_pair_probability(
     i: int,
     n: int,
     j: int,
-    method: str = "auto",
+    method: str = "propagate",
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PairProbability:
+) -> float:
     """P(draw at m equals i and draw at n equals j), for m < n.
 
     ``method`` selects the route: "propagate" (kernel powers through the
-    lowest common ancestor), "enumerate" (sum over the outcome space,
-    subject to the cap), or "auto", which prefers propagation since it is
-    always available.  The returned tuple reports which route ran; the two
-    routes agree within 1e-10 wherever both apply.
+    lowest common ancestor) or "enumerate" (sum over the outcome space,
+    subject to the cap).  The two routes agree within 1e-10.
     """
     marginal = as_marginal(p)
     _check_pair_positions(m, n)
     check_category(i, marginal.num_categories)
     check_category(j, marginal.num_categories)
-    if method not in ("auto", "enumerate", "propagate"):
-        raise DomainError(f"unknown method {method!r}")
-    if method == "enumerate":
+    if method == "propagate":
+        pair = _pair_joint_propagated(marginal, delta, spec, m, n)
+    elif method == "enumerate":
         pair = _pair_joint_enumerated(marginal, delta, spec, m, n, cap)
-        return PairProbability(float(pair[i - 1, j - 1]), "enumerate")
-    pair = _pair_joint_propagated(marginal, delta, spec, m, n)
-    return PairProbability(float(pair[i - 1, j - 1]), "propagate")
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return float(pair[i - 1, j - 1])
 
 
 def _check_pair_positions(m: int, n: int) -> None:
@@ -523,23 +495,6 @@ def endpoint_match_probability(
     check_category(category, marginal.num_categories)
     pi = float(marginal.probs[category - 1])
     return pi * (pi + (1.0 - pi) * d ** (length - 1))
-
-
-def endpoint_match_probability_enumerated(
-    p: MarginalLike,
-    delta: DeltaLike,
-    length: int,
-    category: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
-    """Same endpoint probability by summing the enumerated chain joint."""
-    marginal = as_marginal(p)
-    if length < 2:
-        raise DomainError(f"chain length must be >= 2, got {length}")
-    check_category(category, marginal.num_categories)
-    chain = GeneratorSpec.builtin("sequential")
-    pair = _pair_joint_enumerated(marginal, delta, chain, 1, length, cap)
-    return float(pair[category - 1, category - 1])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ violations as data while ``evaluate`` raises on them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -31,6 +32,23 @@ BUILTIN_KINDS = ("fk", "sequential", "floor_sqrt", "sin_drift", "prime_partition
 TABLE_KIND = "table"
 ALL_KINDS = BUILTIN_KINDS + (TABLE_KIND,)
 _MAX_INDEX = 2**53  # every index up to here is exact in float64
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as an int, or a DomainError naming `name`.
+
+    Accepts ints (Python or numpy), integral floats and plain decimal
+    strings with an optional sign, so 12.0 and "12" read as 12.  Rejects
+    booleans, fractional floats and every other string, where int() would
+    read true as 1, truncate 1.5 to 1 and read "1_0" as 10.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +71,8 @@ class GeneratorSpec:
                 )
             entries = {}
             for key, value in self.table.items():
-                n = int(key)
-                parent = int(value)
+                n = as_integer(key, "table key")
+                parent = as_integer(value, f"table parent of {n}")
                 if n < 2:
                     raise DomainError(f"table keys must be indices >= 2, got {key!r}")
                 if not 1 <= parent <= _MAX_INDEX:
@@ -116,7 +134,7 @@ class GeneratorSpec:
 def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
     """alpha(n) for each n >= 2 of an int64 array, without range checks.
 
-    The one evaluator behind `evaluate`, `parent_indices` and `validate`.
+    The one evaluator behind `evaluate` and `validate`, and so `build_tree`.
     A table's missing entries read 0, which no table can hold as a parent.
     """
     kind = spec.kind
@@ -176,23 +194,6 @@ def prime_partition(n: int) -> int:
     parent of n is its block number m.
     """
     return evaluate(_PRIME_PARTITION, n)
-
-
-def parent_indices(spec: GeneratorSpec, max_index: int) -> np.ndarray:
-    """Vectorized alpha(n) for n = 2..max_index, without range checks.
-
-    Entry i holds the raw parent of index i + 2.  Matches evaluate()
-    entrywise wherever evaluate() does not raise.
-    """
-    if max_index < 2:
-        raise DomainError(f"max_index must be >= 2, got {max_index}")
-    parents = _parents(spec, np.arange(2, max_index + 1, dtype=np.int64))
-    missing = np.flatnonzero(parents == 0)
-    if missing.size:
-        raise IncompleteGeneratorError(
-            f"table generator has no entry for n = {int(missing[0]) + 2}"
-        )
-    return parents
 
 
 @dataclass(frozen=True)

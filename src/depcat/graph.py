@@ -121,10 +121,6 @@ def tree_distance(tree: DependencyTree, m: int, n: int) -> int:
     return up + down
 
 
-def lowest_common_ancestor(tree: DependencyTree, m: int, n: int) -> int:
-    return branch_lengths(tree, m, n)[0]
-
-
 def export_dot(tree: DependencyTree) -> str:
     """DOT digraph with one edge line per node, ascending and layout-free."""
     lines = ["digraph dependencies {"]

@@ -18,8 +18,8 @@ from depcat import (
     cross_covariance_enumerated,
     empirical_cross_covariance,
     empirical_marginals,
-    endpoint_match_probability_enumerated,
     enumerated_marginals,
+    joint_pair_probability,
     sample_batch,
 )
 from depcat.cli import main as cli_main
@@ -190,8 +190,8 @@ def test_criterion_7_endpoint_match_identity():
         for delta in (0.2, 0.4, 0.8):
             for length in range(2, 11):
                 for category in range(1, len(probs) + 1):
-                    enumerated = endpoint_match_probability_enumerated(
-                        probs, delta, length, category
+                    enumerated = joint_pair_probability(
+                        probs, delta, SEQ, 1, category, length, category, method="enumerate"
                     )
                     pi = probs[category - 1]
                     expected = pi * (pi + (1 - pi) * delta ** (length - 1))

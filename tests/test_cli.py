@@ -468,6 +468,31 @@ def test_non_object_table_is_a_usage_error(command, table, through_config, capsy
     )
 
 
+# Table keys and parents follow the package's one integer rule.
+NON_INTEGER_TABLES = {
+    "fractional-parent": ({"2": 1.5}, "table parent of 2 must be an integer, got 1.5"),
+    "boolean-parent": ({"2": True}, "table parent of 2 must be an integer, got true"),
+    "fractional-key": ({"2": 1, "2.5": 1}, 'table key must be an integer, got "2.5"'),
+    "underscored-key": ({"2": 1, "1_0": 1}, 'table key must be an integer, got "1_0"'),
+}
+
+
+@pytest.mark.parametrize("table", list(NON_INTEGER_TABLES))
+@pytest.mark.parametrize("command", list(EVERY_COMMAND))
+def test_non_integer_table_entry_is_a_usage_error(command, table, capsys, tmp_path):
+    entries, message = NON_INTEGER_TABLES[table]
+    generator = json.dumps({"kind": "table", "table": entries})
+    argv = [*EVERY_COMMAND[command], "--generator", generator, "--p", "0.5,0.5",
+            "--delta", "0.4", "--n", "4"]
+    if command == "sample":
+        argv += ["--out-prefix", str(tmp_path / "batch")]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigHandling:
     def test_config_file_supplies_everything(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -23,12 +23,12 @@ from depcat import (
     DomainError,
     EnumerationTooLargeError,
     GeneratorSpec,
+    Marginal,
     cross_covariance_closed_form,
     cross_covariance_enumerated,
     closed_form_covariance_matrix,
     empirical_cross_covariance,
     endpoint_match_probability,
-    endpoint_match_probability_enumerated,
     enumerate_outcomes,
     enumerated_marginals,
     evaluate,
@@ -216,6 +216,14 @@ class TestMarginals:
         for spec in ALL_BUILTINS:
             assert np.allclose(marginal_at(P3, 0.8, spec, 1).probs, P3, atol=1e-15)
 
+    def test_returns_a_marginal(self):
+        # a kernel step rounds this p's first entry an ulp past 1; the
+        # Marginal it comes back as holds entries in [0, 1]
+        p = [1.0, 1.2e-16]
+        result = marginal_at(p, 0.0, SEQ, 2)
+        assert isinstance(result, Marginal)
+        assert np.max(np.abs(result.probs - np.array(p))) <= 1e-15
+
     def test_sequential_position_six(self):
         probs = marginal_at(P3, 0.4, SEQ, 6).probs
         assert np.max(np.abs(probs - np.array(P3))) <= 1e-10
@@ -246,12 +254,12 @@ class TestJointPairProbability:
             pi = P3[i - 1]
             expected = pi * (pi + (1 - pi) * delta**3)
             result = joint_pair_probability(P3, delta, SEQ, 1, i, 4, i, method="enumerate")
-            assert result.value == pytest.approx(expected, abs=1e-12)
+            assert result == pytest.approx(expected, abs=1e-12)
 
     def test_independence_factorizes(self):
         for spec in ALL_BUILTINS:
             result = joint_pair_probability(P3, 0.0, spec, 2, 1, 5, 3)
-            assert result.value == pytest.approx(P3[0] * P3[2], abs=1e-12)
+            assert result == pytest.approx(P3[0] * P3[2], abs=1e-12)
 
     def test_fk_2_3_against_explicit_sum(self):
         # Oracle: direct sum over the 27 outcomes with explicit weighting.
@@ -263,18 +271,14 @@ class TestJointPairProbability:
             if omega[1] == 1 and omega[2] == 2
         )
         result = joint_pair_probability(P3, delta, FK, 2, 1, 3, 2, method="enumerate")
-        assert result.value == pytest.approx(expected, abs=1e-14)
+        assert result == pytest.approx(expected, abs=1e-14)
 
     def test_routes_agree_and_report_method(self):
         for spec in ALL_BUILTINS:
             for m, n in ((1, 2), (2, 5), (3, 7), (1, 7)):
                 enum = joint_pair_probability(P3, 0.55, spec, m, 1, n, 2, method="enumerate")
                 prop = joint_pair_probability(P3, 0.55, spec, m, 1, n, 2, method="propagate")
-                auto = joint_pair_probability(P3, 0.55, spec, m, 1, n, 2)
-                assert enum.method == "enumerate"
-                assert prop.method == "propagate"
-                assert auto.method == "propagate"
-                assert enum.value == pytest.approx(prop.value, abs=1e-10)
+                assert enum == pytest.approx(prop, abs=1e-10)
 
     def test_far_apart_pair_holds_only_a_few_kernel_powers(self):
         # Propagating across 10^5 edges keeps the tree and a few K x K
@@ -292,7 +296,15 @@ class TestJointPairProbability:
             tracemalloc.stop()
         assert peak < tree_peak + 16 * k * k * 8
         expected = endpoint_match_probability(p, 0.9, n, 1)
-        assert result.value == pytest.approx(expected, abs=1e-12)
+        assert result == pytest.approx(expected, abs=1e-12)
+
+    def test_returns_a_float_and_takes_two_methods(self):
+        for method in ("propagate", "enumerate"):
+            result = joint_pair_probability(P3, 0.4, FSQRT, 2, 1, 5, 2, method=method)
+            assert type(result) is float
+        for method in ("auto", "closed", ""):
+            with pytest.raises(DomainError, match="unknown method"):
+                joint_pair_probability(P3, 0.4, FSQRT, 2, 1, 5, 2, method=method)
 
     def test_enumerate_respects_cap(self):
         with pytest.raises(EnumerationTooLargeError):
@@ -427,7 +439,9 @@ class TestEndpointMatch:
     def test_identity_against_enumeration(self):
         for length in range(2, 9):
             for i in (1, 2, 3):
-                enumerated = endpoint_match_probability_enumerated(P3, 0.4, length, i)
+                enumerated = joint_pair_probability(
+                    P3, 0.4, SEQ, 1, i, length, i, method="enumerate"
+                )
                 closed = endpoint_match_probability(P3, 0.4, length, i)
                 assert enumerated == pytest.approx(closed, abs=1e-10)
 
@@ -439,9 +453,8 @@ class TestEndpointMatch:
             for omega in itertools.product((1, 2, 3), repeat=6)
             if omega[0] == 2 and omega[5] == 2
         )
-        assert endpoint_match_probability_enumerated(P3, 0.4, 6, 2) == pytest.approx(
-            expected, abs=1e-14
-        )
+        enumerated = joint_pair_probability(P3, 0.4, SEQ, 1, 2, 6, 2, method="enumerate")
+        assert enumerated == pytest.approx(expected, abs=1e-14)
         assert endpoint_match_probability(P3, 0.4, 6, 2) == pytest.approx(
             expected, abs=1e-10
         )

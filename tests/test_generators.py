@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +13,12 @@ from depcat import (
     DomainError,
     GeneratorSpec,
     IncompleteGeneratorError,
+    build_tree,
     evaluate,
-    parent_indices,
     prime_partition,
     validate,
 )
+from depcat.generators import as_integer
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -60,8 +62,8 @@ class TestEvaluate:
     def test_matches_math_formulas(self):
         # the scalar math formulas are the reference for the vectorized map
         indices = range(2, BULK_MAX + 1)
-        assert parent_indices(FSQRT, BULK_MAX).tolist() == [math.isqrt(n) for n in indices]
-        assert parent_indices(SIN, BULK_MAX).tolist() == [
+        assert build_tree(FSQRT, BULK_MAX).parents.tolist() == [math.isqrt(n) for n in indices]
+        assert build_tree(SIN, BULK_MAX).parents.tolist() == [
             math.floor((math.sqrt(n) / 2.0) * math.sin(n) + n / 2.0) for n in indices
         ]
 
@@ -153,9 +155,9 @@ class TestValidate:
             (6, None, "n=6: no table entry"),
         ]
 
-    def test_parent_indices_names_first_missing_entry(self):
-        with pytest.raises(IncompleteGeneratorError, match=r"no entry for n = 3\b"):
-            parent_indices(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
+    def test_build_tree_names_first_missing_entry(self):
+        with pytest.raises(AxiomViolationError, match=r"first: n=3: no table entry\)"):
+            build_tree(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
 
     def test_sin_drift_exhaustive_to_ten_thousand(self):
         assert validate(SIN, 10_000).ok
@@ -176,26 +178,39 @@ class TestValidate:
 BULK_MAX = 10**5
 
 
+def reference_parent(kind, n):
+    """alpha(n) from the generator's definition, apart from the library."""
+    if kind == "fk":
+        return 1
+    if kind == "sequential":
+        return n - 1
+    if kind == "floor_sqrt":
+        return math.isqrt(n)
+    if kind == "sin_drift":
+        return math.floor((math.sqrt(n) / 2.0) * math.sin(n) + n / 2.0)
+    # rank of the smallest prime factor, found by trial division
+    factor = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    return int(sympy.primepi(factor))
+
+
 class TestBulkAgreement:
     @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda s: s.kind)
     @settings(max_examples=25, deadline=None)
     @given(drawn=st.lists(st.integers(2, BULK_MAX), min_size=1, max_size=40))
     def test_bulk_matches_scalar(self, spec, drawn):
-        # evaluate(spec, n) is entry n - 2 of parent_indices(spec, 10**5): at
-        # fixed n, hypothesis-drawn n, and next to every square for floor_sqrt
-        bulk = parent_indices(spec, BULK_MAX)
+        # evaluate(spec, n) against the definition up to 10**5: at fixed n,
+        # hypothesis-drawn n, and next to every square for floor_sqrt
         cases = [2, 3, 5, 17, 99, 100, 101, 961, 1024, 9999, 10_000] + drawn
         if spec.kind == "floor_sqrt":
             roots = range(1, math.isqrt(BULK_MAX) + 1)
             cases += [r * r + d for r in roots for d in (-1, 0, 1) if 2 <= r * r + d <= BULK_MAX]
         for n in cases:
-            assert bulk[n - 2] == evaluate(spec, n), n
+            assert evaluate(spec, n) == reference_parent(spec.kind, n), n
 
     def test_bulk_matches_scalar_dense_small_range(self):
         for spec in ALL_BUILTINS:
-            bulk = parent_indices(spec, 500)
             for n in range(2, 501):
-                assert bulk[n - 2] == evaluate(spec, n), (spec.kind, n)
+                assert evaluate(spec, n) == reference_parent(spec.kind, n), (spec.kind, n)
 
 
 class TestSerialization:
@@ -233,6 +248,52 @@ class TestSerialization:
         ):
             with pytest.raises(DomainError, match="table generators require a table mapping"):
                 build()
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(12, 12), (np.int64(12), 12), (np.uint8(3), 3), (12.0, 12), (np.float32(-4.0), -4),
+         ("12", 12), ("+12", 12), ("-3", -3), ("007", 7)],
+    )
+    def test_accepts_ints_integral_floats_and_decimal_strings(self, value, expected):
+        result = as_integer(value, "x")
+        assert result == expected and type(result) is int
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.bool_(True), 1.5, np.float64(2.5), math.nan, math.inf, "2.5", "1_0",
+         " 2", "2 ", "", "+", "0x10", "1e3", "\u0661\u0662", None, [1]],
+    )
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(DomainError, match="^x must be an integer, got "):
+            as_integer(value, "x")
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"2": 1.5}, "table parent of 2 must be an integer, got 1.5"),
+            ({"2": True}, "table parent of 2 must be an integer, got true"),
+            ({"2.5": 1}, 'table key must be an integer, got "2.5"'),
+            ({"1_0": 1}, 'table key must be an integer, got "1_0"'),
+            ({2.5: 1}, "table key must be an integer, got 2.5"),
+            ({True: 1}, "table key must be an integer, got true"),
+        ],
+    )
+    def test_table_entries_follow_the_rule(self, table, message):
+        for build in (
+            lambda: GeneratorSpec(kind="table", table=table),
+            lambda: GeneratorSpec.from_table(table),
+            lambda: GeneratorSpec.from_dict({"kind": "table", "table": table}),
+        ):
+            with pytest.raises(DomainError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
+    def test_table_entries_read_as_ints(self):
+        spec = GeneratorSpec.from_table({"2": 1.0, np.int64(3): "2", 4.0: np.uint8(3)})
+        assert dict(spec.table) == {2: 1, 3: 2, 4: 3}
+        assert all(type(v) is int for item in spec.table.items() for v in item)
 
 
 def test_sin_drift_uses_radians():
