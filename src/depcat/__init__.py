@@ -51,7 +51,6 @@ from .graph import (
 from .kernel import (
     DependencyCoefficient,
     Marginal,
-    TransitionKernel,
     repeat_probability,
     switch_probability,
     transition_kernel,
@@ -85,7 +84,6 @@ __all__ = [
     "IncompleteGeneratorError",
     "Marginal",
     "SampleBatch",
-    "TransitionKernel",
     "ValidationReport",
     "VerificationCheck",
     "build_tree",

@@ -33,7 +33,7 @@ from .exact import (
 )
 from .generators import GeneratorSpec, as_integer, validate
 from .graph import build_tree, export_dot
-from .kernel import DependencyCoefficient, Marginal
+from .kernel import Marginal, as_delta
 from .sampler import SampleBatch, sample_batch
 
 EXIT_OK = 0
@@ -46,10 +46,6 @@ EXIT_CAP = 5
 # `depcat sample` encodes its file in blocks of about this many cells, so
 # the writer's working memory does not grow with `count`.
 _WRITE_BLOCK_CELLS = 1 << 16
-
-
-class UsageError(DepcatError):
-    """Malformed configuration or missing required settings."""
 
 
 @dataclass
@@ -66,12 +62,12 @@ class RunConfig:
 
     def require_marginal(self) -> Marginal:
         if self.marginal is None:
-            raise UsageError("this command needs a marginal: set \"p\" or --p")
+            raise DomainError("this command needs a marginal: set \"p\" or --p")
         return self.marginal
 
     def require_delta(self) -> float:
         if self.delta is None:
-            raise UsageError("this command needs a coefficient: set \"delta\" or --delta")
+            raise DomainError("this command needs a coefficient: set \"delta\" or --delta")
         return self.delta
 
 
@@ -83,29 +79,27 @@ def _parse_generator(value) -> GeneratorSpec:
         if text.startswith("{"):
             return GeneratorSpec.from_json(text)
         return GeneratorSpec.builtin(text)
-    raise UsageError(f"cannot interpret generator setting {value!r}")
-
-
-def _parse_probs(value) -> list[float]:
-    if isinstance(value, str):
-        parts = [part for part in value.split(",") if part.strip()]
-        return [float(part) for part in parts]
-    return [float(v) for v in value]
+    raise DomainError(f"cannot interpret generator setting {value!r}")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the JSON config file (if any) with flag overrides."""
+    """Merge the JSON config file (if any) with flag overrides.
+
+    A flag's text and a config value are read by the same library rule:
+    `as_integer` for the integer settings, `as_delta` for delta and
+    `Marginal` for p, whose text is split at its commas.
+    """
     data: dict = {}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
         except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
+            raise DomainError(f"cannot read config file: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DomainError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise DomainError("config file must hold a JSON object")
 
     def pick(flag_value, key):
         return flag_value if flag_value is not None else data.get(key)
@@ -120,33 +114,30 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     raw_cap = pick(args.cap, "enumeration_cap")
 
     if raw_generator is None:
-        raise UsageError("a generator is required: set \"generator\" or --generator")
+        raise DomainError("a generator is required: set \"generator\" or --generator")
     if raw_length is None:
-        raise UsageError("a sequence length is required: set \"N\" or --n")
+        raise DomainError("a sequence length is required: set \"N\" or --n")
 
-    try:
-        spec = _parse_generator(raw_generator)
-        length = as_integer(raw_length, "N")
-        if length < 1:
-            raise UsageError(f"N must be >= 1, got {length}")
-        marginal = None
-        if raw_probs is not None:
-            marginal = Marginal(np.asarray(_parse_probs(raw_probs)))
-            k = None if raw_k is None else as_integer(raw_k, "K")
-            if k is not None and k != marginal.num_categories:
-                raise UsageError(f"K={k} conflicts with a {marginal.num_categories}-entry p")
-        elif raw_k is not None:
-            raise UsageError("K was given without p; set the marginal explicitly")
-        delta = None if raw_delta is None else DependencyCoefficient(float(raw_delta)).value
-        seed = None if raw_seed is None else as_integer(raw_seed, "seed")
-        count = None if raw_count is None else as_integer(raw_count, "count")
-        cap = (
-            DEFAULT_ENUMERATION_CAP if raw_cap is None else as_integer(raw_cap, "enumeration_cap")
-        )
-        if cap < 1:
-            raise UsageError(f"enumeration cap must be >= 1, got {cap}")
-    except (DomainError, ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _parse_generator(raw_generator)
+    length = as_integer(raw_length, "N")
+    if length < 1:
+        raise DomainError(f"N must be >= 1, got {length}")
+    marginal = None
+    if raw_probs is not None:
+        if isinstance(raw_probs, str):
+            raw_probs = [part.strip() for part in raw_probs.split(",") if part.strip()]
+        marginal = Marginal(raw_probs)
+        k = None if raw_k is None else as_integer(raw_k, "K")
+        if k is not None and k != marginal.num_categories:
+            raise DomainError(f"K={k} conflicts with a {marginal.num_categories}-entry p")
+    elif raw_k is not None:
+        raise DomainError("K was given without p; set the marginal explicitly")
+    delta = None if raw_delta is None else as_delta(raw_delta)
+    seed = None if raw_seed is None else as_integer(raw_seed, "seed")
+    count = None if raw_count is None else as_integer(raw_count, "count")
+    cap = DEFAULT_ENUMERATION_CAP if raw_cap is None else as_integer(raw_cap, "enumeration_cap")
+    if cap < 1:
+        raise DomainError(f"enumeration cap must be >= 1, got {cap}")
 
     return RunConfig(spec, length, marginal, delta, seed, count, cap)
 
@@ -246,15 +237,13 @@ def cmd_graph(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
     marginal = config.require_marginal()
     delta = config.require_delta()
-    m, n = args.m, args.n_pos
-    if not 1 <= m < n:
-        raise UsageError(f"positions must satisfy 1 <= m < n, got m={m}, n={n}")
+    m, n = as_integer(args.m, "m"), as_integer(args.n_pos, "n")
     if n > config.length:
-        raise UsageError(f"position n={n} exceeds configured N={config.length}")
+        raise DomainError(f"position n={n} exceeds configured N={config.length}")
 
     if args.method == "both":
         if args.format == "csv":
-            raise UsageError("method 'both' reports two matrices; use --format json")
+            raise DomainError("method 'both' reports two matrices; use --format json")
         enumerated = cross_covariance_enumerated(
             marginal, delta, config.spec, m, n, config.enumeration_cap
         )
@@ -289,9 +278,9 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
     marginal = config.require_marginal()
     delta = config.require_delta()
     if config.seed is None:
-        raise UsageError("sampling needs a seed: set \"seed\" or --seed")
+        raise DomainError("sampling needs a seed: set \"seed\" or --seed")
     if config.count is None:
-        raise UsageError("sampling needs a count: set \"count\" or --count")
+        raise DomainError("sampling needs a count: set \"count\" or --count")
     batch = sample_batch(
         marginal,
         delta,
@@ -299,7 +288,7 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
         config.length,
         config.count,
         config.seed,
-        workers=args.workers,
+        workers=as_integer(args.workers, "workers"),
     )
     suffix = "csv" if args.format == "csv" else "jsonl"
     data_path = f"{args.out_prefix}.{suffix}"
@@ -317,8 +306,6 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     marginal = config.require_marginal()
     delta = config.require_delta()
-    if config.length < 2:
-        raise UsageError("verification needs N >= 2")
     checks = verification_suite(
         marginal, delta, config.spec, config.length, config.enumeration_cap
     )
@@ -337,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override its fields")
     shared.add_argument("--generator", help="builtin kind or generator JSON object")
-    shared.add_argument("--n", type=int, help="sequence length N")
-    shared.add_argument("--k", type=int, help="category count K (must match p)")
+    shared.add_argument("--n", help="sequence length N")
+    shared.add_argument("--k", help="category count K (must match p)")
     shared.add_argument("--p", help="comma-separated marginal probabilities")
-    shared.add_argument("--delta", type=float, help="dependency coefficient in [0,1]")
-    shared.add_argument("--seed", type=int, help="64-bit sampling seed")
-    shared.add_argument("--count", type=int, help="number of sequences to sample")
-    shared.add_argument("--cap", type=int, help="enumeration cap on K**N")
+    shared.add_argument("--delta", help="dependency coefficient in [0,1]")
+    shared.add_argument("--seed", help="64-bit sampling seed")
+    shared.add_argument("--count", help="number of sequences to sample")
+    shared.add_argument("--cap", help="enumeration cap on K**N")
     shared.add_argument("--out", help="write output here instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -364,10 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     covariance = commands.add_parser(
         "covariance", parents=[shared], help="cross-covariance matrix of two positions"
     )
-    covariance.add_argument("m", type=int, help="earlier position")
-    covariance.add_argument(
-        "n_pos", metavar="n", type=int, help="later position (m < n <= N)"
-    )
+    covariance.add_argument("m", help="earlier position")
+    covariance.add_argument("n_pos", metavar="n", help="later position (m < n <= N)")
     covariance.add_argument(
         "--method", choices=("enumerate", "closed", "both"), default="both"
     )
@@ -380,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-prefix", required=True, help="output path prefix for batch + sidecar"
     )
     sample.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sample.add_argument("--workers", type=int, default=1)
+    sample.add_argument("--workers", default=1)
 
     commands.add_parser(
         "verify", parents=[shared], help="run the exact-route agreement checks"
@@ -404,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args)
         return _COMMANDS[args.command](config, args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except EnumerationTooLargeError as exc:
         print(f"error: {exc}; reduce N or raise the cap", file=sys.stderr)
         return EXIT_CAP

@@ -45,7 +45,7 @@ from typing import ClassVar, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, check_integer
 from .graph import DependencyTree, branch_lengths, build_tree, tree_distance
 from .kernel import (
     DeltaLike,
@@ -95,7 +95,7 @@ def enumerate_outcomes(
 
 
 def _check_outcome(omega: Sequence[int], num_categories: int) -> tuple[int, ...]:
-    values = tuple(int(v) for v in omega)
+    values = tuple(check_integer(v, "outcome entry") for v in omega)
     if len(values) < 1:
         raise DomainError("outcome must have at least one entry")
     for value in values:
@@ -125,7 +125,7 @@ def outcome_probability(
     probability = marginal.probs[values[0] - 1]
     for index, parent in enumerate(parents, start=2):
         parent_value = values[parent - 1]
-        probability *= kernel.matrix[parent_value - 1, values[index - 1] - 1]
+        probability *= kernel[parent_value - 1, values[index - 1] - 1]
     return float(probability)
 
 
@@ -160,7 +160,7 @@ def joint_distribution(
     marginal = as_marginal(p)
     k = marginal.num_categories
     _check_enumeration_size(k, length, cap)
-    kernel = transition_kernel(marginal, delta).matrix
+    kernel = transition_kernel(marginal, delta)
     parents = build_tree(spec, length).parents
     joint = marginal.probs.copy()
     for size, parent in enumerate(parents, start=1):
@@ -289,7 +289,7 @@ class _Propagation:
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
         self.tree = tree
-        self.kernel = transition_kernel(marginal, delta).matrix
+        self.kernel = transition_kernel(marginal, delta)
         self._marginals = {1: marginal.probs}
         self._powers = {0: np.eye(marginal.num_categories)}
 
@@ -372,7 +372,7 @@ def joint_pair_probability(
 
 
 def _check_pair_positions(m: int, n: int) -> None:
-    if not 1 <= m < n:
+    if not 1 <= check_integer(m, "m") < check_integer(n, "n"):
         raise DomainError(f"positions must satisfy 1 <= m < n, got m={m}, n={n}")
 
 

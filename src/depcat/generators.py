@@ -34,21 +34,30 @@ ALL_KINDS = BUILTIN_KINDS + (TABLE_KIND,)
 _MAX_INDEX = 2**53  # every index up to here is exact in float64
 
 
-def as_integer(value, name: str) -> int:
-    """`value` as an int, or a DomainError naming `name`.
+def check_integer(value, name: str) -> int:
+    """`value` as an int if it is one (Python or numpy, not a bool), else a DomainError.
 
-    Accepts ints (Python or numpy), integral floats and plain decimal
-    strings with an optional sign, so 12.0 and "12" read as 12.  Rejects
-    booleans, fractional floats and every other string, where int() would
-    read true as 1, truncate 1.5 to 1 and read "1_0" as 10.
+    The rule for integer arguments of the library, which int() would
+    truncate (1.5) or read as 1 (True).
     """
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
+    raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as an int, or a DomainError naming `name`.
+
+    The rule for integer settings read from text or JSON: `check_integer`,
+    plus integral floats and plain decimal strings with an optional sign,
+    so 12.0 and "12" read as 12.  Rejects booleans, fractional floats and
+    every other string, where int() would read "1_0" as 10.
+    """
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
         return int(value)
-    raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+    return check_integer(value, name)
 
 
 @dataclass(frozen=True)
@@ -98,15 +107,7 @@ class GeneratorSpec:
     def from_dict(cls, data: Mapping) -> "GeneratorSpec":
         if "kind" not in data:
             raise DomainError("generator object needs a 'kind' field")
-        kind = data["kind"]
-        table = data.get("table")
-        if kind == TABLE_KIND:
-            if table is None:
-                raise DomainError("table generators require a 'table' field")
-            return cls.from_table(table)
-        if table is not None:
-            raise DomainError(f"generator kind {kind!r} does not take a table")
-        return cls.builtin(kind)
+        return cls(kind=data["kind"], table=data.get("table"))
 
     def to_dict(self) -> dict:
         if self.kind == TABLE_KIND:
@@ -167,9 +168,7 @@ def evaluate(spec: GeneratorSpec, n: int) -> int:
     float64, which floor_sqrt and sin_drift evaluate in.  prime_partition
     sieves up to n, so one call costs time and memory linear in n.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"index must be an integer, got {n!r}")
-    n = int(n)
+    n = check_integer(n, "index")
     if not 2 <= n <= _MAX_INDEX:
         raise DomainError(f"generator domain is n = 2..2**53, got {n}")
     parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])
@@ -225,7 +224,7 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
     raised.  An empty report means the generator restricted to the range
     is a valid dependency generator.
     """
-    return _validated_parents(spec, max_index)[0]
+    return _validated_parents(spec, check_integer(max_index, "max_index"))[0]
 
 
 def _validated_parents(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError
-from .generators import GeneratorSpec, _validated_parents
+from .generators import GeneratorSpec, _validated_parents, check_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +63,14 @@ class DependencyTree:
         )
 
     def _check_node(self, node: int) -> None:
-        if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
-            raise DomainError(f"node index must be an integer, got {node!r}")
-        if not 1 <= node <= self.size:
+        if not 1 <= check_integer(node, "node index") <= self.size:
             raise DomainError(f"node index {node} outside 1..{self.size}")
 
 
 def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
     """Tree with an edge n -> alpha(n) for every n in {2..size}."""
-    if size < 1:
-        raise DomainError(f"tree size must be >= 1, got {size}")
-    if size == 1:
-        return DependencyTree(1, np.empty(0, dtype=np.int64))
+    if check_integer(size, "tree size") < 2:  # DependencyTree rejects a size below 1
+        return DependencyTree(size, np.empty(0, dtype=np.int64))
     report, parents = _validated_parents(spec, size)
     if not report.ok:
         first = report.violations[0]

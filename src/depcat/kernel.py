@@ -10,32 +10,50 @@ deterministic copying of the parent outcome (1).
 
 from __future__ import annotations
 
+import json
+import numbers
+import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import CategoryIndexError, DomainError
+from .generators import check_integer
 
 # Construction guard for user-supplied probability vectors.  Vectors whose
 # sum strays further than this are rejected rather than renormalized.
 MARGINAL_SUM_TOL = 1e-9
 
-# Algebraic identities (row-stochasticity, affine form) hold to 1e-12 for
-# exactly normalized inputs; the construction check inherits the looser
-# marginal guard because a vector summing to 1 +/- 1e-9 caps what any
-# derived row sum can achieve.
-ROW_SUM_TOL = 1e-9
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _as_real(value, name: str) -> float:
+    """`value` as a float: a real number that is not a bool, or its plain decimal text.
+
+    So 0.4 and "0.4" read as 0.4, and true, "abc", "1_0" and a list are a
+    DomainError naming `name`, where float() would read true as 1.0.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return float(value)
+    raise DomainError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
 
 
 @dataclass(frozen=True, eq=False)
 class Marginal:
-    """Base category distribution: K >= 2 probabilities summing to 1."""
+    """Base category distribution: K >= 2 probabilities (numbers or decimal text) summing to 1."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
+        probs = self.probs
+        if not (isinstance(probs, np.ndarray) and probs.dtype.kind in "iuf"):
+            entries = np.array(probs, dtype=object)
+            probs = [_as_real(v, "marginal probability") for v in entries.flat]
+            probs = np.reshape(probs, entries.shape)
+        probs = np.array(probs, dtype=np.float64)
         if probs.ndim != 1:
             raise DomainError("marginal probabilities must be a 1-D vector")
         if probs.size < 2:
@@ -72,8 +90,8 @@ class DependencyCoefficient:
     value: float
 
     def __post_init__(self):
-        value = float(self.value)
-        if not np.isfinite(value) or not 0.0 <= value <= 1.0:
+        value = _as_real(self.value, "dependency coefficient")
+        if not 0.0 <= value <= 1.0:  # NaN too
             raise DomainError(
                 f"dependency coefficient must lie in [0, 1], got {self.value!r}"
             )
@@ -85,18 +103,17 @@ DeltaLike = Union[DependencyCoefficient, float, int]
 
 
 def as_marginal(p: MarginalLike) -> Marginal:
-    return p if isinstance(p, Marginal) else Marginal(np.asarray(p))
+    return p if isinstance(p, Marginal) else Marginal(p)
 
 
 def as_delta(delta: DeltaLike) -> float:
     if isinstance(delta, DependencyCoefficient):
         return delta.value
-    return DependencyCoefficient(float(delta)).value
+    return DependencyCoefficient(delta).value
 
 
 def check_category(category: int, num_categories: int) -> None:
-    if not isinstance(category, (int, np.integer)) or isinstance(category, bool):
-        raise CategoryIndexError(f"category index must be an integer, got {category!r}")
+    category = check_integer(category, "category index")
     if not 1 <= category <= num_categories:
         raise CategoryIndexError(
             f"category index {category} outside 1..{num_categories}"
@@ -126,57 +143,23 @@ def switch_probability(p: MarginalLike, delta: DeltaLike, category: int) -> floa
     return pj * (1.0 - d)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionKernel:
-    """Row-stochastic K x K matrix of one-step conditional probabilities.
+def transition_kernel(p: MarginalLike, delta: DeltaLike) -> np.ndarray:
+    """One-step conditional kernel, a read-only K x K array.
 
     Row i is the distribution of the child given the parent landed on
-    category i: entry (i, i) is the repeat probability, entry (i, j) with
-    j != i is the switch probability of j.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DomainError("transition kernel must be a square matrix")
-        if matrix.shape[0] < 2:
-            raise DomainError("transition kernel needs at least 2 categories")
-        if not np.all(np.isfinite(matrix)):
-            raise DomainError("transition kernel entries must be finite")
-        if np.any(matrix < -1e-15) or np.any(matrix > 1.0 + 1e-15):
-            raise DomainError("transition kernel entries must lie in [0, 1]")
-        row_sums = matrix.sum(axis=1)
-        worst = float(np.max(np.abs(row_sums - 1.0)))
-        if worst > ROW_SUM_TOL:
-            raise DomainError(
-                f"transition kernel rows must sum to 1; worst deviation {worst:g}"
-            )
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def num_categories(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def row(self, category: int) -> np.ndarray:
-        """Child distribution conditioned on the parent's 1-based category."""
-        check_category(category, self.num_categories)
-        return self.matrix[category - 1]
-
-
-def transition_kernel(p: MarginalLike, delta: DeltaLike) -> TransitionKernel:
-    """One-step conditional kernel built from repeat/switch probabilities.
-
-    With delta = 0 every row equals p (independence); with delta = 1 the
-    kernel is the identity (the child copies the parent).  Algebraically the
-    result equals ``(1 - delta) * ones @ p + delta * I`` -- that identity is
+    category i + 1: entry (i, i) is the repeat probability, entry (i, j)
+    with j != i the switch probability of category j + 1.  With delta = 0
+    every row equals p (independence); with delta = 1 the kernel is the
+    identity (the child copies the parent).  Algebraically the result
+    equals ``(1 - delta) * ones @ p + delta * I`` -- that identity is
     exercised by the test suite as an independent check, not used here.
+    A valid p and delta make the rows stochastic, so the kernel is not
+    checked again.
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
     probs = marginal.probs
     matrix = np.tile(probs * (1.0 - d), (marginal.num_categories, 1))
     np.fill_diagonal(matrix, probs + d * (1.0 - probs))
-    return TransitionKernel(matrix)
+    matrix.flags.writeable = False
+    return matrix

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .generators import check_integer
 
 ALGORITHM_ID = "splitmix64-2level"
 
@@ -61,9 +62,7 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _as_seed(seed: int) -> np.uint64:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    return np.uint64(int(seed) & _U64_MASK)
+    return np.uint64(check_integer(seed, "seed") & _U64_MASK)
 
 
 def stream_keys(

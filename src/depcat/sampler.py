@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyBatchError
 from .exact import CrossCovariance, _check_pair_positions
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, check_integer
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
 from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _as_seed, stream_keys, uniform_grid
@@ -264,7 +264,7 @@ def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
     k = marginal.num_categories
     cuts = np.empty((k + 1, k), dtype=np.float64)
     cuts[0] = np.cumsum(marginal.probs)
-    np.cumsum(transition_kernel(marginal, delta).matrix, axis=1, out=cuts[1:])
+    np.cumsum(transition_kernel(marginal, delta), axis=1, out=cuts[1:])
     # Forcing the final cut to 1.0 pairs with uniforms in (0, 1]: every
     # draw lands in exactly one right-closed bucket.
     cuts[:, -1] = 1.0
@@ -407,11 +407,11 @@ def sample_batch(
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
-    if count < 0:
+    if check_integer(count, "count") < 0:
         raise DomainError(f"count must be >= 0, got {count}")
-    if first_index < 0:
+    if check_integer(first_index, "first_index") < 0:
         raise DomainError(f"first_index must be >= 0, got {first_index}")
-    if workers < 1:
+    if check_integer(workers, "workers") < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     _as_seed(seed)  # checked here too, as an empty batch draws no stream key
     tree = build_tree(spec, length)  # validates the generator up to length
@@ -447,7 +447,7 @@ def sample_sequence(
     index: int = 0,
 ) -> tuple[int, ...]:
     """The single sequence a batch would place at the given row index."""
-    if index < 0:
+    if check_integer(index, "index") < 0:
         raise DomainError(f"index must be >= 0, got {index}")
     batch = sample_batch(p, delta, spec, length, 1, seed, first_index=index)
     return tuple(int(v) for v in batch.outcomes[0])

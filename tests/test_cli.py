@@ -493,6 +493,90 @@ def test_non_integer_table_entry_is_a_usage_error(command, table, capsys, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+# Every setting of a run, valid, as config keys and as the text of their flags.
+SETTINGS = {"generator": "fk", "N": 4, "K": 2, "p": [0.5, 0.5], "delta": 0.4, "seed": 1,
+            "count": 3, "enumeration_cap": 1000}
+FLAGS = {"generator": ("--generator", "fk"), "N": ("--n", "4"), "K": ("--k", "2"),
+         "p": ("--p", "0.5,0.5"), "delta": ("--delta", "0.4"), "seed": ("--seed", "1"),
+         "count": ("--count", "3"), "enumeration_cap": ("--cap", "1000")}
+BAD_INTEGERS = ["1_0", "\uff13", "2.5", True]  # "\uff13" is a fullwidth 3
+BAD_NUMBERS = [True, [True, False], "abc", [0.3], None, [[0.5, 0.5]]]
+
+
+def flag_text(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def assert_one_usage_error(code, out, err, tmp_path, left=()):
+    assert code == EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(left)
+
+
+def run_settings(key, value, through_config, capsys, tmp_path):
+    """`depcat sample` with one setting replaced by `value`, as a flag or a config key."""
+    argv = ["sample", "--out-prefix", str(tmp_path / "batch")]
+    if through_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**SETTINGS, key: value}))
+        argv += ["--config", str(config)]
+    else:
+        for name, (flag, text) in FLAGS.items():
+            argv += [flag, flag_text(value) if name == key else text]
+    return run(argv, capsys)
+
+
+@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=["underscore", "fullwidth", "fraction", "true"])
+@pytest.mark.parametrize("key", ["N", "K", "seed", "count", "enumeration_cap"])
+def test_malformed_integer_setting(key, value, through_config, capsys, tmp_path):
+    code, out, err = run_settings(key, value, through_config, capsys, tmp_path)
+    assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
+    assert err.startswith(f"error: {key} must be an integer, got ")
+
+
+@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize(
+    "value", BAD_NUMBERS, ids=["true", "booleans", "text", "one-entry", "null", "nested"]
+)
+@pytest.mark.parametrize("key", ["delta", "p"])
+def test_malformed_delta_or_p(key, value, through_config, capsys, tmp_path):
+    code, out, err = run_settings(key, value, through_config, capsys, tmp_path)
+    assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
+
+
+@pytest.mark.parametrize("value", BAD_INTEGERS, ids=["underscore", "fullwidth", "fraction", "true"])
+@pytest.mark.parametrize("name", ["m", "n", "workers"])
+def test_malformed_integer_argument(name, value, capsys, tmp_path):
+    text = flag_text(value)
+    if name == "workers":
+        argv = ["sample", *SEQ_ARGS, "--seed", "1", "--count", "3", "--workers", text,
+                "--out-prefix", str(tmp_path / "batch")]
+    else:
+        m, n = (text, "3") if name == "m" else ("2", text)
+        argv = ["covariance", m, n, *SEQ_ARGS, "--out", str(tmp_path / "cov.json")]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path)
+    assert err.startswith(f"error: {name} must be an integer, got ")
+
+
+def test_flags_and_config_read_integers_alike(capsys, tmp_path):
+    # "1_0" was N = 10 as a flag and a usage error as a config key
+    code, out, err = run(["graph", "--generator", "fk", "--n", "1_0"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", 'error: N must be an integer, got "1_0"\n')
+    code, out, _ = run(["graph", "--generator", "fk", "--n", "+3", "--format", "json"], capsys)
+    assert code == EXIT_OK and json.loads(out) == {"2": 1, "3": 1}
+
+
+def test_config_file_that_is_not_utf8(capsys, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"N": "\xff"}')
+    code, out, err = run(["validate", "--config", str(config)], capsys)
+    assert_one_usage_error(code, out, err, tmp_path, ["run.json"])
+    assert err.startswith("error: config file is not valid JSON")
+
+
 class TestConfigHandling:
     def test_config_file_supplies_everything(self, capsys, tmp_path):
         config = tmp_path / "run.json"

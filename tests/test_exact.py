@@ -106,6 +106,11 @@ class TestOutcomeProbability:
         with pytest.raises(DomainError):
             outcome_probability((), P3, 0.4, SEQ)
 
+    def test_rejects_non_integer_entries(self):
+        # int() would read the outcome (1.5, 2) as (1, 2)
+        with pytest.raises(DomainError, match="^outcome entry must be an integer, got 1.5$"):
+            outcome_probability((1.5, 2), P3, 0.4, SEQ)
+
 
 class TestEnumeration:
     def test_lexicographic_prefix_and_count(self):
@@ -297,6 +302,11 @@ class TestJointPairProbability:
         assert peak < tree_peak + 16 * k * k * 8
         expected = endpoint_match_probability(p, 0.9, n, 1)
         assert result == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["propagate", "enumerate"])
+    def test_non_integer_position(self, method):
+        with pytest.raises(DomainError, match="^m must be an integer, got 1.5$"):
+            joint_pair_probability(P3, 0.4, SEQ, 1.5, 1, 3, 1, method=method)
 
     def test_returns_a_float_and_takes_two_methods(self):
         for method in ("propagate", "enumerate"):
@@ -552,7 +562,7 @@ def valid_tables(draw):
 def broadcast_joint(p, delta, spec, length):
     """Oracle: the joint grown by one broadcast product per position."""
     k = len(p)
-    kernel = transition_kernel(p, delta).matrix
+    kernel = transition_kernel(p, delta)
     joint = np.array(p, dtype=np.float64)
     for parent in build_tree(spec, length).parents:
         joint = joint.reshape(k ** (parent - 1), k, -1, 1) * kernel.reshape(1, k, 1, k)

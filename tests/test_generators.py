@@ -132,6 +132,11 @@ class TestValidate:
         assert report.ok
         assert report.violations == ()
 
+    def test_non_integer_range_is_rejected(self):
+        # int() would truncate it: the report read max_index 3.5 over 2..3
+        with pytest.raises(DomainError, match="^max_index must be an integer, got 3.5$"):
+            validate(SEQ, 3.5)
+
     def test_table_violation_is_reported_not_raised(self):
         report = validate(GeneratorSpec.from_table({2: 1, 3: 3}), 3)
         assert not report.ok

@@ -9,11 +9,14 @@ from depcat import (
     CategoryIndexError,
     DependencyCoefficient,
     DomainError,
+    GeneratorSpec,
     Marginal,
-    TransitionKernel,
+    build_tree,
+    evaluate,
     repeat_probability,
     switch_probability,
     transition_kernel,
+    tree_distance,
 )
 
 
@@ -89,16 +92,16 @@ class TestTransitionKernel:
     def test_zero_delta_rows_equal_p(self):
         p = np.array([0.5, 0.3, 0.2])
         kernel = transition_kernel(p, 0.0)
-        assert np.allclose(kernel.matrix, np.tile(p, (3, 1)), atol=1e-15)
+        assert np.allclose(kernel, np.tile(p, (3, 1)), atol=1e-15)
 
     def test_full_delta_is_identity(self):
         kernel = transition_kernel([0.5, 0.3, 0.2], 1.0)
-        assert np.array_equal(kernel.matrix, np.eye(3))
+        assert np.array_equal(kernel, np.eye(3))
 
     def test_first_row_derived_values(self):
         kernel = transition_kernel([0.5, 0.3, 0.2], 0.4)
-        assert np.allclose(kernel.matrix[0], [0.7, 0.18, 0.12], atol=1e-15)
-        assert kernel.matrix[0].sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(kernel[0], [0.7, 0.18, 0.12], atol=1e-15)
+        assert kernel[0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_entries_built_from_weighting_functions(self):
         p, delta = [0.4, 0.35, 0.25], 0.3
@@ -110,13 +113,13 @@ class TestTransitionKernel:
                     if i == j
                     else switch_probability(p, delta, j)
                 )
-                assert kernel.matrix[i - 1, j - 1] == pytest.approx(expected, abs=1e-15)
+                assert kernel[i - 1, j - 1] == pytest.approx(expected, abs=1e-15)
 
     @given(p=marginals, delta=deltas)
     @settings(max_examples=100)
     def test_rows_stochastic(self, p, delta):
         kernel = transition_kernel(p, delta)
-        assert np.max(np.abs(kernel.matrix.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(kernel.sum(axis=1) - 1.0)) <= 1e-12
 
     @given(p=marginals, delta=deltas)
     @settings(max_examples=100)
@@ -125,13 +128,14 @@ class TestTransitionKernel:
         kernel = transition_kernel(p, delta)
         k = len(p)
         affine = (1.0 - delta) * np.tile(p, (k, 1)) + delta * np.eye(k)
-        assert np.max(np.abs(kernel.matrix - affine)) <= 1e-12
+        assert np.max(np.abs(kernel - affine)) <= 1e-12
 
-    def test_row_accessor_is_one_based(self):
+    def test_is_a_read_only_array(self):
         kernel = transition_kernel([0.5, 0.5], 0.2)
-        assert np.allclose(kernel.row(1), [0.6, 0.4], atol=1e-15)
-        with pytest.raises(CategoryIndexError):
-            kernel.row(3)
+        assert isinstance(kernel, np.ndarray) and kernel.shape == (2, 2)
+        assert np.allclose(kernel[0], [0.6, 0.4], atol=1e-15)
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 0.9
 
 
 class TestValidation:
@@ -163,13 +167,37 @@ class TestValidation:
         with pytest.raises(DomainError):
             DependencyCoefficient(1.01)
 
-    def test_kernel_rejects_nonstochastic_matrix(self):
+    @pytest.mark.parametrize(
+        "probs", [[True, False], [True, 0.0], ["abc", "x"], "abc", None, [[0.5], [0.5, 0.5]]]
+    )
+    def test_marginal_rejects_booleans_and_non_numbers(self, probs):
         with pytest.raises(DomainError):
-            TransitionKernel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+            Marginal(probs)
+
+    def test_marginal_reads_decimal_text(self):
+        assert np.array_equal(Marginal(["0.25", ".75"]).probs, [0.25, 0.75])
+
+    @pytest.mark.parametrize("value", [True, np.True_, "abc", " 0.4", "1_0", [0.3], None])
+    def test_delta_rejects_booleans_and_non_numbers(self, value):
+        with pytest.raises(DomainError, match="^dependency coefficient must be a number, got "):
+            DependencyCoefficient(value)
+
+    def test_delta_reads_decimal_text(self):
+        assert DependencyCoefficient("0.4").value == 0.4
+        assert DependencyCoefficient("1e-1").value == 0.1
+
+    def test_non_integer_indices(self):
+        # one integer rule: category, generator index, tree node
+        with pytest.raises(DomainError, match="^category index must be an integer, got 1.5$"):
+            repeat_probability([0.5, 0.5], 0.2, 1.5)
+        with pytest.raises(DomainError, match="^index must be an integer, got true$"):
+            evaluate(GeneratorSpec.builtin("fk"), True)
+        with pytest.raises(DomainError, match="^node index must be an integer, got 2.0$"):
+            tree_distance(build_tree(GeneratorSpec.builtin("fk"), 3), 1, 2.0)
 
     def test_typed_objects_accepted_everywhere(self):
         p = Marginal(np.array([0.5, 0.5]))
         delta = DependencyCoefficient(0.2)
         assert repeat_probability(p, delta, 1) == pytest.approx(0.6, abs=1e-15)
         assert switch_probability(p, delta, 2) == pytest.approx(0.4, abs=1e-15)
-        assert transition_kernel(p, delta).num_categories == 2
+        assert transition_kernel(p, delta).shape == (2, 2)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -269,6 +270,27 @@ class TestErrors:
         with pytest.raises(DomainError, match="seed must be an integer"):
             sample_batch([0.5, 0.5], 0.4, FK, 3, count, seed=seed)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("first_index", 0.5, "first_index must be an integer, got 0.5"),
+            ("count", 2.5, "count must be an integer, got 2.5"),
+            ("workers", 1.5, "workers must be an integer, got 1.5"),
+            ("length", 2.5, "tree size must be an integer, got 2.5"),
+            ("count", True, "count must be an integer, got true"),
+        ],
+    )
+    def test_non_integer_argument(self, name, value, message):
+        # int() would truncate first_index 0.5 to the rows of 0, and a
+        # float count or workers used to raise a bare TypeError.
+        arguments = dict(p=[0.5, 0.5], delta=0.4, spec=SEQ, length=3, count=2, seed=1)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sample_batch(**{**arguments, name: value})
+
+    def test_non_integer_sequence_index(self):
+        with pytest.raises(DomainError, match="^index must be an integer, got 2.7$"):
+            sample_sequence([0.5, 0.5], 0.4, SEQ, 3, seed=1, index=2.7)
+
 
 def compare_count_oracle(p, delta, parents, uniforms):
     """The sampler's rule before guide tables, kept as the reference.
@@ -279,7 +301,7 @@ def compare_count_oracle(p, delta, parents, uniforms):
     """
     base = np.cumsum(np.asarray(p, dtype=np.float64))
     base[-1] = 1.0
-    row_cumulative = np.cumsum(transition_kernel(p, delta).matrix, axis=1)
+    row_cumulative = np.cumsum(transition_kernel(p, delta), axis=1)
     row_cumulative[:, -1] = 1.0
     count, length = uniforms.shape
     out = np.empty((count, length), dtype=np.int64)
