@@ -119,9 +119,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError("a sequence length is required: set \"N\" or --n")
 
     spec = _parse_generator(raw_generator)
-    length = as_integer(raw_length, "N")
-    if length < 1:
-        raise DomainError(f"N must be >= 1, got {length}")
+    length = as_integer(raw_length, "N", 1)
     marginal = None
     if raw_probs is not None:
         if isinstance(raw_probs, str):
@@ -135,9 +133,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     delta = None if raw_delta is None else as_delta(raw_delta)
     seed = None if raw_seed is None else as_integer(raw_seed, "seed")
     count = None if raw_count is None else as_integer(raw_count, "count")
-    cap = DEFAULT_ENUMERATION_CAP if raw_cap is None else as_integer(raw_cap, "enumeration_cap")
-    if cap < 1:
-        raise DomainError(f"enumeration cap must be >= 1, got {cap}")
+    cap = DEFAULT_ENUMERATION_CAP if raw_cap is None else as_integer(raw_cap, "enumeration_cap", 1)
 
     return RunConfig(spec, length, marginal, delta, seed, count, cap)
 
@@ -237,9 +233,7 @@ def cmd_graph(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
     marginal = config.require_marginal()
     delta = config.require_delta()
-    m, n = as_integer(args.m, "m"), as_integer(args.n_pos, "n")
-    if n > config.length:
-        raise DomainError(f"position n={n} exceeds configured N={config.length}")
+    m, n = as_integer(args.m, "m"), as_integer(args.n_pos, "n", 1, config.length)
 
     if args.method == "both":
         if args.format == "csv":

@@ -76,10 +76,8 @@ BASIS_THEOREM = "theorem"
 
 
 def _check_enumeration_size(num_categories: int, length: int, cap: int) -> None:
-    if length < 1:
-        raise DomainError(f"sequence length must be >= 1, got {length}")
-    if cap < 1:
-        raise DomainError(f"enumeration cap must be >= 1, got {cap}")
+    length = check_integer(length, "sequence length", 1)
+    cap = check_integer(cap, "enumeration cap", 1)
     if num_categories**length > cap:
         raise EnumerationTooLargeError(num_categories, length, cap)
 
@@ -88,21 +86,15 @@ def enumerate_outcomes(
     length: int, num_categories: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[tuple[int, ...]]:
     """All K**N outcome sequences, exactly once, in lexicographic order."""
-    if num_categories < 2:
-        raise DomainError(f"need at least 2 categories, got {num_categories}")
+    num_categories = check_integer(num_categories, "num_categories", 2)
     _check_enumeration_size(num_categories, length, cap)
     return itertools.product(range(1, num_categories + 1), repeat=length)
 
 
 def _check_outcome(omega: Sequence[int], num_categories: int) -> tuple[int, ...]:
-    values = tuple(check_integer(v, "outcome entry") for v in omega)
+    values = tuple(check_integer(v, "outcome entry", 1, num_categories) for v in omega)
     if len(values) < 1:
         raise DomainError("outcome must have at least one entry")
-    for value in values:
-        if not 1 <= value <= num_categories:
-            raise DomainError(
-                f"outcome entry {value} outside 1..{num_categories}"
-            )
     return values
 
 
@@ -194,8 +186,7 @@ def marginal_at(
     distribution (the base vector is stationary for the kernel); computing
     it this way demonstrates the identity instead of assuming it.
     """
-    if position < 1:
-        raise DomainError(f"position must be >= 1, got {position}")
+    position = check_integer(position, "position", 1)
     route = _Propagation(as_marginal(p), delta, build_tree(spec, position))
     # a kernel step can round an entry of a near-degenerate p one ulp past 1
     return Marginal(np.clip(route.marginal(position), 0.0, 1.0))
@@ -440,8 +431,7 @@ def closed_form_covariance_matrix(p: MarginalLike, delta: DeltaLike, exponent: i
     marginal = as_marginal(p)
     d = as_delta(delta)
     probs = marginal.probs
-    if exponent < 0:
-        raise DomainError(f"exponent must be >= 0, got {exponent}")
+    exponent = check_integer(exponent, "exponent", 0)
     return (d**exponent) * (np.diag(probs) - np.outer(probs, probs))
 
 
@@ -490,8 +480,7 @@ def endpoint_match_probability(
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
-    if length < 2:
-        raise DomainError(f"chain length must be >= 2, got {length}")
+    length = check_integer(length, "chain length", 2)
     check_category(category, marginal.num_categories)
     pi = float(marginal.probs[category - 1])
     return pi * (pi + (1.0 - pi) * d ** (length - 1))
@@ -533,8 +522,7 @@ def verification_suite(
     kernel powers, since every generator shares the one kernel.
     """
     marginal = as_marginal(p)
-    if length < 2:
-        raise DomainError(f"verification needs length >= 2, got {length}")
+    length = check_integer(length, "verification length", 2)
     probs = marginal.probs
     joint = joint_distribution(marginal, delta, spec, length, cap)
     total = float(joint.sum())

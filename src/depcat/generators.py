@@ -34,19 +34,26 @@ ALL_KINDS = BUILTIN_KINDS + (TABLE_KIND,)
 _MAX_INDEX = 2**53  # every index up to here is exact in float64
 
 
-def check_integer(value, name: str) -> int:
+def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """`value` as an int if it is one (Python or numpy, not a bool), else a DomainError.
 
     The rule for integer arguments of the library, which int() would
-    truncate (1.5) or read as 1 (True).
+    truncate (1.5) or read as 1 (True).  `low` and `high` are inclusive
+    bounds, and a `high` comes with a `low`; a value outside them is a
+    DomainError as well.
     """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise DomainError(f"{name} {value} outside {low}..{high}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def as_integer(value, name: str) -> int:
-    """`value` as an int, or a DomainError naming `name`.
+def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """`value` as an int in low..high, or a DomainError naming `name`.
 
     The rule for integer settings read from text or JSON: `check_integer`,
     plus integral floats and plain decimal strings with an optional sign,
@@ -54,10 +61,10 @@ def as_integer(value, name: str) -> int:
     every other string, where int() would read "1_0" as 10.
     """
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
-        return int(value)
-    return check_integer(value, name)
+        value = int(value)
+    elif isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        value = int(value)
+    return check_integer(value, name, low, high)
 
 
 @dataclass(frozen=True)
@@ -80,13 +87,8 @@ class GeneratorSpec:
                 )
             entries = {}
             for key, value in self.table.items():
-                n = as_integer(key, "table key")
-                parent = as_integer(value, f"table parent of {n}")
-                if n < 2:
-                    raise DomainError(f"table keys must be indices >= 2, got {key!r}")
-                if not 1 <= parent <= _MAX_INDEX:
-                    raise DomainError(f"table parents must lie in 1..2**53, got {value!r}")
-                entries[n] = parent
+                n = as_integer(key, "table key", 2)
+                entries[n] = as_integer(value, f"table parent of {n}", 1, _MAX_INDEX)
             object.__setattr__(self, "table", MappingProxyType(entries))
         elif self.table is not None:
             raise DomainError(f"generator kind {self.kind!r} does not take a table")
@@ -135,7 +137,7 @@ class GeneratorSpec:
 def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
     """alpha(n) for each n >= 2 of an int64 array, without range checks.
 
-    The one evaluator behind `evaluate` and `validate`, and so `build_tree`.
+    The one evaluator behind `evaluate`, `validate` and `build_tree`.
     A table's missing entries read 0, which no table can hold as a parent.
     """
     kind = spec.kind
@@ -168,9 +170,7 @@ def evaluate(spec: GeneratorSpec, n: int) -> int:
     float64, which floor_sqrt and sin_drift evaluate in.  prime_partition
     sieves up to n, so one call costs time and memory linear in n.
     """
-    n = check_integer(n, "index")
-    if not 2 <= n <= _MAX_INDEX:
-        raise DomainError(f"generator domain is n = 2..2**53, got {n}")
+    n = check_integer(n, "index", 2, _MAX_INDEX)
     parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])
     if parent == 0:
         raise IncompleteGeneratorError(f"table generator has no entry for n = {n}")
@@ -222,21 +222,11 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
 
     Missing table entries and out-of-range parents are reported, not
     raised.  An empty report means the generator restricted to the range
-    is a valid dependency generator.
+    is a valid dependency generator.  The parents are evaluated once, by
+    `_parents`, and the report is read from that array; a missing table
+    entry reads 0.
     """
-    return _validated_parents(spec, check_integer(max_index, "max_index"))[0]
-
-
-def _validated_parents(
-    spec: GeneratorSpec, max_index: int
-) -> tuple[ValidationReport, np.ndarray | None]:
-    """The `validate` report, and alpha(n) for n = 2..max_index if it is empty.
-
-    The parents are evaluated once, by `_parents`, and the report is read
-    from that array; a missing table entry reads 0.
-    """
-    if max_index < 2:
-        raise DomainError(f"max_index must be >= 2, got {max_index}")
+    max_index = check_integer(max_index, "max_index", 2)
     indices = np.arange(2, max_index + 1, dtype=np.int64)
     parents = _parents(spec, indices)
     violations = []
@@ -248,5 +238,4 @@ def _validated_parents(
             violations.append(
                 GeneratorViolation(n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}")
             )
-    report = ValidationReport(spec.kind, max_index, tuple(violations))
-    return report, parents if report.ok else None
+    return ValidationReport(spec.kind, max_index, tuple(violations))

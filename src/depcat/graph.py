@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import generators
 from .errors import AxiomViolationError, DomainError
-from .generators import GeneratorSpec, _validated_parents, check_integer
+from .generators import GeneratorSpec, check_integer, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,14 +26,11 @@ class DependencyTree:
     parents: np.ndarray  # entry i: parent of node i + 2
 
     def __post_init__(self):
-        if self.size < 1:
-            raise DomainError(f"tree size must be >= 1, got {self.size}")
+        size = check_integer(self.size, "tree size", 1)
         parents = np.array(self.parents, dtype=np.int64)
-        if parents.shape != (max(self.size - 1, 0),):
-            raise DomainError(
-                f"expected {self.size - 1} parent entries, got {parents.shape}"
-            )
-        children = np.arange(2, self.size + 1, dtype=np.int64)
+        if parents.shape != (size - 1,):
+            raise DomainError(f"expected {size - 1} parent entries, got {parents.shape}")
+        children = np.arange(2, size + 1, dtype=np.int64)
         bad = (parents < 1) | (parents >= children)
         if np.any(bad):
             n = int(children[np.argmax(bad)])
@@ -40,6 +38,7 @@ class DependencyTree:
                 f"node {n} has parent {int(parents[n - 2])}, outside 1..{n - 1}"
             )
         parents.flags.writeable = False
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "parents", parents)
 
     def parent_of(self, node: int) -> int:
@@ -63,22 +62,27 @@ class DependencyTree:
         )
 
     def _check_node(self, node: int) -> None:
-        if not 1 <= check_integer(node, "node index") <= self.size:
-            raise DomainError(f"node index {node} outside 1..{self.size}")
+        check_integer(node, "node index", 1, self.size)
 
 
 def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
-    """Tree with an edge n -> alpha(n) for every n in {2..size}."""
+    """Tree with an edge n -> alpha(n) for every n in {2..size}.
+
+    The tree is the one check of the parents; only a generator that fails
+    it is run through `validate`, to report its violations.
+    """
     if check_integer(size, "tree size") < 2:  # DependencyTree rejects a size below 1
         return DependencyTree(size, np.empty(0, dtype=np.int64))
-    report, parents = _validated_parents(spec, size)
-    if not report.ok:
+    indices = np.arange(2, size + 1, dtype=np.int64)
+    try:
+        return DependencyTree(size, generators._parents(spec, indices))
+    except AxiomViolationError:
+        report = validate(spec, size)
         first = report.violations[0]
         raise AxiomViolationError(
             f"generator {spec.kind!r} fails validation up to {size} "
             f"({len(report.violations)} violation(s); first: {first.reason})"
-        )
-    return DependencyTree(size, parents)
+        ) from None
 
 
 def path_to_root(tree: DependencyTree, node: int) -> list[int]:

@@ -73,8 +73,8 @@ def stream_keys(
     `scratch`, a uint64 array of `count` entries, is overwritten by the
     mix in place of a buffer made for it.
     """
-    if first_index < 0 or count < 0:
-        raise DomainError("first_index and count must be nonnegative")
+    first_index = check_integer(first_index, "first_index", 0)
+    count = check_integer(count, "count", 0)
     keys = np.arange(first_index, first_index + count, dtype=np.uint64)
     if scratch is None:
         scratch = np.empty_like(keys)
@@ -128,10 +128,9 @@ def uniform_grid(
     overwritten, and nothing is allocated; a caller that fills one block of
     rows a group of positions at a time mixes the block's keys only once.
     """
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    if first_position < 0:
-        raise DomainError(f"first_position must be >= 0, got {first_position}")
+    count = check_integer(count, "count", 0)
+    length = check_integer(length, "length", 1)
+    first_position = check_integer(first_position, "first_position", 0)
     if keys is None and mantissas is None and scratch is None:
         keys = stream_keys(seed, first_index, count)
         words = np.empty((length, count), dtype=np.uint64)

@@ -77,7 +77,7 @@ from .exact import CrossCovariance, _check_pair_positions
 from .generators import GeneratorSpec, check_integer
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
-from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _as_seed, stream_keys, uniform_grid
+from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, stream_keys, uniform_grid
 
 
 # The guide and bucket-start tables hold at most this many entries together,
@@ -187,7 +187,9 @@ class SampleBatch:
     integer dtype casts safely to intp.  One passed in that form (as
     `sample_batch` does, in the smallest unsigned dtype that holds K) is
     kept as it is; any other input is range-checked and then copied into
-    that dtype, so a caller's array is never frozen or aliased.
+    that dtype, so a caller's array is never frozen or aliased.  `seed`,
+    `marginal` and `delta` are read by the library's rules (`check_integer`,
+    `as_marginal`, `as_delta`), so the metadata holds only values they accept.
     """
 
     outcomes: np.ndarray  # (count, length) np.min_scalar_type(K), entries in 1..K
@@ -197,6 +199,9 @@ class SampleBatch:
     spec: GeneratorSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
+        object.__setattr__(self, "marginal", as_marginal(self.marginal))
+        object.__setattr__(self, "delta", as_delta(self.delta))
         k = self.marginal.num_categories
         outcomes = self.outcomes
         if not (isinstance(outcomes, np.ndarray) and outcomes.dtype.kind in "iu"):
@@ -407,13 +412,10 @@ def sample_batch(
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
-    if check_integer(count, "count") < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
-    if check_integer(first_index, "first_index") < 0:
-        raise DomainError(f"first_index must be >= 0, got {first_index}")
-    if check_integer(workers, "workers") < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    _as_seed(seed)  # checked here too, as an empty batch draws no stream key
+    count = check_integer(count, "count", 0)
+    first_index = check_integer(first_index, "first_index", 0)
+    workers = check_integer(workers, "workers", 1)
+    seed = check_integer(seed, "seed")  # before the tree and table are built
     tree = build_tree(spec, length)  # validates the generator up to length
     table = _draw_table(marginal, d)
 
@@ -435,7 +437,7 @@ def sample_batch(
                 list(pool.map(fill, starts))
 
     outcomes.flags.writeable = False
-    return SampleBatch(outcomes, int(seed), marginal, d, spec)
+    return SampleBatch(outcomes, seed, marginal, d, spec)
 
 
 def sample_sequence(
@@ -447,8 +449,7 @@ def sample_sequence(
     index: int = 0,
 ) -> tuple[int, ...]:
     """The single sequence a batch would place at the given row index."""
-    if check_integer(index, "index") < 0:
-        raise DomainError(f"index must be >= 0, got {index}")
+    check_integer(index, "index", 0)
     batch = sample_batch(p, delta, spec, length, 1, seed, first_index=index)
     return tuple(int(v) for v in batch.outcomes[0])
 
@@ -470,8 +471,7 @@ def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
     """Observed category frequencies at a position."""
     if batch.count == 0:
         raise EmptyBatchError("cannot compute marginals of an empty batch")
-    if not 1 <= position <= batch.length:
-        raise DomainError(f"position {position} outside 1..{batch.length}")
+    position = check_integer(position, "position", 1, batch.length)
     # Counted in intp as they stand (entry v lands in bin v, bin 0 stays
     # empty), so no dtype is ever shifted or wrapped.
     column = batch.outcomes[:, position - 1].astype(np.intp)
@@ -484,8 +484,7 @@ def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovar
     if batch.count == 0:
         raise EmptyBatchError("cannot compute covariance of an empty batch")
     _check_pair_positions(m, n)
-    if n > batch.length:
-        raise DomainError(f"position {n} outside 1..{batch.length}")
+    check_integer(n, "position", 1, batch.length)
     # Pair (i, j) lands in bin i (K+1) + j, an index computed in intp.
     width = batch.num_categories + 1
     pairs = batch.outcomes[:, m - 1].astype(np.intp)

@@ -561,6 +561,29 @@ def test_malformed_integer_argument(name, value, capsys, tmp_path):
     assert err.startswith(f"error: {name} must be an integer, got ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", *SEQ_ARGS, "--n", "0"], "N must be >= 1, got 0"),
+        (["graph", "--generator", "fk", "--n", "4", "--cap", "0"],
+         "enumeration_cap must be >= 1, got 0"),
+        (["covariance", "2", "7", *SEQ_ARGS], "n 7 outside 1..6"),
+        (["covariance", "2", "2", *SEQ_ARGS],
+         "positions must satisfy 1 <= m < n, got m=2, n=2"),
+        (["sample", *SEQ_ARGS, "--seed", "1", "--count", "-1"], "count must be >= 0, got -1"),
+        (["sample", *SEQ_ARGS, "--seed", "1", "--count", "3", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+    ],
+    ids=["N", "cap", "n-past-N", "m-equals-n", "count", "workers"],
+)
+def test_out_of_range_integer_setting(argv, message, capsys, tmp_path):
+    if argv[0] == "sample":
+        argv = [*argv, "--out-prefix", str(tmp_path / "batch")]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path)
+    assert err == f"error: {message}\n"
+
+
 def test_flags_and_config_read_integers_alike(capsys, tmp_path):
     # "1_0" was N = 10 as a flag and a usage error as a config key
     code, out, err = run(["graph", "--generator", "fk", "--n", "1_0"], capsys)

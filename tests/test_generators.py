@@ -18,7 +18,7 @@ from depcat import (
     prime_partition,
     validate,
 )
-from depcat.generators import as_integer
+from depcat.generators import as_integer, check_integer
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -294,6 +294,33 @@ class TestIntegerRule:
             with pytest.raises(DomainError) as excinfo:
                 build()
             assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("read", [check_integer, as_integer])
+    def test_bounds_are_inclusive_and_named(self, read):
+        assert read(np.int64(2), "x", 2) == 2 and read(5, "x", 2, 5) == 5
+        with pytest.raises(DomainError, match="^x must be >= 2, got 1$"):
+            read(1, "x", 2)
+        with pytest.raises(DomainError, match=r"^x 6 outside 2\.\.5$"):
+            read(6, "x", 2, 5)
+        with pytest.raises(DomainError, match=r"^x 1 outside 2\.\.5$"):
+            read(np.uint8(1), "x", 2, 5)
+        # the type is checked before the bound: a bool is not 1
+        with pytest.raises(DomainError, match="^x must be an integer, got true$"):
+            read(True, "x", 2)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"1": 1}, "table key must be >= 2, got 1"),
+            ({-3: 1}, "table key must be >= 2, got -3"),
+            ({"2": 0}, "table parent of 2 0 outside 1..9007199254740992"),
+            ({2: 2**53 + 1}, "table parent of 2 9007199254740993 outside 1..9007199254740992"),
+        ],
+    )
+    def test_table_entries_out_of_range(self, table, message):
+        with pytest.raises(DomainError) as excinfo:
+            GeneratorSpec.from_table(table)
+        assert str(excinfo.value) == message
 
     def test_table_entries_read_as_ints(self):
         spec = GeneratorSpec.from_table({"2": 1.0, np.int64(3): "2", 4.0: np.uint8(3)})

@@ -259,6 +259,21 @@ class TestErrors:
         with pytest.raises(DomainError):
             SampleBatch(np.empty((3, 0), dtype=np.int64), 1, as_marginal([0.5, 0.5]), 0.4, SEQ)
 
+    def test_batch_reads_its_metadata_by_the_library_rules(self):
+        # The sidecar used to record "seed": true and "delta": 7 as given.
+        outcomes = np.ones((2, 2), dtype=np.int64)
+        marginal = as_marginal([0.5, 0.5])
+        with pytest.raises(DomainError, match="^seed must be an integer, got true$"):
+            SampleBatch(outcomes, True, marginal, 0.4, SEQ)
+        with pytest.raises(DomainError, match=r"^dependency coefficient must lie in \[0, 1\]"):
+            SampleBatch(outcomes, 7, marginal, 7, SEQ)
+        with pytest.raises(DomainError, match="^marginal probabilities sum to"):
+            SampleBatch(outcomes, 7, [0.5, 0.6], 0.4, SEQ)
+        batch = SampleBatch(outcomes, np.int64(7), [0.5, 0.5], "0.4", SEQ)
+        assert type(batch.seed) is int and isinstance(batch.marginal, depcat.Marginal)
+        assert batch.metadata() == SampleBatch(outcomes, 7, marginal, 0.4, SEQ).metadata()
+        assert (batch.metadata()["seed"], batch.metadata()["delta"]) == (7, 0.4)
+
     def test_invalid_worker_count(self):
         with pytest.raises(DomainError):
             sample_batch([0.5, 0.5], 0.4, SEQ, 3, 5, seed=1, workers=0)
