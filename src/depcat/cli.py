@@ -9,6 +9,7 @@ tables use 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -368,6 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads with: built on its first call, then kept.
+
+    Building it costs more than a small `verify`, and `parse_args` leaves
+    no state in it, so in-process callers pay once.  Not built at import,
+    so importing `depcat.cli` stays cheap.
+    """
+    return build_parser()
+
+
 _COMMANDS = {
     "validate": cmd_validate,
     "graph": cmd_graph,
@@ -378,8 +390,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args)
         return _COMMANDS[args.command](config, args)

@@ -4,6 +4,8 @@ Public functions raise these instead of bare ValueError/KeyError so callers
 can distinguish bad inputs from structural problems in a dependency spec.
 """
 
+import math
+
 
 class DepcatError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,11 +31,14 @@ class EnumerationTooLargeError(DepcatError):
     """The K**N outcome space exceeds the configured enumeration cap."""
 
     def __init__(self, num_categories: int, length: int, cap: int):
-        self.num_outcomes = num_categories**length
         self.cap = cap
+        # K**N in decimal only while it is short: at K = 3, N = 10**4 it is
+        # past the interpreter's int-to-str digit limit.
+        size = f"{num_categories}**{length}"
+        if length * math.log10(num_categories) < 19:
+            size += f" = {num_categories**length}"
         super().__init__(
-            f"sample space has {num_categories}**{length} = {self.num_outcomes} "
-            f"outcomes, exceeding the enumeration cap of {cap}"
+            f"sample space has {size} outcomes, exceeding the enumeration cap of {cap}"
         )
 
 

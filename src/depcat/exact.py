@@ -78,8 +78,13 @@ BASIS_THEOREM = "theorem"
 def _check_enumeration_size(num_categories: int, length: int, cap: int) -> None:
     length = check_integer(length, "sequence length", 1)
     cap = check_integer(cap, "enumeration cap", 1)
-    if num_categories**length > cap:
-        raise EnumerationTooLargeError(num_categories, length, cap)
+    # K**N itself is an N*log2(K)-bit number; with K >= 2 the product
+    # passes the cap within cap.bit_length() steps.
+    size = 1
+    for _ in range(length):
+        size *= num_categories
+        if size > cap:
+            raise EnumerationTooLargeError(num_categories, length, cap)
 
 
 def enumerate_outcomes(

@@ -4,6 +4,10 @@ import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from depcat.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     EXIT_VERIFICATION,
+    build_parser,
     main,
 )
 from depcat.exact import EXACT_TOL
@@ -356,6 +361,23 @@ class TestVerify:
         assert code == EXIT_CAP
         assert "reduce N" in err
 
+    @pytest.mark.parametrize("n", ["10000", "1000000000"])
+    def test_cap_at_a_huge_n(self, n, capsys):
+        # K**N is never built: at N = 10**4 its decimal is past the
+        # int-to-str digit limit, and at N = 10**9 it is a 200 MB number.
+        start = time.perf_counter()
+        code, out, err = run(
+            ["verify", "--generator", "fk", "--p", "0.5,0.3,0.2", "--delta", "0.4",
+             "--n", n],
+            capsys,
+        )
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (EXIT_CAP, "")
+        assert err == (
+            f"error: sample space has 3**{n} outcomes, exceeding the enumeration cap "
+            "of 10000000; reduce N or raise the cap\n"
+        )
+
     @pytest.mark.parametrize("generator", ["fk", "sequential", "floor_sqrt",
                                            "sin_drift", "prime_partition"])
     @pytest.mark.parametrize("delta", ["0.2", "0.7"])
@@ -405,6 +427,73 @@ class TestVerify:
         assert code == EXIT_VERIFICATION
         failed = [line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")]
         assert failed == ["covariance-agreement"]
+
+
+# Mixed calls in a row, an argparse usage error (an unknown --format) among them.
+PARSER_SEQUENCE = [
+    ["verify", *SEQ_ARGS],
+    ["graph", "--generator", "floor_sqrt", "--n", "9", "--format", "json"],
+    ["graph", "--generator", "fk", "--n", "4", "--format", "svg"],
+    ["covariance", "2", "4", *SEQ_ARGS, "--method", "closed"],
+    ["graph", "--generator", "fk", "--n", "5"],
+    ["verify", "--generator", "fk", "--p", "0.7,0.3", "--delta", "0.9", "--n", "8"],
+]
+
+
+def run_or_exit(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParserPerProcess:
+    def test_reuse_is_invisible(self, capsys, monkeypatch):
+        reused = [run_or_exit(argv, capsys) for argv in PARSER_SEQUENCE]
+        monkeypatch.setattr(depcat.cli, "_parser", build_parser)
+        fresh = [run_or_exit(argv, capsys) for argv in PARSER_SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [
+            EXIT_OK, EXIT_OK, ("SystemExit", 2), EXIT_OK, EXIT_OK, EXIT_OK
+        ]
+        assert "invalid choice: 'svg'" in reused[2][2]
+
+    def test_main_builds_it_once(self, capsys, monkeypatch):
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(depcat.cli, "build_parser", counting)
+        depcat.cli._parser.cache_clear()
+        try:
+            for argv in PARSER_SEQUENCE:
+                run_or_exit(argv, capsys)
+        finally:
+            depcat.cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_import_builds_none(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import depcat, depcat.cli\n"
+            "print(len(built), depcat.cli._parser.cache_info().currsize)\n"
+        )
+        src = str(Path(depcat.cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert done.stdout.split() == ["0", "0"]
 
 
 # A table with no entry for n = 3, and one whose parent of 3 is out of range.
