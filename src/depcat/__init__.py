@@ -61,7 +61,6 @@ from .sampler import (
     empirical_cross_covariance,
     empirical_marginals,
     sample_batch,
-    sample_sequence,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +104,6 @@ __all__ = [
     "prime_partition",
     "repeat_probability",
     "sample_batch",
-    "sample_sequence",
     "switch_probability",
     "transition_kernel",
     "tree_distance",

@@ -360,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-prefix", required=True, help="output path prefix for batch + sidecar"
     )
     sample.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sample.add_argument("--workers", default=1)
+    sample.add_argument(
+        "--workers",
+        default=1,
+        help="accepted for compatibility, no effect: batches are drawn on one thread",
+    )
 
     commands.add_parser(
         "verify", parents=[shared], help="run the exact-route agreement checks"

@@ -8,7 +8,7 @@ forced to 1.0, and a uniform u in (0, 1] draws category
 1 + #{c : cut[c] < u}: right-closed inverse-CDF bucketing.
 
 The count is read from a guide table (Chen & Asau 1974; Devroye 1986,
-section III.2), built once per call and shared read-only by all threads.
+section III.2), built once per call.
 Its K + 1 rows are the base and the K kernel rows.  Its columns are the
 buckets [b/G, (b+1)/G) for b = 0..G, where G = 2^g is a power of two of
 about 32 K, capped so that the guide and the bucket-start table together
@@ -36,11 +36,11 @@ while G is about 32 K only the buckets holding a cut refine, about K/G of
 the draws; when the budget caps G (G = 256 at K = 4096) every draw may
 refine, over about K/G cuts.
 
-Each thread draws a block of 2^14 rows at a time.  The block's stream
-keys are mixed once, in buffers the thread holds; each group of
-positions gets its mantissas, bucket indices and parent rows in buffers
-made once per thread, so the loop allocates no array per position or
-group.  Only refinement makes arrays, the size of its refined draws.
+Every batch is drawn on the calling thread, a block of 2^14 rows at a
+time, in buffers made once per call: the block's stream keys are mixed
+once, and each group of positions gets its mantissas, bucket indices and
+parent rows, so the loop allocates no array per position or group.  Only
+refinement makes arrays, the size of its refined draws.
 
 Draws go into a position-major tile of at most _TILE positions by the
 block's rows, so each position's draws are one contiguous tile row.  A
@@ -51,13 +51,13 @@ block with one transposed assignment, or column by column when the
 block's rows hold at most _COLUMNS_MAX_ROW_BYTES, where numpy's
 transposed copy would iterate the short rows.
 
-Batches are a pure function of (seed, parameters); worker counts, row
-blocks, tiles and chunking cannot change the result because the
-underlying variates are counter-based.  Outcomes are stored in the
-smallest unsigned dtype that holds K (`np.min_scalar_type(K)`: uint8 up
-to K = 255, uint16 up to K = 65535), the dtype of the guide table and of
-the tile; index arithmetic on them is done in intp, so no narrow
-value ever wraps.  Batch text is encoded by gathering the bytes of each
+Batches are a pure function of (seed, parameters); row blocks and tiles
+cannot change the result because the underlying variates are
+counter-based.  `workers` is accepted for compatibility and has no
+effect.  Outcomes are stored in the smallest unsigned dtype that holds K
+(`np.min_scalar_type(K)`: uint8 up to K = 255, uint16 up to K = 65535),
+the dtype of the guide table and of the tile; index arithmetic on them is
+done in intp, so no narrow value ever wraps.  Batch text is encoded by gathering the bytes of each
 outcome from a token table, with the same bytes as formatting each cell
 with str().
 """
@@ -66,8 +66,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +85,7 @@ _BUCKETS_PER_CUT = 32
 _MIN_BUCKETS = 1024
 # Rows are drawn in blocks of _BLOCK_ROWS, the mantissas of a block are
 # generated about _GRID_VARIATES at a time, and its draws go through a tile
-# of at most _TILE positions, so a thread's scratch memory is bounded
+# of at most _TILE positions, so the scratch memory is bounded
 # whatever `count` and the length are.  The tiles of a block whose rows hold
 # at most _COLUMNS_MAX_ROW_BYTES are written back column by column.  Both
 # constants are backed by the timings in BENCH_9.json (`tile_width`,
@@ -101,6 +99,9 @@ _COLUMNS_MAX_ROW_BYTES = 16
 _CSV_FRAME = (b"", b"\n")
 _JSONL_FRAME = (b"[", b"]\n")
 _PAD = ord(" ")
+# No batch is drawn on a thread pool.  The name stays because the
+# benchmark's tracer (bench/spans.py) patches it when it installs.
+ThreadPoolExecutor = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +125,7 @@ class _DrawTable:
 
 
 class _Scratch:
-    """One thread's draw buffers, made once per `_sample_rows` call.
+    """The draw buffers, made once per `sample_batch` call.
 
     `mantissas` and `words` hold `variates` entries each, a group of
     positions of one block of `rows` rows; `words` is the mixing scratch
@@ -354,45 +355,6 @@ def _draw_block(
             values[hit] = cut % k + 1
 
 
-def _sample_rows(
-    table: _DrawTable, parents: np.ndarray, seed: int, first_index: int, out: np.ndarray
-) -> None:
-    """Rows first_index, first_index + 1, ... of the batch, written into `out`.
-
-    Rows are drawn in blocks of _BLOCK_ROWS, and each block a tile of
-    positions at a time: the block's stream keys are mixed once, and its
-    mantissas are generated a group of positions at a time into buffers
-    made once per call, so the scratch memory depends on neither `count`
-    nor the sequence length.
-    """
-    count, length = out.shape
-    rows = min(count, _BLOCK_ROWS)
-    variates = rows * min(length, _TILE, max(1, _GRID_VARIATES // rows))
-    scratch = _Scratch(variates, rows, min(length, _TILE), table.guide.dtype)
-    for start in range(0, count, _BLOCK_ROWS):
-        block = out[start : start + _BLOCK_ROWS]
-        rows = block.shape[0]
-        keys = stream_keys(seed, first_index + start, rows, scratch=scratch.words[:rows])
-        width = min(_TILE, variates // rows)
-        for tile_first in range(0, length, _TILE):
-            tile_stop = min(tile_first + _TILE, length)
-            for column in range(tile_first, tile_stop, width):
-                size = min(width, tile_stop - column) * rows
-                group = scratch.mantissas[:size].reshape(-1, rows)
-                words = scratch.words[:size].reshape(group.shape)
-                uniform_grid(
-                    seed, first_index + start, rows, len(group), column,
-                    keys=keys, mantissas=group, scratch=words,
-                )
-                _draw_block(table, parents, group, block, tile_first, column, scratch)
-            tile = scratch.tile[: tile_stop - tile_first, :rows]
-            if block.shape[1] * block.itemsize <= _COLUMNS_MAX_ROW_BYTES:
-                for column, values in enumerate(tile, start=tile_first):
-                    block[:, column] = values
-            else:
-                block[:, tile_first:tile_stop] = tile.T
-
-
 def sample_batch(
     p: MarginalLike,
     delta: DeltaLike,
@@ -406,52 +368,54 @@ def sample_batch(
     """Draw `count` sequences of the given length, keyed per sequence index.
 
     The batch holds rows first_index .. first_index + count - 1 of the
-    seed's grid, so any range of rows can be drawn on its own.  `workers`
-    only partitions the row range across threads, at most one per CPU; the
-    batch is identical for any worker count.
+    seed's grid, so any range of rows can be drawn on its own.  Rows are
+    drawn on the calling thread in blocks of _BLOCK_ROWS, and each block a
+    tile of positions at a time: the block's stream keys are mixed once,
+    and its mantissas are generated a group of positions at a time into
+    buffers made once per call, so the scratch memory depends on neither
+    `count` nor the sequence length.  `workers` must be an integer >= 1;
+    it is accepted for compatibility and has no effect.
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
     count = check_integer(count, "count", 0)
     first_index = check_integer(first_index, "first_index", 0)
-    workers = check_integer(workers, "workers", 1)
+    check_integer(workers, "workers", 1)
     seed = check_integer(seed, "seed")  # before the tree and table are built
     tree = build_tree(spec, length)  # validates the generator up to length
     table = _draw_table(marginal, d)
 
     outcomes = np.empty((count, length), dtype=table.guide.dtype)
-    if count:
-        threads = min(workers, os.cpu_count() or 1, count)
-        chunk = -(-count // threads)
-        starts = range(0, count, chunk)
-
-        def fill(start: int) -> None:
-            _sample_rows(
-                table, tree.parents, seed, first_index + start, outcomes[start : start + chunk]
-            )
-
-        if threads == 1:
-            fill(0)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, starts))
+    if count:  # the group width below divides by the block's rows
+        rows = min(count, _BLOCK_ROWS)
+        variates = rows * min(length, _TILE, max(1, _GRID_VARIATES // rows))
+        scratch = _Scratch(variates, rows, min(length, _TILE), table.guide.dtype)
+        for start in range(0, count, _BLOCK_ROWS):
+            block = outcomes[start : start + _BLOCK_ROWS]
+            rows = block.shape[0]
+            first = first_index + start
+            keys = stream_keys(seed, first, rows, scratch=scratch.words[:rows])
+            width = min(_TILE, variates // rows)
+            for tile_first in range(0, length, _TILE):
+                tile_stop = min(tile_first + _TILE, length)
+                for column in range(tile_first, tile_stop, width):
+                    size = min(width, tile_stop - column) * rows
+                    group = scratch.mantissas[:size].reshape(-1, rows)
+                    words = scratch.words[:size].reshape(group.shape)
+                    uniform_grid(
+                        seed, first, rows, len(group), column,
+                        keys=keys, mantissas=group, scratch=words,
+                    )
+                    _draw_block(table, tree.parents, group, block, tile_first, column, scratch)
+                tile = scratch.tile[: tile_stop - tile_first, :rows]
+                if block.shape[1] * block.itemsize <= _COLUMNS_MAX_ROW_BYTES:
+                    for column, values in enumerate(tile, start=tile_first):
+                        block[:, column] = values
+                else:
+                    block[:, tile_first:tile_stop] = tile.T
 
     outcomes.flags.writeable = False
     return SampleBatch(outcomes, seed, marginal, d, spec)
-
-
-def sample_sequence(
-    p: MarginalLike,
-    delta: DeltaLike,
-    spec: GeneratorSpec,
-    length: int,
-    seed: int,
-    index: int = 0,
-) -> tuple[int, ...]:
-    """The single sequence a batch would place at the given row index."""
-    check_integer(index, "index", 0)
-    batch = sample_batch(p, delta, spec, length, 1, seed, first_index=index)
-    return tuple(int(v) for v in batch.outcomes[0])
 
 
 @dataclass(frozen=True, eq=False)

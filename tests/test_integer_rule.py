@@ -38,7 +38,6 @@ from depcat import (
     prime_partition,
     repeat_probability,
     sample_batch,
-    sample_sequence,
     switch_probability,
     tree_distance,
     validate,
@@ -203,9 +202,6 @@ ROWS = [
         "sample_batch-first_index",
         lambda v: sample_batch(P, D, SEQ, 3, 2, 1, first_index=v), "first_index", -1,
     ),
-    row("sample_sequence-length", lambda v: sample_sequence(P, D, SEQ, v, 1), "tree size", 0),
-    row("sample_sequence-seed", lambda v: sample_sequence(P, D, SEQ, 3, v), "seed"),
-    row("sample_sequence-index", lambda v: sample_sequence(P, D, SEQ, 3, 1, v), "index", -1),
     row(
         "SampleBatch-seed",
         lambda v: SampleBatch(np.ones((2, 2), dtype=np.int64), v, P, D, SEQ), "seed",

@@ -41,7 +41,6 @@ PUBLIC_NAMES = {
     "prime_partition",
     "repeat_probability",
     "sample_batch",
-    "sample_sequence",
     "switch_probability",
     "transition_kernel",
     "tree_distance",
@@ -57,11 +56,12 @@ REMOVED_NAMES = (
     "parent_indices",  # build_tree(spec, N).parents
     "lowest_common_ancestor",  # no caller
     "TransitionKernel",  # transition_kernel returns the array
+    "sample_sequence",  # sample_batch(..., count=1, first_index=index).outcomes[0]
 )
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert len(depcat.__all__) == len(set(depcat.__all__))
     assert set(depcat.__all__) == PUBLIC_NAMES
     assert all(hasattr(depcat, name) for name in PUBLIC_NAMES)

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,6 @@ from depcat import (
     empirical_marginals,
     outcome_probability,
     sample_batch,
-    sample_sequence,
     transition_kernel,
 )
 from depcat.graph import build_tree
@@ -49,12 +50,23 @@ class TestDeterminism:
                 single.outcomes, sample_batch(**kwargs, workers=workers).outcomes
             )
 
+    def test_workers_start_no_thread(self, monkeypatch):
+        # Four CPUs and eight workers: a thread pool would start four threads here.
+        kwargs = dict(p=[0.5, 0.3, 0.2], delta=0.4, spec=FSQRT, length=3, count=1000, seed=9)
+        single = sample_batch(**kwargs, workers=1)
+
+        def refuse(thread):
+            raise AssertionError("sample_batch started a thread")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert np.array_equal(single.outcomes, sample_batch(**kwargs, workers=8).outcomes)
+
     def test_sequence_matches_batch_row(self):
         batch = sample_batch([0.4, 0.6], 0.3, FK, 5, 20, seed=77)
         for index in (0, 7, 19):
-            assert sample_sequence([0.4, 0.6], 0.3, FK, 5, seed=77, index=index) == tuple(
-                batch.outcomes[index]
-            )
+            row = sample_batch([0.4, 0.6], 0.3, FK, 5, 1, seed=77, first_index=index)
+            assert tuple(row.outcomes[0]) == tuple(batch.outcomes[index])
 
     def test_different_seeds_differ(self):
         a = sample_batch([0.5, 0.5], 0.5, SEQ, 6, 200, seed=1)
@@ -233,12 +245,6 @@ class TestOutcomeDtype:
             got = empirical_cross_covariance(batch, m, n).matrix
             assert np.max(np.abs(got - expected)) <= 1e-15
 
-    @pytest.mark.parametrize("k", [3, 256])
-    def test_sequence_holds_python_ints(self, k):
-        sequence = sample_sequence(np.full(k, 1 / k), 0.4, SEQ, 6, seed=4, index=2)
-        assert isinstance(sequence, tuple) and len(sequence) == 6
-        assert all(type(v) is int and 1 <= v <= k for v in sequence)
-
 
 class TestErrors:
     def test_empty_batch_statistics_raise(self):
@@ -303,8 +309,8 @@ class TestErrors:
             sample_batch(**{**arguments, name: value})
 
     def test_non_integer_sequence_index(self):
-        with pytest.raises(DomainError, match="^index must be an integer, got 2.7$"):
-            sample_sequence([0.5, 0.5], 0.4, SEQ, 3, seed=1, index=2.7)
+        with pytest.raises(DomainError, match="^first_index must be an integer, got 2.7$"):
+            sample_batch([0.5, 0.5], 0.4, SEQ, 3, 1, seed=1, first_index=2.7)
 
 
 def compare_count_oracle(p, delta, parents, uniforms):
@@ -394,7 +400,7 @@ class TestGuideTableExactness:
         assert batch.metadata()["algorithm"] == ALGORITHM_ID == "splitmix64-2level"
 
     # Recorded from the float-uniform draw loop, at a count that spans three
-    # row blocks and splits unevenly between two threads.
+    # row blocks.
     @pytest.mark.parametrize(
         "p, delta, spec, seed, expected",
         [
@@ -497,9 +503,8 @@ class TestGuideTableExactness:
         p = zero_category_marginal()
         batch = sample_batch(p, 0.7, SIN_DRIFT, 9, 40, seed=2**63 + 5)
         for index in (0, 13, 39):
-            assert sample_sequence(p, 0.7, SIN_DRIFT, 9, seed=2**63 + 5, index=index) == tuple(
-                batch.outcomes[index]
-            )
+            row = sample_batch(p, 0.7, SIN_DRIFT, 9, 1, seed=2**63 + 5, first_index=index)
+            assert tuple(row.outcomes[0]) == tuple(batch.outcomes[index])
 
 
 class TestDrawKernel:
@@ -555,11 +560,8 @@ class TestDrawKernel:
         monkeypatch.setattr(depcat.sampler, "stream_keys", counting)
         count = 2 * 2**14 + 17
         batch = sample_batch([0.5, 0.3, 0.2], 0.4, FSQRT, 64, count, seed=3, workers=workers)
-        threads = min(workers, depcat.sampler.os.cpu_count() or 1)
-        chunk = -(-count // threads)
-        blocks = sum(-(-min(chunk, count - s) // 2**14) for s in range(0, count, chunk))
-        assert len(calls) == blocks
-        assert sorted(calls)[0][0] == 0 and sum(n for _, n in calls) == count
+        # ceil(count / 2**14) blocks, in row order, whatever `workers` is
+        assert calls == [(s, min(2**14, count - s)) for s in range(0, count, 2**14)]
         assert np.array_equal(batch.outcomes, sample_batch(
             [0.5, 0.3, 0.2], 0.4, FSQRT, 64, count, seed=3).outcomes)
 
@@ -579,7 +581,7 @@ class TestDrawKernel:
     @pytest.mark.parametrize("k, spec", [(3, FSQRT), (64, SEQ)])
     def test_draw_block_allocates_less_than_one_column(self, k, spec):
         # The parents, bucket indices, draws and refine mask of a column
-        # live in the thread's scratch; only refinement makes arrays, the
+        # live in the scratch; only refinement makes arrays, the
         # size of its refined draws.
         table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.4)
         rows, width = 2**14, 8
@@ -625,46 +627,5 @@ class TestDrawKernel:
         with pytest.raises(DomainError):
             sample_batch(**kwargs, count=3, first_index=-1)
         with pytest.raises(DomainError):
-            sample_sequence(kwargs["p"], 0.4, FSQRT, 9, seed=21, index=-1)
+            sample_batch(**kwargs, count=1, first_index=-1)
 
-
-class RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
-class TestThreadBound:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(depcat.sampler, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(depcat.sampler.os, "cpu_count", lambda: 4)
-        return RecordingPool.sizes
-
-    @pytest.mark.parametrize(
-        "workers, count, expected",
-        [(100_000, 200_000, [4]), (100_000, 3, [3]), (2, 1000, [2]), (5, 1, [])],
-    )
-    def test_threads_at_most_cpus_and_chunks(self, pools, workers, count, expected):
-        kwargs = dict(p=[0.5, 0.3, 0.2], delta=0.4, spec=FSQRT, length=3, count=count, seed=9)
-        batch = sample_batch(**kwargs, workers=workers)
-        assert pools == expected
-        assert np.array_equal(batch.outcomes, sample_batch(**kwargs, workers=1).outcomes)
-
-    def test_unknown_cpu_count_means_one_thread(self, pools, monkeypatch):
-        monkeypatch.setattr(depcat.sampler.os, "cpu_count", lambda: None)
-        sample_batch([0.5, 0.5], 0.4, SEQ, 3, 50, seed=1, workers=8)
-        assert pools == []
