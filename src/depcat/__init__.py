@@ -23,7 +23,6 @@ from .exact import (
     cross_covariance_closed_form,
     cross_covariance_enumerated,
     closed_form_covariance_matrix,
-    endpoint_match_probability,
     enumerate_outcomes,
     enumerated_marginals,
     joint_distribution,
@@ -38,21 +37,17 @@ from .generators import (
     GeneratorViolation,
     ValidationReport,
     evaluate,
-    prime_partition,
     validate,
 )
 from .graph import (
     DependencyTree,
     build_tree,
     export_dot,
-    path_to_root,
     tree_distance,
 )
 from .kernel import (
     DependencyCoefficient,
     Marginal,
-    repeat_probability,
-    switch_probability,
     transition_kernel,
 )
 from .sampler import (
@@ -91,7 +86,6 @@ __all__ = [
     "cross_covariance_enumerated",
     "empirical_cross_covariance",
     "empirical_marginals",
-    "endpoint_match_probability",
     "enumerate_outcomes",
     "enumerated_marginals",
     "evaluate",
@@ -100,11 +94,7 @@ __all__ = [
     "joint_pair_probability",
     "marginal_at",
     "outcome_probability",
-    "path_to_root",
-    "prime_partition",
-    "repeat_probability",
     "sample_batch",
-    "switch_probability",
     "transition_kernel",
     "tree_distance",
     "validate",

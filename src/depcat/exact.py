@@ -475,22 +475,6 @@ def cross_covariance_closed_form(
     return CrossCovariance(m, n, matrix, "closed-form")
 
 
-def endpoint_match_probability(
-    p: MarginalLike, delta: DeltaLike, length: int, category: int
-) -> float:
-    """P(first and last draw of a length-n chain both equal i), closed form.
-
-    For a chain (each draw conditioned on its predecessor) this equals
-    p_i * (p_i + (1 - p_i) * delta**(n-1)).
-    """
-    marginal = as_marginal(p)
-    d = as_delta(delta)
-    length = check_integer(length, "chain length", 2)
-    check_category(category, marginal.num_categories)
-    pi = float(marginal.probs[category - 1])
-    return pi * (pi + (1.0 - pi) * d ** (length - 1))
-
-
 @dataclass(frozen=True)
 class VerificationCheck:
     """One named agreement check with its worst observed error."""
@@ -550,15 +534,14 @@ def verification_suite(
     err = float(np.max(np.abs(both - np.outer(probs, probs) - closed)))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
-    # diagonal of diag(p) P^(n-1), for n = 2..length
-    propagated = probs * np.array([np.diagonal(route.power(e)) for e in range(1, length)])
-    categories = range(1, marginal.num_categories + 1)
-    closed = np.array(
-        [
-            [endpoint_match_probability(marginal, delta, n, i) for i in categories]
-            for n in range(2, length + 1)
-        ]
-    )
+    # diagonal of diag(p) P^(n-1), for n = 2..length, against the chain's
+    # P(draw_1 = i, draw_n = i) = p_i (p_i + (1 - p_i) delta^(n-1)).  Read
+    # as Cov_ii + p_i^2 from closed_form_covariance_matrix it rounds
+    # otherwise, and the printed max error moves by an ulp at some points.
+    exponents = range(1, length)
+    propagated = probs * np.array([np.diagonal(route.power(e)) for e in exponents])
+    d = as_delta(delta)
+    closed = probs * (probs + (1.0 - probs) * np.array([[d**e] for e in exponents]))
     err = float(np.max(np.abs(propagated - closed)))
     checks.append(VerificationCheck("endpoint-match", err, EXACT_TOL))
 

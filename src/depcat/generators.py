@@ -52,6 +52,21 @@ def check_integer(value, name: str, low: int | None = None, high: int | None = N
     return value
 
 
+def check_integers(values, name: str) -> np.ndarray:
+    """`values` as an integer array, each entry by the rule of `check_integer`.
+
+    An ndarray of integer dtype is returned as it is, with no per-entry
+    pass.  Any other input (a list, a float or bool array) is read entry
+    by entry, so 1.5, 2.0, True and "1" are a DomainError naming `name`,
+    and comes back as int64 in its own shape.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    entries = np.array(values, dtype=object)
+    checked = [check_integer(value, name) for value in entries.flat]
+    return np.array(checked, dtype=np.int64).reshape(entries.shape)
+
+
 def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """`value` as an int in low..high, or a DomainError naming `name`.
 
@@ -179,20 +194,6 @@ def evaluate(spec: GeneratorSpec, n: int) -> int:
             f"generator {spec.kind!r} maps {n} to {parent}, outside 1..{n - 1}"
         )
     return parent
-
-
-_PRIME_PARTITION = GeneratorSpec.builtin("prime_partition")
-
-
-def prime_partition(n: int) -> int:
-    """Parent index for the prime-partition generator.
-
-    Positive integers split into disjoint blocks: block m holds the
-    multiples of the m-th prime not divisible by any smaller prime, i.e.
-    the integers whose smallest prime factor is the m-th prime.  The
-    parent of n is its block number m.
-    """
-    return evaluate(_PRIME_PARTITION, n)
 
 
 @dataclass(frozen=True)

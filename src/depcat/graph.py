@@ -15,7 +15,7 @@ import numpy as np
 
 from . import generators
 from .errors import AxiomViolationError, DomainError
-from .generators import GeneratorSpec, check_integer, validate
+from .generators import GeneratorSpec, check_integer, check_integers, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class DependencyTree:
 
     def __post_init__(self):
         size = check_integer(self.size, "tree size", 1)
-        parents = np.array(self.parents, dtype=np.int64)
+        parents = np.array(check_integers(self.parents, "tree parent"), dtype=np.int64)
         if parents.shape != (size - 1,):
             raise DomainError(f"expected {size - 1} parent entries, got {parents.shape}")
         children = np.arange(2, size + 1, dtype=np.int64)
@@ -51,9 +51,6 @@ class DependencyTree:
         """(child, parent) pairs in ascending child order."""
         for node in range(2, self.size + 1):
             yield node, int(self.parents[node - 2])
-
-    def to_parent_map(self) -> dict[int, int]:
-        return dict(self.edges())
 
     def to_json(self) -> str:
         """JSON object mapping each non-root node to its parent."""
@@ -83,16 +80,6 @@ def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
             f"generator {spec.kind!r} fails validation up to {size} "
             f"({len(report.violations)} violation(s); first: {first.reason})"
         ) from None
-
-
-def path_to_root(tree: DependencyTree, node: int) -> list[int]:
-    """Node indices from `node` down to the root: [n, alpha(n), ..., 1]."""
-    tree._check_node(node)
-    path = [node]
-    while node != 1:
-        node = tree.parent_of(node)
-        path.append(node)
-    return path
 
 
 def branch_lengths(tree: DependencyTree, m: int, n: int) -> tuple[int, int, int]:

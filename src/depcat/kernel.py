@@ -77,11 +77,6 @@ class Marginal:
     def num_categories(self) -> int:
         return int(self.probs.size)
 
-    def probability_of(self, category: int) -> float:
-        """Probability of the 1-based category index."""
-        check_category(category, self.num_categories)
-        return float(self.probs[category - 1])
-
 
 @dataclass(frozen=True)
 class DependencyCoefficient:
@@ -120,35 +115,13 @@ def check_category(category: int, num_categories: int) -> None:
         )
 
 
-def repeat_probability(p: MarginalLike, delta: DeltaLike, category: int) -> float:
-    """Probability of category j when the conditioning draw was also j.
-
-    Equals ``p_j + delta*(1 - p_j)``; lies in [p_j, 1].
-    """
-    marginal = as_marginal(p)
-    d = as_delta(delta)
-    pj = marginal.probability_of(category)
-    return pj + d * (1.0 - pj)
-
-
-def switch_probability(p: MarginalLike, delta: DeltaLike, category: int) -> float:
-    """Probability of category j when the conditioning draw was any other
-    category.
-
-    Equals ``p_j*(1 - delta)``; lies in [0, p_j].
-    """
-    marginal = as_marginal(p)
-    d = as_delta(delta)
-    pj = marginal.probability_of(category)
-    return pj * (1.0 - d)
-
-
 def transition_kernel(p: MarginalLike, delta: DeltaLike) -> np.ndarray:
     """One-step conditional kernel, a read-only K x K array.
 
     Row i is the distribution of the child given the parent landed on
-    category i + 1: entry (i, i) is the repeat probability, entry (i, j)
-    with j != i the switch probability of category j + 1.  With delta = 0
+    category i + 1: entry (i, i) is the repeat probability
+    ``p[i] + delta*(1 - p[i])``, entry (i, j) with j != i the switch
+    probability ``p[j]*(1 - delta)`` of category j + 1.  With delta = 0
     every row equals p (independence); with delta = 1 the kernel is the
     identity (the child copies the parent).  Algebraically the result
     equals ``(1 - delta) * ones @ p + delta * I`` -- that identity is

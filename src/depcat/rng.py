@@ -41,6 +41,8 @@ _UNIT = 2.0**-_MANTISSA_BITS
 _DROPPED = np.uint64(64 - _MANTISSA_BITS)
 
 _U64_MASK = (1 << 64) - 1
+# Sequence indices are the uint64 counters 0 .. 2^64 - 1.
+_INDEX_LIMIT = 1 << 64
 
 
 def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -70,11 +72,12 @@ def stream_keys(
 ) -> np.ndarray:
     """One derived key per sequence index in [first_index, first_index+count).
 
-    `scratch`, a uint64 array of `count` entries, is overwritten by the
-    mix in place of a buffer made for it.
+    The indices are uint64 counters, so first_index + count is at most
+    2^64.  `scratch`, a uint64 array of `count` entries, is overwritten by
+    the mix in place of a buffer made for it.
     """
-    first_index = check_integer(first_index, "first_index", 0)
     count = check_integer(count, "count", 0)
+    first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
     keys = np.arange(first_index, first_index + count, dtype=np.uint64)
     if scratch is None:
         scratch = np.empty_like(keys)

@@ -72,10 +72,10 @@ import numpy as np
 
 from .errors import DomainError, EmptyBatchError
 from .exact import CrossCovariance, _check_pair_positions
-from .generators import GeneratorSpec, check_integer
+from .generators import GeneratorSpec, check_integer, check_integers
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
-from .rng import _MANTISSA_BITS, _UNIT, ALGORITHM_ID, stream_keys, uniform_grid
+from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, stream_keys, uniform_grid
 
 
 # The guide and bucket-start tables hold at most this many entries together,
@@ -188,9 +188,11 @@ class SampleBatch:
     integer dtype casts safely to intp.  One passed in that form (as
     `sample_batch` does, in the smallest unsigned dtype that holds K) is
     kept as it is; any other input is range-checked and then copied into
-    that dtype, so a caller's array is never frozen or aliased.  `seed`,
-    `marginal` and `delta` are read by the library's rules (`check_integer`,
-    `as_marginal`, `as_delta`), so the metadata holds only values they accept.
+    that dtype, so a caller's array is never frozen or aliased.  Outcomes,
+    `seed`, `marginal` and `delta` are read by the library's rules
+    (`check_integers`, `check_integer`, `as_marginal`, `as_delta`), so a
+    float or bool entry is an error and the metadata holds only values they
+    accept.
     """
 
     outcomes: np.ndarray  # (count, length) np.min_scalar_type(K), entries in 1..K
@@ -204,9 +206,7 @@ class SampleBatch:
         object.__setattr__(self, "marginal", as_marginal(self.marginal))
         object.__setattr__(self, "delta", as_delta(self.delta))
         k = self.marginal.num_categories
-        outcomes = self.outcomes
-        if not (isinstance(outcomes, np.ndarray) and outcomes.dtype.kind in "iu"):
-            outcomes = np.asarray(outcomes, dtype=np.int64)
+        outcomes = check_integers(self.outcomes, "batch entry")
         if outcomes.ndim != 2 or outcomes.shape[1] < 1:
             raise DomainError("batch outcomes must be a 2-D array with at least one position")
         # Checked in the input's own dtype: a cast first would wrap 257 to 1.
@@ -368,18 +368,19 @@ def sample_batch(
     """Draw `count` sequences of the given length, keyed per sequence index.
 
     The batch holds rows first_index .. first_index + count - 1 of the
-    seed's grid, so any range of rows can be drawn on its own.  Rows are
-    drawn on the calling thread in blocks of _BLOCK_ROWS, and each block a
-    tile of positions at a time: the block's stream keys are mixed once,
-    and its mantissas are generated a group of positions at a time into
-    buffers made once per call, so the scratch memory depends on neither
-    `count` nor the sequence length.  `workers` must be an integer >= 1;
-    it is accepted for compatibility and has no effect.
+    seed's grid, so any range of rows can be drawn on its own, up to row
+    2^64 - 1.  Rows are drawn on the calling thread in blocks of
+    _BLOCK_ROWS, and each block a tile of positions at a time: the block's
+    stream keys are mixed once, and its mantissas are generated a group of
+    positions at a time into buffers made once per call, so the scratch
+    memory depends on neither `count` nor the sequence length.  `workers`
+    must be an integer >= 1; it is accepted for compatibility and has no
+    effect.
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
     count = check_integer(count, "count", 0)
-    first_index = check_integer(first_index, "first_index", 0)
+    first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
     check_integer(workers, "workers", 1)
     seed = check_integer(seed, "seed")  # before the tree and table are built
     tree = build_tree(spec, length)  # validates the generator up to length

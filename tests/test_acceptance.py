@@ -219,8 +219,8 @@ def test_criterion_8_tree_edge_goldens():
     sin_drift_golden = {
         2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 4, 8: 5, 9: 5, 10: 4, 11: 3, 12: 5, 13: 7,
     }
-    ok_floor = build_tree(FSQRT, 24).to_parent_map() == floor_sqrt_golden
-    ok_sin = build_tree(SIN, 13).to_parent_map() == sin_drift_golden
+    ok_floor = dict(build_tree(FSQRT, 24).edges()) == floor_sqrt_golden
+    ok_sin = dict(build_tree(SIN, 13).edges()) == sin_drift_golden
     report(
         8,
         "tree edge goldens reproduced (floor_sqrt N=24, sin_drift N=13)",

@@ -28,7 +28,6 @@ from depcat import (
     cross_covariance_enumerated,
     closed_form_covariance_matrix,
     empirical_cross_covariance,
-    endpoint_match_probability,
     enumerate_outcomes,
     enumerated_marginals,
     evaluate,
@@ -69,6 +68,15 @@ def brute_force_sequence_probability(omega, p, delta, parent_of):
         factor = pj + delta * (1.0 - pj) if parent_value == value else pj * (1.0 - delta)
         prob *= factor
     return prob
+
+
+def endpoint_match(p, delta, length, i):
+    """P(draws 1 and `length` of a chain both equal i), by the closed form.
+
+    The pair is at tree distance length - 1, so it is the covariance
+    entry (i, i) at that distance plus p_i^2.
+    """
+    return closed_form_covariance_matrix(p, delta, length - 1)[i - 1, i - 1] + p[i - 1] ** 2
 
 
 class TestOutcomeProbability:
@@ -300,7 +308,7 @@ class TestJointPairProbability:
         finally:
             tracemalloc.stop()
         assert peak < tree_peak + 16 * k * k * 8
-        expected = endpoint_match_probability(p, 0.9, n, 1)
+        expected = endpoint_match(p, 0.9, n, 1)
         assert result == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("method", ["propagate", "enumerate"])
@@ -436,13 +444,13 @@ class TestEndpointMatch:
         for i in (1, 2, 3):
             pi = P3[i - 1]
             expected = pi * (pi + 0.4 * (1 - pi))
-            assert endpoint_match_probability(P3, 0.4, 2, i) == pytest.approx(
+            assert endpoint_match(P3, 0.4, 2, i) == pytest.approx(
                 expected, abs=1e-15
             )
 
     def test_full_delta_keeps_chain_constant(self):
         for i in (1, 2, 3):
-            assert endpoint_match_probability(P3, 1.0, 9, i) == pytest.approx(
+            assert endpoint_match(P3, 1.0, 9, i) == pytest.approx(
                 P3[i - 1], abs=1e-15
             )
 
@@ -452,7 +460,7 @@ class TestEndpointMatch:
                 enumerated = joint_pair_probability(
                     P3, 0.4, SEQ, 1, i, length, i, method="enumerate"
                 )
-                closed = endpoint_match_probability(P3, 0.4, length, i)
+                closed = endpoint_match(P3, 0.4, length, i)
                 assert enumerated == pytest.approx(closed, abs=1e-10)
 
     def test_six_step_category_two_against_stream(self):
@@ -465,7 +473,7 @@ class TestEndpointMatch:
         )
         enumerated = joint_pair_probability(P3, 0.4, SEQ, 1, 2, 6, 2, method="enumerate")
         assert enumerated == pytest.approx(expected, abs=1e-14)
-        assert endpoint_match_probability(P3, 0.4, 6, 2) == pytest.approx(
+        assert endpoint_match(P3, 0.4, 6, 2) == pytest.approx(
             expected, abs=1e-10
         )
 

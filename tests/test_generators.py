@@ -15,7 +15,6 @@ from depcat import (
     IncompleteGeneratorError,
     build_tree,
     evaluate,
-    prime_partition,
     validate,
 )
 from depcat.generators import as_integer, check_integer
@@ -88,14 +87,14 @@ class TestEvaluate:
 class TestPrimePartition:
     def test_even_numbers_map_to_one(self):
         for n in (2, 4, 6, 100, 2**14):
-            assert prime_partition(n) == 1
+            assert evaluate(PRIME, n) == 1
 
     def test_odd_multiples_of_three_map_to_two(self):
         for n in (3, 9, 15, 21, 3**7):
-            assert prime_partition(n) == 2
+            assert evaluate(PRIME, n) == 2
 
     def test_twenty_five_maps_to_three(self):
-        assert prime_partition(25) == 3
+        assert evaluate(PRIME, 25) == 3
 
     def test_matches_block_construction(self):
         # Direct set construction of the partition: block m holds the
@@ -112,16 +111,16 @@ class TestPrimePartition:
                 block_of[v] = m
             remaining -= block
         for n in range(2, limit + 1):
-            assert prime_partition(n) == block_of[n]
+            assert evaluate(PRIME, n) == block_of[n]
 
     def test_smallest_prime_factor_semantics(self):
-        # prime_partition(n) = m means the m-th prime divides n and no
+        # evaluate(PRIME, n) = m means the m-th prime divides n and no
         # earlier prime does.
         import sympy
 
         primes = list(sympy.primerange(2, 1510))
         for n in range(2, 1500):
-            m = prime_partition(n)
+            m = evaluate(PRIME, n)
             assert n % primes[m - 1] == 0
             assert all(n % primes[i] != 0 for i in range(m - 1))
 

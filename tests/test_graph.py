@@ -14,7 +14,6 @@ from depcat import (
     build_tree,
     evaluate,
     export_dot,
-    path_to_root,
     tree_distance,
 )
 
@@ -29,25 +28,34 @@ ALL_BUILTINS = (FK, SEQ, FSQRT, SIN, PRIME)
 SIN_DRIFT_EDGES = {2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 4, 8: 5, 9: 5, 10: 4, 11: 3, 12: 5, 13: 7}
 
 
+def path_to_root(tree, node):
+    """Node indices from `node` up to the root, [n, alpha(n), ..., 1], by `parent_of`."""
+    path = [node]
+    while node != 1:
+        node = tree.parent_of(node)
+        path.append(node)
+    return path
+
+
 class TestBuildTree:
     def test_fk_star(self):
         tree = build_tree(FK, 5)
-        assert tree.to_parent_map() == {2: 1, 3: 1, 4: 1, 5: 1}
+        assert dict(tree.edges()) == {2: 1, 3: 1, 4: 1, 5: 1}
 
     def test_sequential_chain(self):
         tree = build_tree(SEQ, 4)
-        assert tree.to_parent_map() == {2: 1, 3: 2, 4: 3}
+        assert dict(tree.edges()) == {2: 1, 3: 2, 4: 3}
 
     def test_floor_sqrt_nine(self):
         tree = build_tree(FSQRT, 9)
-        assert tree.to_parent_map() == {
+        assert dict(tree.edges()) == {
             2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2, 8: 2, 9: 3,
         }
 
     def test_single_node_tree(self):
         tree = build_tree(SEQ, 1)
         assert tree.size == 1
-        assert tree.to_parent_map() == {}
+        assert dict(tree.edges()) == {}
 
     def test_invalid_generator_raises(self):
         with pytest.raises(AxiomViolationError):
@@ -69,7 +77,7 @@ class TestBuildTree:
 
     def test_table_parents_are_its_entries(self):
         table = {2: 1, 3: 1, 4: 2, 5: 4}
-        assert build_tree(GeneratorSpec.from_table(table), 5).to_parent_map() == table
+        assert dict(build_tree(GeneratorSpec.from_table(table), 5).edges()) == table
 
     def test_direct_construction_rejects_forward_edges(self):
         with pytest.raises(AxiomViolationError):
@@ -92,6 +100,9 @@ class TestPaths:
     def test_root_path_is_singleton(self):
         tree = build_tree(FK, 3)
         assert path_to_root(tree, 1) == [1]
+        assert tree_distance(tree, 1, 1) == 0
+        with pytest.raises(DomainError, match="has no parent"):
+            tree.parent_of(1)
 
     def test_paths_strictly_decreasing_and_rooted(self):
         for spec in ALL_BUILTINS:
@@ -100,6 +111,7 @@ class TestPaths:
                 path = path_to_root(tree, node)
                 assert path[-1] == 1
                 assert all(a > b for a, b in zip(path, path[1:]))
+                assert tree_distance(tree, node, 1) == len(path) - 1
 
     def test_termination_at_ten_thousand(self):
         # Strictly decreasing parents prove termination for every node;
@@ -116,10 +128,11 @@ class TestPaths:
 
     def test_out_of_range(self):
         tree = build_tree(SEQ, 4)
-        with pytest.raises(DomainError):
-            path_to_root(tree, 5)
-        with pytest.raises(DomainError):
-            path_to_root(tree, 0)
+        for node in (5, 0):
+            with pytest.raises(DomainError):
+                tree.parent_of(node)
+            with pytest.raises(DomainError):
+                tree_distance(tree, node, 1)
 
 
 def distance_via_path_sets(tree, m, n):

@@ -18,7 +18,6 @@ from depcat import (
     DependencyTree,
     DomainError,
     GeneratorSpec,
-    Marginal,
     SampleBatch,
     build_tree,
     closed_form_covariance_matrix,
@@ -26,7 +25,6 @@ from depcat import (
     cross_covariance_enumerated,
     empirical_cross_covariance,
     empirical_marginals,
-    endpoint_match_probability,
     enumerate_outcomes,
     enumerated_marginals,
     evaluate,
@@ -34,11 +32,7 @@ from depcat import (
     joint_pair_probability,
     marginal_at,
     outcome_probability,
-    path_to_root,
-    prime_partition,
-    repeat_probability,
     sample_batch,
-    switch_probability,
     tree_distance,
     validate,
     verification_suite,
@@ -48,6 +42,7 @@ from depcat.rng import stream_keys, uniform_grid
 P = [0.5, 0.3, 0.2]
 D = 0.4
 SEQ = GeneratorSpec.builtin("sequential")
+PRIME = GeneratorSpec.builtin("prime_partition")
 TREE = build_tree(SEQ, 3)
 BATCH = sample_batch(P, D, SEQ, 4, 5, seed=1)
 ZERO_COVARIANCE = np.zeros((3, 3))
@@ -151,14 +146,6 @@ ROWS = [
         lambda v: cross_covariance_closed_form(P, D, SEQ, 1, v), "n", 1, named=N_PAIR,
     ),
     row(
-        "endpoint_match_probability-length",
-        lambda v: endpoint_match_probability(P, D, v, 1), "chain length", 1,
-    ),
-    row(
-        "endpoint_match_probability-category",
-        lambda v: endpoint_match_probability(P, D, 3, v), "category index", 0, CATEGORY,
-    ),
-    row(
         "verification_suite-length",
         lambda v: verification_suite(P, D, SEQ, v), "verification length", 1,
     ),
@@ -168,28 +155,14 @@ ROWS = [
     ),
     # generators
     row("evaluate-n", lambda v: evaluate(SEQ, v), "index", 1),
-    row("prime_partition-n", prime_partition, "index", 1),
+    row("prime_partition-n", lambda v: evaluate(PRIME, v), "index", 1),
     row("validate-max_index", lambda v: validate(SEQ, v), "max_index", 1),
     # graph
     row("DependencyTree-size", lambda v: DependencyTree(v, []), "tree size", 0),
     row("DependencyTree.parent_of-node", TREE.parent_of, "node index", 4),
     row("build_tree-size", lambda v: build_tree(SEQ, v), "tree size", 0),
-    row("path_to_root-node", lambda v: path_to_root(TREE, v), "node index", 0),
     row("tree_distance-m", lambda v: tree_distance(TREE, v, 3), "node index", 0),
     row("tree_distance-n", lambda v: tree_distance(TREE, 1, v), "node index", 4),
-    # kernel
-    row(
-        "Marginal.probability_of-category",
-        Marginal(P).probability_of, "category index", 4, CATEGORY,
-    ),
-    row(
-        "repeat_probability-category",
-        lambda v: repeat_probability(P, D, v), "category index", 0, CATEGORY,
-    ),
-    row(
-        "switch_probability-category",
-        lambda v: switch_probability(P, D, v), "category index", 4, CATEGORY,
-    ),
     # sampler
     row("sample_batch-length", lambda v: sample_batch(P, D, SEQ, v, 2, 1), "tree size", 0),
     row("sample_batch-count", lambda v: sample_batch(P, D, SEQ, 3, v, 1), "count", -1),
@@ -201,6 +174,11 @@ ROWS = [
     row(
         "sample_batch-first_index",
         lambda v: sample_batch(P, D, SEQ, 3, 2, 1, first_index=v), "first_index", -1,
+    ),
+    # the last of the count rows would be index 2**64, one past the uint64 counters
+    row(
+        "sample_batch-first_index-top",
+        lambda v: sample_batch(P, D, SEQ, 3, 2, 1, first_index=v), "first_index", 2**64 - 1,
     ),
     row(
         "SampleBatch-seed",
@@ -219,6 +197,7 @@ ROWS = [
     # rng
     row("stream_keys-seed", lambda v: stream_keys(v, 0, 3), "seed"),
     row("stream_keys-first_index", lambda v: stream_keys(1, v, 3), "first_index", -1),
+    row("stream_keys-first_index-top", lambda v: stream_keys(1, v, 3), "first_index", 2**64 - 2),
     row("stream_keys-count", lambda v: stream_keys(1, 0, v), "count", -1),
     row("uniform_grid-seed", lambda v: uniform_grid(v, 0, 3, 2), "seed"),
     row("uniform_grid-first_index", lambda v: uniform_grid(1, v, 3, 2), "first_index", -1),
@@ -236,3 +215,31 @@ def test_integer_argument(call, name, outside, error, named):
     if outside is not None:
         with pytest.raises(error, match=named):
             call(outside)
+
+
+# Array arguments: a list, or an ndarray of any but an integer dtype, is
+# read entry by entry, so no entry is truncated, read as 1 or parsed.
+NOT_INTEGER_ENTRIES = [
+    pytest.param([1, 1.5], "1.5", id="list-float"),
+    pytest.param(np.array([1.0, 1.0]), "1.0", id="float-array"),
+    pytest.param([1, True], "true", id="list-bool"),
+    pytest.param(np.array([True, True]), "true", id="bool-array"),
+    pytest.param(["1", "1"], '"1"', id="list-str"),
+]
+
+
+@pytest.mark.parametrize("parents, shown", NOT_INTEGER_ENTRIES)
+def test_tree_parents_are_integers(parents, shown):
+    named = f"^tree parent must be an integer, got {re.escape(shown)}$"
+    with pytest.raises(DomainError, match=named):
+        DependencyTree(3, parents)
+    assert DependencyTree(3, [1, np.int64(2)]).parents.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("entries, shown", NOT_INTEGER_ENTRIES)
+def test_batch_entries_are_integers(entries, shown):
+    outcomes = entries[None] if isinstance(entries, np.ndarray) else [entries]
+    named = f"^batch entry must be an integer, got {re.escape(shown)}$"
+    with pytest.raises(DomainError, match=named):
+        SampleBatch(outcomes, 1, P, D, SEQ)
+    assert SampleBatch([[1, np.int64(2)]], 1, P, D, SEQ).outcomes.tolist() == [[1, 2]]

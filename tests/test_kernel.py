@@ -13,8 +13,7 @@ from depcat import (
     Marginal,
     build_tree,
     evaluate,
-    repeat_probability,
-    switch_probability,
+    joint_pair_probability,
     transition_kernel,
     tree_distance,
 )
@@ -29,44 +28,56 @@ marginals = st.lists(
     st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6
 ).map(normalized)
 deltas = st.floats(min_value=0.0, max_value=1.0)
+SEQ = GeneratorSpec.builtin("sequential")
+
+
+def repeat_entry(p, delta, j):
+    """Kernel entry (j, j), 1-based: the draw repeats its parent's category j."""
+    return transition_kernel(p, delta)[j - 1, j - 1]
+
+
+def switch_entry(p, delta, j):
+    """Kernel entry (i, j), 1-based, for a parent category i != j: the draw switches to j."""
+    i = 2 if j == 1 else 1
+    return transition_kernel(p, delta)[i - 1, j - 1]
 
 
 class TestWeighting:
     def test_repeat_matches_bernoulli_reading(self):
         # p = q = 0.5, delta = 0.2: weighting toward the outcome gives 0.6
-        assert repeat_probability([0.5, 0.5], 0.2, 1) == pytest.approx(0.6, abs=1e-15)
+        assert repeat_entry([0.5, 0.5], 0.2, 1) == pytest.approx(0.6, abs=1e-15)
 
     def test_switch_matches_bernoulli_reading(self):
         # weighting away: 0.5 * (1 - 0.2) = 0.4
-        assert switch_probability([0.5, 0.5], 0.2, 2) == pytest.approx(0.4, abs=1e-15)
+        assert switch_entry([0.5, 0.5], 0.2, 2) == pytest.approx(0.4, abs=1e-15)
 
     def test_repeat_direct_arithmetic(self):
         # 0.3 + 0.4 * 0.7
-        value = repeat_probability([0.5, 0.3, 0.2], 0.4, 2)
+        value = repeat_entry([0.5, 0.3, 0.2], 0.4, 2)
         assert value == pytest.approx(0.58, abs=1e-15)
 
     def test_switch_direct_arithmetic(self):
         # 0.2 * 0.6
-        value = switch_probability([0.5, 0.3, 0.2], 0.4, 3)
+        value = switch_entry([0.5, 0.3, 0.2], 0.4, 3)
         assert value == pytest.approx(0.12, abs=1e-15)
 
     def test_zero_delta_is_identity_on_probs(self):
         p = [0.25, 0.25, 0.5]
         for j in (1, 2, 3):
-            assert repeat_probability(p, 0.0, j) == pytest.approx(p[j - 1], abs=1e-15)
-            assert switch_probability(p, 0.0, j) == pytest.approx(p[j - 1], abs=1e-15)
+            assert repeat_entry(p, 0.0, j) == pytest.approx(p[j - 1], abs=1e-15)
+            assert switch_entry(p, 0.0, j) == pytest.approx(p[j - 1], abs=1e-15)
 
     def test_full_delta_limits(self):
         p = [0.7, 0.2, 0.1]
         for j in (1, 2, 3):
-            assert repeat_probability(p, 1.0, j) == pytest.approx(1.0, abs=1e-15)
-            assert switch_probability(p, 1.0, j) == 0.0
+            assert repeat_entry(p, 1.0, j) == pytest.approx(1.0, abs=1e-15)
+            assert switch_entry(p, 1.0, j) == 0.0
 
     @given(p=marginals, delta=deltas)
     def test_ranges(self, p, delta):
         for j in range(1, len(p) + 1):
-            up = repeat_probability(p, delta, j)
-            down = switch_probability(p, delta, j)
+            up = repeat_entry(p, delta, j)
+            down = switch_entry(p, delta, j)
             assert p[j - 1] - 1e-15 <= up <= 1.0 + 1e-15
             assert -1e-15 <= down <= p[j - 1] + 1e-15
 
@@ -76,16 +87,16 @@ class TestWeighting:
         if j > len(p):
             j = len(p)
         grid = np.linspace(0.0, 1.0, 11)
-        ups = [repeat_probability(p, d, j) for d in grid]
-        downs = [switch_probability(p, d, j) for d in grid]
+        ups = [repeat_entry(p, d, j) for d in grid]
+        downs = [switch_entry(p, d, j) for d in grid]
         assert all(b >= a - 1e-15 for a, b in zip(ups, ups[1:]))
         assert all(b <= a + 1e-15 for a, b in zip(downs, downs[1:]))
 
     def test_category_out_of_range(self):
         with pytest.raises(CategoryIndexError):
-            repeat_probability([0.5, 0.5], 0.2, 3)
+            joint_pair_probability([0.5, 0.5], 0.2, SEQ, 1, 3, 2, 1)
         with pytest.raises(CategoryIndexError):
-            switch_probability([0.5, 0.5], 0.2, 0)
+            joint_pair_probability([0.5, 0.5], 0.2, SEQ, 1, 1, 2, 0)
 
 
 class TestTransitionKernel:
@@ -104,15 +115,13 @@ class TestTransitionKernel:
         assert kernel[0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_entries_built_from_weighting_functions(self):
+        # the paper's rule: p_j + delta (1 - p_j) to repeat, p_j (1 - delta) to switch
         p, delta = [0.4, 0.35, 0.25], 0.3
         kernel = transition_kernel(p, delta)
         for i in range(1, 4):
             for j in range(1, 4):
-                expected = (
-                    repeat_probability(p, delta, j)
-                    if i == j
-                    else switch_probability(p, delta, j)
-                )
+                pj = p[j - 1]
+                expected = pj + delta * (1 - pj) if i == j else pj * (1 - delta)
                 assert kernel[i - 1, j - 1] == pytest.approx(expected, abs=1e-15)
 
     @given(p=marginals, delta=deltas)
@@ -189,7 +198,7 @@ class TestValidation:
     def test_non_integer_indices(self):
         # one integer rule: category, generator index, tree node
         with pytest.raises(DomainError, match="^category index must be an integer, got 1.5$"):
-            repeat_probability([0.5, 0.5], 0.2, 1.5)
+            joint_pair_probability([0.5, 0.5], 0.2, SEQ, 1, 1.5, 2, 1)
         with pytest.raises(DomainError, match="^index must be an integer, got true$"):
             evaluate(GeneratorSpec.builtin("fk"), True)
         with pytest.raises(DomainError, match="^node index must be an integer, got 2.0$"):
@@ -198,6 +207,7 @@ class TestValidation:
     def test_typed_objects_accepted_everywhere(self):
         p = Marginal(np.array([0.5, 0.5]))
         delta = DependencyCoefficient(0.2)
-        assert repeat_probability(p, delta, 1) == pytest.approx(0.6, abs=1e-15)
-        assert switch_probability(p, delta, 2) == pytest.approx(0.4, abs=1e-15)
-        assert transition_kernel(p, delta).shape == (2, 2)
+        kernel = transition_kernel(p, delta)
+        assert kernel.shape == (2, 2)
+        assert kernel[0, 0] == pytest.approx(0.6, abs=1e-15)
+        assert kernel[0, 1] == pytest.approx(0.4, abs=1e-15)

@@ -3,8 +3,10 @@
 import numpy as np
 import sympy
 
-from depcat import prime_partition
+from depcat import GeneratorSpec, evaluate
 from depcat.primes import smallest_prime_factor_sieve
+
+PRIME = GeneratorSpec.builtin("prime_partition")
 
 
 def spf_by_trial_division(n):
@@ -40,12 +42,12 @@ def test_smallest_prime_factor_vs_sympy_spot():
 def test_prime_index_vs_sympy():
     # the parent of a prime p is its rank
     for p in (2, 3, 5, 7, 97, 541, 7919):
-        assert prime_partition(p) == sympy.primepi(p)
+        assert evaluate(PRIME, p) == sympy.primepi(p)
 
 
 def test_nth_prime_round_trip():
     for rank in (1, 2, 10, 100, 1000):
-        assert prime_partition(sympy.prime(rank)) == rank
+        assert evaluate(PRIME, sympy.prime(rank)) == rank
 
 
 def test_sieve_prime_detection():

@@ -1,6 +1,10 @@
 """The package's public names: one entry point per quantity."""
 
 import depcat
+import depcat.exact
+import depcat.generators
+import depcat.graph
+import depcat.kernel
 
 PUBLIC_NAMES = {
     "AxiomViolationError",
@@ -28,7 +32,6 @@ PUBLIC_NAMES = {
     "cross_covariance_enumerated",
     "empirical_cross_covariance",
     "empirical_marginals",
-    "endpoint_match_probability",
     "enumerate_outcomes",
     "enumerated_marginals",
     "evaluate",
@@ -37,11 +40,7 @@ PUBLIC_NAMES = {
     "joint_pair_probability",
     "marginal_at",
     "outcome_probability",
-    "path_to_root",
-    "prime_partition",
-    "repeat_probability",
     "sample_batch",
-    "switch_probability",
     "transition_kernel",
     "tree_distance",
     "validate",
@@ -57,12 +56,33 @@ REMOVED_NAMES = (
     "lowest_common_ancestor",  # no caller
     "TransitionKernel",  # transition_kernel returns the array
     "sample_sequence",  # sample_batch(..., count=1, first_index=index).outcomes[0]
+    "repeat_probability",  # transition_kernel(p, delta)[j - 1, j - 1]
+    "switch_probability",  # transition_kernel(p, delta)[i - 1, j - 1] with i != j
+    "prime_partition",  # evaluate(GeneratorSpec.builtin("prime_partition"), n)
+    "path_to_root",  # DependencyTree.parent_of, tree_distance
+    "endpoint_match_probability",  # closed_form_covariance_matrix(p, delta, n - 1), diagonal + p**2
+)
+
+# The same second routes, where they were defined.
+REMOVED_DEFINITIONS = (
+    (depcat.kernel, "repeat_probability"),
+    (depcat.kernel, "switch_probability"),
+    (depcat.Marginal, "probability_of"),  # marginal.probs[j - 1]
+    (depcat.generators, "prime_partition"),
+    (depcat.generators, "_PRIME_PARTITION"),
+    (depcat.graph, "path_to_root"),
+    (depcat.DependencyTree, "to_parent_map"),  # dict(tree.edges())
+    (depcat.exact, "endpoint_match_probability"),
 )
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 38
     assert len(depcat.__all__) == len(set(depcat.__all__))
     assert set(depcat.__all__) == PUBLIC_NAMES
     assert all(hasattr(depcat, name) for name in PUBLIC_NAMES)
     assert not [name for name in REMOVED_NAMES if hasattr(depcat, name)]
+
+
+def test_removed_definitions_are_gone():
+    assert not [name for owner, name in REMOVED_DEFINITIONS if hasattr(owner, name)]

@@ -36,6 +36,19 @@ def test_stream_keys_match_reference():
         assert int(keys[index]) == reference_mix(12345 + GOLDEN * (index + 1))
 
 
+def test_keys_and_grid_reach_the_last_index():
+    # first_index + count may be 2**64, the end of the uint64 counters
+    first = 2**64 - 3
+    keys = stream_keys(12345, first, 3)
+    grid = uniform_grid(12345, first, 3, 2)
+    for row in range(3):
+        assert int(keys[row]) == reference_mix(12345 + GOLDEN * (first + row + 1))
+        for col in range(2):
+            assert grid[row, col] == reference_uniform(12345, first + row, col)
+    with pytest.raises(DomainError, match=f"^first_index {first + 1} outside 0..{first}$"):
+        stream_keys(12345, first + 1, 3)
+
+
 def test_stream_keys_mix_in_a_given_scratch():
     scratch = np.empty(20, dtype=np.uint64)
     assert np.array_equal(stream_keys(12345, 3, 20, scratch=scratch), stream_keys(12345, 3, 20))

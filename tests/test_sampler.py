@@ -629,3 +629,15 @@ class TestDrawKernel:
         with pytest.raises(DomainError):
             sample_batch(**kwargs, count=1, first_index=-1)
 
+    def test_first_index_reaches_the_last_counter(self):
+        # first_index + count may be 2**64: the rows end at index 2**64 - 1
+        kwargs = dict(p=[0.5, 0.3, 0.2], delta=0.4, spec=FSQRT, length=9, seed=21)
+        for count in (1, 2, 5):
+            first = 2**64 - count
+            batch = sample_batch(**kwargs, count=count, first_index=first)
+            for row in range(count):
+                alone = sample_batch(**kwargs, count=1, first_index=first + row)
+                assert np.array_equal(batch.outcomes[row], alone.outcomes[0])
+            with pytest.raises(DomainError, match=f"^first_index {first + 1} outside 0..{first}$"):
+                sample_batch(**kwargs, count=count, first_index=first + 1)
+
