@@ -133,7 +133,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError("K was given without p; set the marginal explicitly")
     delta = None if raw_delta is None else as_delta(raw_delta)
     seed = None if raw_seed is None else as_integer(raw_seed, "seed")
-    count = None if raw_count is None else as_integer(raw_count, "count")
+    count = None if raw_count is None else as_integer(raw_count, "count", 0)
     cap = DEFAULT_ENUMERATION_CAP if raw_cap is None else as_integer(raw_cap, "enumeration_cap", 1)
 
     return RunConfig(spec, length, marginal, delta, seed, count, cap)

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, IncompleteGeneratorError
-from .primes import smallest_prime_factor_sieve
+from .primes import smallest_prime_factor_ranks
 
 BUILTIN_KINDS = ("fk", "sequential", "floor_sqrt", "sin_drift", "prime_partition")
 TABLE_KIND = "table"
@@ -57,13 +57,13 @@ def check_integers(values, name: str) -> np.ndarray:
 
     An ndarray of integer dtype is returned as it is, with no per-entry
     pass.  Any other input (a list, a float or bool array) is read entry
-    by entry, so 1.5, 2.0, True and "1" are a DomainError naming `name`,
-    and comes back as int64 in its own shape.
+    by entry, so 1.5, 2.0, True, "1" and an entry outside int64 are a
+    DomainError naming `name`, and comes back as int64 in its own shape.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
     entries = np.array(values, dtype=object)
-    checked = [check_integer(value, name) for value in entries.flat]
+    checked = [check_integer(value, name, -(2**63), 2**63 - 1) for value in entries.flat]
     return np.array(checked, dtype=np.int64).reshape(entries.shape)
 
 
@@ -161,19 +161,15 @@ def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
     if kind == "sequential":
         return indices - 1
     if kind == "floor_sqrt":
-        roots = np.floor(np.sqrt(indices.astype(np.float64))).astype(np.int64)
-        # repair the off-by-one that float sqrt can introduce near squares
-        roots = np.where((roots + 1) * (roots + 1) <= indices, roots + 1, roots)
-        roots = np.where(roots * roots > indices, roots - 1, roots)
+        # the sqrt of an exact n rounds correctly: never below isqrt(n), at most one above
+        roots = np.sqrt(indices, dtype=np.float64).astype(np.int64)
+        roots -= roots * roots > indices
         return roots
     if kind == "sin_drift":
         x = indices.astype(np.float64)
         return np.floor((np.sqrt(x) / 2.0) * np.sin(x) + x / 2.0).astype(np.int64)
     if kind == "prime_partition":
-        sieve = smallest_prime_factor_sieve(int(indices.max()))
-        is_prime = sieve == np.arange(sieve.size)
-        is_prime[:2] = False
-        return np.cumsum(is_prime)[sieve[indices]]  # rank of the smallest prime factor
+        return smallest_prime_factor_ranks(int(indices.max()))[indices]
     assert spec.table is not None
     return np.array([spec.table.get(n, 0) for n in indices.tolist()], dtype=np.int64)
 
@@ -183,7 +179,7 @@ def evaluate(spec: GeneratorSpec, n: int) -> int:
 
     The domain is 2 <= n <= 2**53: every index up to there is exact in
     float64, which floor_sqrt and sin_drift evaluate in.  prime_partition
-    sieves up to n, so one call costs time and memory linear in n.
+    builds one int64 rank table up to n, so one call costs 8 bytes per index.
     """
     n = check_integer(n, "index", 2, _MAX_INDEX)
     parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])

@@ -1,4 +1,4 @@
-"""Smallest-prime-factor sieve backing the prime-partition generator.
+"""Prime-rank table backing the prime-partition generator.
 
 Each call sieves afresh up to its limit; the module keeps no state.
 """
@@ -12,19 +12,21 @@ import numpy as np
 from .errors import DomainError
 
 
-def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
-    """Vectorized SPF table: entry n holds the least prime factor of n.
+def smallest_prime_factor_ranks(limit: int) -> np.ndarray:
+    """Int64 table whose entry n is the rank of n's smallest prime factor.
 
-    Entries 0 and 1 are set to 0.
+    The r-th prime marks its unmarked multiples, from itself on, with r; the
+    primes above isqrt(limit) take the next ranks in order.  0 and 1 read 0.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    sieve_range = np.arange(limit + 1, dtype=np.int64)
+    ranks = np.zeros(limit + 1, dtype=np.int64)
+    rank = 0
     for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            multiples = spf[p * p :: p]  # a view: writes land in spf
-            multiples[multiples == 0] = p
-    remaining = (spf == 0) & (sieve_range >= 2)
-    spf[remaining] = sieve_range[remaining]
-    return spf
+        if ranks[p] == 0:
+            rank += 1
+            multiples = ranks[p::p]  # a view: writes land in ranks
+            multiples[multiples == 0] = rank
+    large_primes = np.flatnonzero(ranks == 0)[2:]  # past entries 0 and 1
+    ranks[large_primes] = np.arange(rank + 1, rank + 1 + large_primes.size)
+    return ranks

@@ -51,15 +51,14 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     `scratch` has the shape of `z` and holds the shifted words, so the mix
     allocates nothing.
     """
-    with np.errstate(over="ignore"):
-        np.right_shift(z, _S30, out=scratch)
-        z ^= scratch
-        z *= _MULT1
-        np.right_shift(z, _S27, out=scratch)
-        z ^= scratch
-        z *= _MULT2
-        np.right_shift(z, _S31, out=scratch)
-        z ^= scratch
+    np.right_shift(z, _S30, out=scratch)
+    z ^= scratch
+    z *= _MULT1
+    np.right_shift(z, _S27, out=scratch)
+    z ^= scratch
+    z *= _MULT2
+    np.right_shift(z, _S31, out=scratch)
+    z ^= scratch
     return z
 
 
@@ -76,7 +75,7 @@ def stream_keys(
     2^64.  `scratch`, a uint64 array of `count` entries, is overwritten by
     the mix in place of a buffer made for it.
     """
-    count = check_integer(count, "count", 0)
+    count = check_integer(count, "count", 0, _INDEX_LIMIT)
     first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
     keys = np.arange(first_index, first_index + count, dtype=np.uint64)
     if scratch is None:
@@ -85,10 +84,9 @@ def stream_keys(
         isinstance(scratch, np.ndarray) and scratch.dtype == np.uint64 and scratch.shape == (count,)
     ):
         raise DomainError(f"scratch must be a uint64 array of {count} entries")
-    with np.errstate(over="ignore"):
-        keys += _ONE
-        keys *= _GOLDEN
-        keys += _as_seed(seed)
+    keys += _ONE
+    keys *= _GOLDEN
+    keys += _as_seed(seed)
     return _mix64(keys, scratch)
 
 
@@ -131,7 +129,7 @@ def uniform_grid(
     overwritten, and nothing is allocated; a caller that fills one block of
     rows a group of positions at a time mixes the block's keys only once.
     """
-    count = check_integer(count, "count", 0)
+    count = check_integer(count, "count", 0, _INDEX_LIMIT)
     length = check_integer(length, "length", 1)
     first_position = check_integer(first_position, "first_position", 0)
     if keys is None and mantissas is None and scratch is None:

@@ -379,7 +379,7 @@ def sample_batch(
     """
     marginal = as_marginal(p)
     d = as_delta(delta)
-    count = check_integer(count, "count", 0)
+    count = check_integer(count, "count", 0, _INDEX_LIMIT)
     first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
     check_integer(workers, "workers", 1)
     seed = check_integer(seed, "seed")  # before the tree and table are built

@@ -1,6 +1,7 @@
 """Generator catalog: parent values, axiom validation, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from depcat import (
     evaluate,
     validate,
 )
-from depcat.generators import as_integer, check_integer
+from depcat.generators import _parents, as_integer, check_integer
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -57,6 +58,15 @@ class TestEvaluate:
         top = math.isqrt(2**53)
         for n in (r * r + d for r in range(top - 300, top + 1) for d in (-1, 0, 1)):
             assert evaluate(FSQRT, n) == math.isqrt(n), n
+
+    def test_floor_sqrt_next_to_squares(self):
+        # the bulk map at k*k - 1, k*k and k*k + 1, for k near 1 and near isqrt(2**53)
+        top = math.isqrt(2**53)
+        roots = [*range(1, 2001), *range(top - 2000, top + 1)]
+        indices = np.array(
+            [n for k in roots for n in (k * k - 1, k * k, k * k + 1) if n >= 2], dtype=np.int64
+        )
+        assert _parents(FSQRT, indices).tolist() == [math.isqrt(n) for n in indices.tolist()]
 
     def test_matches_math_formulas(self):
         # the scalar math formulas are the reference for the vectorized map
@@ -215,6 +225,19 @@ class TestBulkAgreement:
         for spec in ALL_BUILTINS:
             for n in range(2, 501):
                 assert evaluate(spec, n) == reference_parent(spec.kind, n), (spec.kind, n)
+
+
+@pytest.mark.parametrize("spec", [FSQRT, PRIME], ids=lambda s: s.kind)
+def test_parents_peak_below_20_bytes_per_index(spec):
+    # prime_partition reads one int64 rank table, floor_sqrt corrects its root in place
+    indices = np.arange(2, 2 * 10**5 + 1, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _parents(spec, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / indices.size < 20
 
 
 class TestSerialization:

@@ -161,11 +161,14 @@ ROWS = [
     row("DependencyTree-size", lambda v: DependencyTree(v, []), "tree size", 0),
     row("DependencyTree.parent_of-node", TREE.parent_of, "node index", 4),
     row("build_tree-size", lambda v: build_tree(SEQ, v), "tree size", 0),
+    # a list entry past int64 is an error, not a numpy OverflowError
+    row("DependencyTree-parent", lambda v: DependencyTree(3, [1, v]), "tree parent", 2**63),
     row("tree_distance-m", lambda v: tree_distance(TREE, v, 3), "node index", 0),
     row("tree_distance-n", lambda v: tree_distance(TREE, 1, v), "node index", 4),
     # sampler
     row("sample_batch-length", lambda v: sample_batch(P, D, SEQ, v, 2, 1), "tree size", 0),
     row("sample_batch-count", lambda v: sample_batch(P, D, SEQ, 3, v, 1), "count", -1),
+    row("sample_batch-count-top", lambda v: sample_batch(P, D, SEQ, 3, v, 1), "count", 2**64 + 1),
     row("sample_batch-seed", lambda v: sample_batch(P, D, SEQ, 3, 2, v), "seed"),
     row(
         "sample_batch-workers",
@@ -184,6 +187,7 @@ ROWS = [
         "SampleBatch-seed",
         lambda v: SampleBatch(np.ones((2, 2), dtype=np.int64), v, P, D, SEQ), "seed",
     ),
+    row("SampleBatch-entry", lambda v: SampleBatch([[1, v]], 1, P, D, SEQ), "batch entry", 2**63),
     row("empirical_marginals-position", lambda v: empirical_marginals(BATCH, v), "position", 5),
     row(
         "empirical_cross_covariance-m",
@@ -199,6 +203,7 @@ ROWS = [
     row("stream_keys-first_index", lambda v: stream_keys(1, v, 3), "first_index", -1),
     row("stream_keys-first_index-top", lambda v: stream_keys(1, v, 3), "first_index", 2**64 - 2),
     row("stream_keys-count", lambda v: stream_keys(1, 0, v), "count", -1),
+    row("stream_keys-count-top", lambda v: stream_keys(1, 0, v), "count", 2**64 + 1),
     row("uniform_grid-seed", lambda v: uniform_grid(v, 0, 3, 2), "seed"),
     row("uniform_grid-first_index", lambda v: uniform_grid(1, v, 3, 2), "first_index", -1),
     row("uniform_grid-count", lambda v: uniform_grid(1, 0, v, 2), "count", -1),

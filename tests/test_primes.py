@@ -1,10 +1,10 @@
-"""The prime sieve and prime ranks against independent oracles (trial division, sympy)."""
+"""The prime-rank table and prime ranks against independent oracles (trial division, sympy)."""
 
 import numpy as np
 import sympy
 
 from depcat import GeneratorSpec, evaluate
-from depcat.primes import smallest_prime_factor_sieve
+from depcat.primes import smallest_prime_factor_ranks
 
 PRIME = GeneratorSpec.builtin("prime_partition")
 
@@ -19,24 +19,24 @@ def spf_by_trial_division(n):
 
 
 def test_smallest_prime_factor_vs_trial_division():
-    sieve = smallest_prime_factor_sieve(10_000)
+    ranks = smallest_prime_factor_ranks(10_000)
     for n in range(2, 10_001):
-        assert sieve[n] == spf_by_trial_division(n)
+        assert ranks[n] == sympy.primepi(spf_by_trial_division(n))
 
 
 def test_sieve_matches_scalar_path():
-    # each limit sieves afresh; a short sieve must be the prefix of a long one,
+    # each limit sieves afresh; a short table must be the prefix of a long one,
     # including limits that end on a square or just past one
-    full = smallest_prime_factor_sieve(5000)
+    full = smallest_prime_factor_ranks(5000)
     assert full[0] == 0 and full[1] == 0
-    for limit in [*range(2, 300), 4095, 4096, 4097, 4999, 5000]:
-        assert np.array_equal(smallest_prime_factor_sieve(limit), full[: limit + 1])
+    for limit in [*range(2, 301), 4095, 4096, 4097, 4999, 5000]:
+        assert np.array_equal(smallest_prime_factor_ranks(limit), full[: limit + 1])
 
 
 def test_smallest_prime_factor_vs_sympy_spot():
-    sieve = smallest_prime_factor_sieve(2**20)
+    ranks = smallest_prime_factor_ranks(2**20)
     for n in (2, 97, 99991, 2**20, 3**11, 101 * 103, 999_983):
-        assert sieve[n] == min(sympy.primefactors(n))
+        assert ranks[n] == sympy.primepi(min(sympy.primefactors(n)))
 
 
 def test_prime_index_vs_sympy():
@@ -51,8 +51,9 @@ def test_nth_prime_round_trip():
 
 
 def test_sieve_prime_detection():
-    sieve = smallest_prime_factor_sieve(1000)
-    values = np.arange(1001)
-    primes = np.flatnonzero((sieve == values) & (values >= 2))
-    assert list(primes[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    # a prime is the first n to take its rank: every earlier n has a smaller one
+    ranks = smallest_prime_factor_ranks(1000)
+    primes = [n for n in range(2, 1001) if ranks[n] > ranks[:n].max()]
+    assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes) == sympy.primepi(1000)
+    assert [ranks[p] for p in primes] == list(range(1, len(primes) + 1))

@@ -1,6 +1,7 @@
 """Counter-based variates against a scalar reference implementation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def test_keys_and_grid_reach_the_last_index():
             assert grid[row, col] == reference_uniform(12345, first + row, col)
     with pytest.raises(DomainError, match=f"^first_index {first + 1} outside 0..{first}$"):
         stream_keys(12345, first + 1, 3)
+
+
+def test_wrapping_arithmetic_warns_nothing():
+    # numpy warns on integer overflow in scalar arithmetic only; the mix is on arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys = stream_keys(2**64 - 1, 2**64 - 5, 5)
+        grid = uniform_grid(-1, 2**64 - 7, 7, 40, 3)
+    assert int(keys[4]) == reference_mix(2**64 - 1 + GOLDEN * 2**64)
+    assert grid[6, 39] == reference_uniform(2**64 - 1, 2**64 - 1, 42)
 
 
 def test_stream_keys_mix_in_a_given_scratch():
