@@ -9,12 +9,9 @@ samples sequences reproducibly.
 
 from .errors import (
     AxiomViolationError,
-    CategoryIndexError,
     DepcatError,
     DomainError,
-    EmptyBatchError,
     EnumerationTooLargeError,
-    IncompleteGeneratorError,
 )
 from .exact import (
     DEFAULT_ENUMERATION_CAP,
@@ -46,7 +43,6 @@ from .graph import (
     tree_distance,
 )
 from .kernel import (
-    DependencyCoefficient,
     Marginal,
     transition_kernel,
 )
@@ -63,19 +59,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AxiomViolationError",
     "BUILTIN_KINDS",
-    "CategoryIndexError",
     "CrossCovariance",
     "DEFAULT_ENUMERATION_CAP",
     "DepcatError",
-    "DependencyCoefficient",
     "DependencyTree",
     "DomainError",
-    "EmptyBatchError",
     "EmpiricalMarginal",
     "EnumerationTooLargeError",
     "GeneratorSpec",
     "GeneratorViolation",
-    "IncompleteGeneratorError",
     "Marginal",
     "SampleBatch",
     "ValidationReport",

@@ -1,7 +1,10 @@
 """Semantic exception hierarchy for depcat.
 
-Public functions raise these instead of bare ValueError/KeyError so callers
-can distinguish bad inputs from structural problems in a dependency spec.
+Public functions raise these instead of bare ValueError so callers can
+distinguish bad inputs from structural problems in a dependency spec.
+Each class below `DepcatError` is one exit code of the CLI: a
+`DomainError` is 2, an `AxiomViolationError` 3 and an
+`EnumerationTooLargeError` 5.
 """
 
 import math
@@ -15,16 +18,8 @@ class DomainError(DepcatError, ValueError):
     """An argument lies outside the documented domain (index, length, probability)."""
 
 
-class CategoryIndexError(DepcatError, IndexError):
-    """A 1-based category index is outside {1..K}."""
-
-
-class IncompleteGeneratorError(DepcatError, KeyError):
-    """A table-backed generator has no entry for a requested index."""
-
-
 class AxiomViolationError(DepcatError):
-    """A generator produced a parent outside {1..n-1}, breaking the class axioms."""
+    """A generator gave no parent, or one outside {1..n-1}, breaking the class axioms."""
 
 
 class EnumerationTooLargeError(DepcatError):
@@ -40,7 +35,3 @@ class EnumerationTooLargeError(DepcatError):
         super().__init__(
             f"sample space has {size} outcomes, exceeding the enumeration cap of {cap}"
         )
-
-
-class EmptyBatchError(DepcatError):
-    """An empirical statistic was requested from a batch with no sequences."""

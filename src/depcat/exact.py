@@ -53,7 +53,6 @@ from .kernel import (
     MarginalLike,
     as_delta,
     as_marginal,
-    check_category,
     transition_kernel,
 )
 
@@ -356,8 +355,8 @@ def joint_pair_probability(
     """
     marginal = as_marginal(p)
     _check_pair_positions(m, n)
-    check_category(i, marginal.num_categories)
-    check_category(j, marginal.num_categories)
+    check_integer(i, "category index", 1, marginal.num_categories)
+    check_integer(j, "category index", 1, marginal.num_categories)
     if method == "propagate":
         pair = _pair_joint_propagated(marginal, delta, spec, m, n)
     elif method == "enumerate":

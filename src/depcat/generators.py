@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AxiomViolationError, DomainError, IncompleteGeneratorError
+from .errors import AxiomViolationError, DomainError
 from .primes import smallest_prime_factor_ranks
 
 BUILTIN_KINDS = ("fk", "sequential", "floor_sqrt", "sin_drift", "prime_partition")
@@ -184,7 +184,7 @@ def evaluate(spec: GeneratorSpec, n: int) -> int:
     n = check_integer(n, "index", 2, _MAX_INDEX)
     parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])
     if parent == 0:
-        raise IncompleteGeneratorError(f"table generator has no entry for n = {n}")
+        raise AxiomViolationError(f"table generator has no entry for n = {n}")
     if not 1 <= parent <= n - 1:
         raise AxiomViolationError(
             f"generator {spec.kind!r} maps {n} to {parent}, outside 1..{n - 1}"

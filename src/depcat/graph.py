@@ -27,7 +27,10 @@ class DependencyTree:
 
     def __post_init__(self):
         size = check_integer(self.size, "tree size", 1)
-        parents = np.array(check_integers(self.parents, "tree parent"), dtype=np.int64)
+        parents = check_integers(self.parents, "tree parent")
+        if parents.dtype.kind == "u":  # the int64 cast would wrap an entry past 2**63
+            check_integer(parents.max(initial=0), "tree parent", -(2**63), 2**63 - 1)
+        parents = np.array(parents, dtype=np.int64)
         if parents.shape != (size - 1,):
             raise DomainError(f"expected {size - 1} parent entries, got {parents.shape}")
         children = np.arange(2, size + 1, dtype=np.int64)

@@ -18,8 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import CategoryIndexError, DomainError
-from .generators import check_integer
+from .errors import DomainError
 
 # Construction guard for user-supplied probability vectors.  Vectors whose
 # sum strays further than this are rejected rather than renormalized.
@@ -78,23 +77,8 @@ class Marginal:
         return int(self.probs.size)
 
 
-@dataclass(frozen=True)
-class DependencyCoefficient:
-    """Dependence strength in [0, 1]; 0 = independent, 1 = copy the parent."""
-
-    value: float
-
-    def __post_init__(self):
-        value = _as_real(self.value, "dependency coefficient")
-        if not 0.0 <= value <= 1.0:  # NaN too
-            raise DomainError(
-                f"dependency coefficient must lie in [0, 1], got {self.value!r}"
-            )
-        object.__setattr__(self, "value", value)
-
-
 MarginalLike = Union[Marginal, Sequence[float], np.ndarray]
-DeltaLike = Union[DependencyCoefficient, float, int]
+DeltaLike = Union[float, int]
 
 
 def as_marginal(p: MarginalLike) -> Marginal:
@@ -102,17 +86,11 @@ def as_marginal(p: MarginalLike) -> Marginal:
 
 
 def as_delta(delta: DeltaLike) -> float:
-    if isinstance(delta, DependencyCoefficient):
-        return delta.value
-    return DependencyCoefficient(delta).value
-
-
-def check_category(category: int, num_categories: int) -> None:
-    category = check_integer(category, "category index")
-    if not 1 <= category <= num_categories:
-        raise CategoryIndexError(
-            f"category index {category} outside 1..{num_categories}"
-        )
+    """The dependence strength delta in [0, 1]: 0 = independent, 1 = copy the parent."""
+    value = _as_real(delta, "dependency coefficient")
+    if not 0.0 <= value <= 1.0:  # NaN too
+        raise DomainError(f"dependency coefficient must lie in [0, 1], got {delta!r}")
+    return value
 
 
 def transition_kernel(p: MarginalLike, delta: DeltaLike) -> np.ndarray:

@@ -62,6 +62,13 @@ def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
+def _check_array_size(count: int, length: int = 1) -> None:
+    """A DomainError unless `count` rows of `length` uint64 entries fit in one array."""
+    limit = np.iinfo(np.intp).max // 8
+    if count * length > limit:
+        raise DomainError(f"count {count} of length {length} is over {limit} array entries")
+
+
 def _as_seed(seed: int) -> np.uint64:
     return np.uint64(check_integer(seed, "seed") & _U64_MASK)
 
@@ -77,6 +84,7 @@ def stream_keys(
     """
     count = check_integer(count, "count", 0, _INDEX_LIMIT)
     first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
+    _check_array_size(count)
     keys = np.arange(first_index, first_index + count, dtype=np.uint64)
     if scratch is None:
         scratch = np.empty_like(keys)
@@ -132,6 +140,7 @@ def uniform_grid(
     count = check_integer(count, "count", 0, _INDEX_LIMIT)
     length = check_integer(length, "length", 1)
     first_position = check_integer(first_position, "first_position", 0)
+    _check_array_size(count, length)
     if keys is None and mantissas is None and scratch is None:
         keys = stream_keys(seed, first_index, count)
         words = np.empty((length, count), dtype=np.uint64)

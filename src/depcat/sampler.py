@@ -70,12 +70,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyBatchError
+from .errors import DomainError
 from .exact import CrossCovariance, _check_pair_positions
 from .generators import GeneratorSpec, check_integer, check_integers
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
-from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, stream_keys, uniform_grid
+from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _check_array_size
+from .rng import stream_keys, uniform_grid
 
 
 # The guide and bucket-start tables hold at most this many entries together,
@@ -383,6 +384,7 @@ def sample_batch(
     first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
     check_integer(workers, "workers", 1)
     seed = check_integer(seed, "seed")  # before the tree and table are built
+    _check_array_size(count, check_integer(length, "tree size", 1))
     tree = build_tree(spec, length)  # validates the generator up to length
     table = _draw_table(marginal, d)
 
@@ -435,7 +437,7 @@ class EmpiricalMarginal:
 def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
     """Observed category frequencies at a position."""
     if batch.count == 0:
-        raise EmptyBatchError("cannot compute marginals of an empty batch")
+        raise DomainError("cannot compute marginals of an empty batch")
     position = check_integer(position, "position", 1, batch.length)
     # Counted in intp as they stand (entry v lands in bin v, bin 0 stays
     # empty), so no dtype is ever shifted or wrapped.
@@ -447,7 +449,7 @@ def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
 def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovariance:
     """Sample covariance of position indicators (population-normalized)."""
     if batch.count == 0:
-        raise EmptyBatchError("cannot compute covariance of an empty batch")
+        raise DomainError("cannot compute covariance of an empty batch")
     _check_pair_positions(m, n)
     check_integer(n, "position", 1, batch.length)
     # Pair (i, j) lands in bin i (K+1) + j, an index computed in intp.

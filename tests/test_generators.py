@@ -13,7 +13,6 @@ from depcat import (
     AxiomViolationError,
     DomainError,
     GeneratorSpec,
-    IncompleteGeneratorError,
     build_tree,
     evaluate,
     validate,
@@ -85,7 +84,7 @@ class TestEvaluate:
     def test_table_lookup_and_miss(self):
         spec = GeneratorSpec.from_table({2: 1, 3: 2, 4: 1})
         assert evaluate(spec, 3) == 2
-        with pytest.raises(IncompleteGeneratorError):
+        with pytest.raises(AxiomViolationError, match="^table generator has no entry for n = 5$"):
             evaluate(spec, 5)
 
     def test_table_axiom_violation_raises(self):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from depcat import (
-    CategoryIndexError,
     CrossCovariance,
     DependencyTree,
     DomainError,
@@ -42,6 +41,7 @@ from depcat.rng import stream_keys, uniform_grid
 P = [0.5, 0.3, 0.2]
 D = 0.4
 SEQ = GeneratorSpec.builtin("sequential")
+FK = GeneratorSpec.builtin("fk")
 PRIME = GeneratorSpec.builtin("prime_partition")
 TREE = build_tree(SEQ, 3)
 BATCH = sample_batch(P, D, SEQ, 4, 5, seed=1)
@@ -61,7 +61,17 @@ def row(label, call, name, outside=None, error=DomainError, named=None):
 # The m < n check names both positions.
 M_PAIR = "^positions must satisfy 1 <= m < n, got m=0, "
 N_PAIR = "^positions must satisfy 1 <= m < n, got m=1, n=1$"
-CATEGORY = CategoryIndexError
+
+
+def unsigned_parents(value):
+    """[1, value] as a uint64 array for an int `value`, else as a list the rule reads."""
+    return np.array([1, value], dtype=np.uint64) if type(value) is int else [1, value]
+
+
+def too_long(count, length):
+    """The message of a count whose rows of `length` no array can hold."""
+    return f"^count {count} of length {length} is over "
+
 
 ROWS = [
     # exact
@@ -98,7 +108,7 @@ ROWS = [
     ),
     row(
         "joint_pair_probability-i",
-        lambda v: joint_pair_probability(P, D, SEQ, 1, v, 3, 1), "category index", 4, CATEGORY,
+        lambda v: joint_pair_probability(P, D, SEQ, 1, v, 3, 1), "category index", 4,
     ),
     row(
         "joint_pair_probability-n",
@@ -106,7 +116,7 @@ ROWS = [
     ),
     row(
         "joint_pair_probability-j",
-        lambda v: joint_pair_probability(P, D, SEQ, 1, 1, 3, v), "category index", 0, CATEGORY,
+        lambda v: joint_pair_probability(P, D, SEQ, 1, 1, 3, v), "category index", 0,
     ),
     row(
         "joint_pair_probability-cap",
@@ -163,12 +173,24 @@ ROWS = [
     row("build_tree-size", lambda v: build_tree(SEQ, v), "tree size", 0),
     # a list entry past int64 is an error, not a numpy OverflowError
     row("DependencyTree-parent", lambda v: DependencyTree(3, [1, v]), "tree parent", 2**63),
+    # a uint64 entry past int64 is the same error, where the int64 cast would wrap it to -1
+    row(
+        "DependencyTree-uint64-parent",
+        lambda v: DependencyTree(3, unsigned_parents(v)), "tree parent", 2**64 - 1,
+        named=rf"^tree parent {2**64 - 1} outside -{2**63}\.\.{2**63 - 1}$",
+    ),
     row("tree_distance-m", lambda v: tree_distance(TREE, v, 3), "node index", 0),
     row("tree_distance-n", lambda v: tree_distance(TREE, 1, v), "node index", 4),
     # sampler
     row("sample_batch-length", lambda v: sample_batch(P, D, SEQ, v, 2, 1), "tree size", 0),
     row("sample_batch-count", lambda v: sample_batch(P, D, SEQ, 3, v, 1), "count", -1),
     row("sample_batch-count-top", lambda v: sample_batch(P, D, SEQ, 3, v, 1), "count", 2**64 + 1),
+    # a count inside the counters whose rows no array can hold
+    row(
+        "sample_batch-count-size",
+        lambda v: sample_batch([0.5, 0.5], D, FK, 3, v, 1), "count", 2**63,
+        named=too_long(2**63, 3),
+    ),
     row("sample_batch-seed", lambda v: sample_batch(P, D, SEQ, 3, 2, v), "seed"),
     row(
         "sample_batch-workers",
@@ -204,9 +226,17 @@ ROWS = [
     row("stream_keys-first_index-top", lambda v: stream_keys(1, v, 3), "first_index", 2**64 - 2),
     row("stream_keys-count", lambda v: stream_keys(1, 0, v), "count", -1),
     row("stream_keys-count-top", lambda v: stream_keys(1, 0, v), "count", 2**64 + 1),
+    row(
+        "stream_keys-count-size", lambda v: stream_keys(1, 0, v), "count", 2**63 - 1,
+        named=too_long(2**63 - 1, 1),
+    ),
     row("uniform_grid-seed", lambda v: uniform_grid(v, 0, 3, 2), "seed"),
     row("uniform_grid-first_index", lambda v: uniform_grid(1, v, 3, 2), "first_index", -1),
     row("uniform_grid-count", lambda v: uniform_grid(1, 0, v, 2), "count", -1),
+    row(
+        "uniform_grid-count-size", lambda v: uniform_grid(1, 0, v, 1), "count", 2**63,
+        named=too_long(2**63, 1),
+    ),
     row("uniform_grid-length", lambda v: uniform_grid(1, 0, 3, v), "length", 0),
     row("uniform_grid-first_position", lambda v: uniform_grid(1, 0, 3, 2, v), "first_position", -1),
 ]

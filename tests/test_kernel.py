@@ -1,13 +1,13 @@
 """Kernel construction, weighting identities, and validation guards."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depcat import (
-    CategoryIndexError,
-    DependencyCoefficient,
     DomainError,
     GeneratorSpec,
     Marginal,
@@ -17,6 +17,7 @@ from depcat import (
     transition_kernel,
     tree_distance,
 )
+from depcat.kernel import as_delta
 
 
 def normalized(weights):
@@ -93,9 +94,9 @@ class TestWeighting:
         assert all(b <= a + 1e-15 for a, b in zip(downs, downs[1:]))
 
     def test_category_out_of_range(self):
-        with pytest.raises(CategoryIndexError):
+        with pytest.raises(DomainError, match=r"^category index 3 outside 1\.\.2$"):
             joint_pair_probability([0.5, 0.5], 0.2, SEQ, 1, 3, 2, 1)
-        with pytest.raises(CategoryIndexError):
+        with pytest.raises(DomainError, match=r"^category index 0 outside 1\.\.2$"):
             joint_pair_probability([0.5, 0.5], 0.2, SEQ, 1, 1, 2, 0)
 
 
@@ -169,12 +170,12 @@ class TestValidation:
             p.probs[0] = 0.9
 
     def test_delta_bounds(self):
-        DependencyCoefficient(0.0)
-        DependencyCoefficient(1.0)
-        with pytest.raises(DomainError):
-            DependencyCoefficient(-0.01)
-        with pytest.raises(DomainError):
-            DependencyCoefficient(1.01)
+        assert as_delta(0.0) == 0.0
+        assert as_delta(1) == 1.0
+        for value, shown in ((-0.01, "-0.01"), (1.01, "1.01"), (float("nan"), "nan")):
+            named = rf"^dependency coefficient must lie in \[0, 1\], got {re.escape(shown)}$"
+            with pytest.raises(DomainError, match=named):
+                as_delta(value)
 
     @pytest.mark.parametrize(
         "probs", [[True, False], [True, 0.0], ["abc", "x"], "abc", None, [[0.5], [0.5, 0.5]]]
@@ -189,11 +190,11 @@ class TestValidation:
     @pytest.mark.parametrize("value", [True, np.True_, "abc", " 0.4", "1_0", [0.3], None])
     def test_delta_rejects_booleans_and_non_numbers(self, value):
         with pytest.raises(DomainError, match="^dependency coefficient must be a number, got "):
-            DependencyCoefficient(value)
+            as_delta(value)
 
     def test_delta_reads_decimal_text(self):
-        assert DependencyCoefficient("0.4").value == 0.4
-        assert DependencyCoefficient("1e-1").value == 0.1
+        assert as_delta("0.4") == 0.4
+        assert as_delta("1e-1") == 0.1
 
     def test_non_integer_indices(self):
         # one integer rule: category, generator index, tree node
@@ -206,8 +207,7 @@ class TestValidation:
 
     def test_typed_objects_accepted_everywhere(self):
         p = Marginal(np.array([0.5, 0.5]))
-        delta = DependencyCoefficient(0.2)
-        kernel = transition_kernel(p, delta)
+        kernel = transition_kernel(p, "0.2")
         assert kernel.shape == (2, 2)
         assert kernel[0, 0] == pytest.approx(0.6, abs=1e-15)
         assert kernel[0, 1] == pytest.approx(0.4, abs=1e-15)

@@ -1,27 +1,27 @@
 """The package's public names: one entry point per quantity."""
 
+import json
+
 import depcat
+import depcat.errors
 import depcat.exact
 import depcat.generators
 import depcat.graph
 import depcat.kernel
+from depcat import cli
 
 PUBLIC_NAMES = {
     "AxiomViolationError",
     "BUILTIN_KINDS",
-    "CategoryIndexError",
     "CrossCovariance",
     "DEFAULT_ENUMERATION_CAP",
     "DepcatError",
-    "DependencyCoefficient",
     "DependencyTree",
     "DomainError",
-    "EmptyBatchError",
     "EmpiricalMarginal",
     "EnumerationTooLargeError",
     "GeneratorSpec",
     "GeneratorViolation",
-    "IncompleteGeneratorError",
     "Marginal",
     "SampleBatch",
     "ValidationReport",
@@ -61,6 +61,10 @@ REMOVED_NAMES = (
     "prime_partition",  # evaluate(GeneratorSpec.builtin("prime_partition"), n)
     "path_to_root",  # DependencyTree.parent_of, tree_distance
     "endpoint_match_probability",  # closed_form_covariance_matrix(p, delta, n - 1), diagonal + p**2
+    "CategoryIndexError",  # DomainError: "category index 3 outside 1..2"
+    "IncompleteGeneratorError",  # AxiomViolationError: "table generator has no entry for n = 5"
+    "EmptyBatchError",  # DomainError: "cannot compute marginals of an empty batch"
+    "DependencyCoefficient",  # DependencyCoefficient(x).value is depcat.kernel.as_delta(x)
 )
 
 # The same second routes, where they were defined.
@@ -73,11 +77,16 @@ REMOVED_DEFINITIONS = (
     (depcat.graph, "path_to_root"),
     (depcat.DependencyTree, "to_parent_map"),  # dict(tree.edges())
     (depcat.exact, "endpoint_match_probability"),
+    (depcat.kernel, "check_category"),  # check_integer(i, "category index", 1, K)
+    (depcat.kernel, "DependencyCoefficient"),
+    (depcat.errors, "CategoryIndexError"),
+    (depcat.errors, "IncompleteGeneratorError"),
+    (depcat.errors, "EmptyBatchError"),
 )
 
 
 def test_public_surface_is_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 34
     assert len(depcat.__all__) == len(set(depcat.__all__))
     assert set(depcat.__all__) == PUBLIC_NAMES
     assert all(hasattr(depcat, name) for name in PUBLIC_NAMES)
@@ -86,3 +95,31 @@ def test_public_surface_is_pinned():
 
 def test_removed_definitions_are_gone():
     assert not [name for owner, name in REMOVED_DEFINITIONS if hasattr(owner, name)]
+
+
+# One CLI input per error class below DepcatError: its exit code and error text.
+FK_ARGS = ["--generator", "fk", "--p", "0.5,0.5", "--n", "4"]
+EXIT_CODES = (
+    ("DomainError", 2, ["verify", *FK_ARGS, "--delta", "1.5"], "dependency coefficient"),
+    (
+        "AxiomViolationError", 3,
+        ["graph", "--generator", json.dumps({"kind": "table", "table": {"2": 2}}), "--n", "2"],
+        "generator 'table' fails validation",
+    ),
+    (
+        "EnumerationTooLargeError", 5,
+        ["verify", *FK_ARGS, "--delta", "0.4", "--cap", "1"], "sample space has 2**4",
+    ),
+)
+
+
+def test_one_error_class_per_exit_code(capsys):
+    exported = {
+        name for name in depcat.__all__
+        if isinstance(getattr(depcat, name), type) and issubclass(getattr(depcat, name), Exception)
+    }
+    assert exported == {"DepcatError", *(name for name, _, _, _ in EXIT_CODES)}
+    for name, code, argv, text in EXIT_CODES:
+        assert cli.main(argv) == code, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {text}") and err.count("\n") == 1
