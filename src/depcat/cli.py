@@ -3,7 +3,8 @@
 Configuration comes from an optional JSON file plus flag overrides (flags
 win).  All outputs are deterministic functions of the configuration and
 seed; JSON floats use shortest round-trip formatting and human-readable
-tables use 12 significant digits.
+tables use 12 significant digits.  Every JSON text is read and written
+here, from the library objects' dict and edge views.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ def _parse_generator(value) -> GeneratorSpec:
     if isinstance(value, str):
         text = value.strip()
         if text.startswith("{"):
-            return GeneratorSpec.from_json(text)
+            try:
+                return GeneratorSpec.from_dict(json.loads(text))
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"invalid generator JSON: {exc}") from exc
         return GeneratorSpec.builtin(text)
     raise DomainError(f"cannot interpret generator setting {value!r}")
 
@@ -88,7 +92,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     A flag's text and a config value are read by the same library rule:
     `as_integer` for the integer settings, `as_delta` for delta and
-    `Marginal` for p, whose text is split at its commas.
+    `Marginal` for p, whose text is split at every comma, so an empty
+    entry is an error.
     """
     data: dict = {}
     if args.config is not None:
@@ -124,7 +129,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     marginal = None
     if raw_probs is not None:
         if isinstance(raw_probs, str):
-            raw_probs = [part.strip() for part in raw_probs.split(",") if part.strip()]
+            raw_probs = [part.strip() for part in raw_probs.split(",")]
         marginal = Marginal(raw_probs)
         k = None if raw_k is None else as_integer(raw_k, "K")
         if k is not None and k != marginal.num_categories:
@@ -227,7 +232,7 @@ def cmd_graph(config: RunConfig, args: argparse.Namespace) -> int:
     if args.format == "dot":
         _emit(export_dot(tree), args.out)
     else:
-        _emit(tree.to_json() + "\n", args.out)
+        _emit(json.dumps({str(node): parent for node, parent in tree.edges()}) + "\n", args.out)
     return EXIT_OK
 
 
@@ -288,10 +293,11 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
     suffix = "csv" if args.format == "csv" else "jsonl"
     data_path = f"{args.out_prefix}.{suffix}"
     meta_path = f"{args.out_prefix}.meta.json"
+    sidecar = json.dumps(batch.metadata(), sort_keys=True, indent=2) + "\n"
     _write_files(
         [
             (data_path, _batch_blocks(batch, args.format)),
-            (meta_path, [batch.metadata_json().encode("utf-8")]),
+            (meta_path, [sidecar.encode("utf-8")]),
         ]
     )
     sys.stdout.write(f"wrote {data_path}\nwrote {meta_path}\n")
@@ -410,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ Nothing above depends on the shape of the tree, only on its being one.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Sequence
 
@@ -328,14 +327,6 @@ class _Propagation:
         return joints, np.array(up, dtype=np.int64) + np.array(down, dtype=np.int64)
 
 
-def _pair_joint_propagated(
-    p: MarginalLike, delta: DeltaLike, spec: GeneratorSpec, m: int, n: int
-) -> np.ndarray:
-    """Same pairwise joint via the lowest common ancestor factorization."""
-    route = _Propagation(as_marginal(p), delta, build_tree(spec, n))
-    return route.pair_joints([(m, n)])[0][0]
-
-
 def joint_pair_probability(
     p: MarginalLike,
     delta: DeltaLike,
@@ -358,7 +349,8 @@ def joint_pair_probability(
     check_integer(i, "category index", 1, marginal.num_categories)
     check_integer(j, "category index", 1, marginal.num_categories)
     if method == "propagate":
-        pair = _pair_joint_propagated(marginal, delta, spec, m, n)
+        route = _Propagation(marginal, delta, build_tree(spec, n))
+        pair = route.pair_joints([(m, n)])[0][0]
     elif method == "enumerate":
         pair = _pair_joint_enumerated(marginal, delta, spec, m, n, cap)
     else:
@@ -416,9 +408,6 @@ class CrossCovariance:
             "method": self.method,
             "matrix": [[float(v) for v in row] for row in self.matrix],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     def to_csv(self) -> str:
         k = self.matrix.shape[0]

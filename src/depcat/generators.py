@@ -135,19 +135,6 @@ class GeneratorSpec:
             }
         return {"kind": self.kind}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid generator JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DomainError("generator JSON must be an object")
-        return cls.from_dict(data)
-
 
 def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
     """alpha(n) for each n >= 2 of an int64 array, without range checks.

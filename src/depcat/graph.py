@@ -8,7 +8,6 @@ construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,6 @@ class DependencyTree:
         """(child, parent) pairs in ascending child order."""
         for node in range(2, self.size + 1):
             yield node, int(self.parents[node - 2])
-
-    def to_json(self) -> str:
-        """JSON object mapping each non-root node to its parent."""
-        return json.dumps(
-            {str(node): parent for node, parent in self.edges()}, sort_keys=False
-        )
 
     def _check_node(self, node: int) -> None:
         check_integer(node, "node index", 1, self.size)

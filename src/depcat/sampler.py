@@ -65,7 +65,6 @@ with str().
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,9 +260,6 @@ class SampleBatch:
     def to_jsonl(self, start: int = 0, stop: int | None = None) -> str:
         """One compact JSON array per line; `start`/`stop` pick rows as a slice does."""
         return _encode_rows(self.outcomes[start:stop], self.num_categories, _JSONL_FRAME)
-
-    def metadata_json(self) -> str:
-        return json.dumps(self.metadata(), sort_keys=True, indent=2) + "\n"
 
 
 def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -633,6 +634,98 @@ def test_malformed_integer_setting(key, value, through_config, capsys, tmp_path)
 def test_malformed_delta_or_p(key, value, through_config, capsys, tmp_path):
     code, out, err = run_settings(key, value, through_config, capsys, tmp_path)
     assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
+
+
+@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("text", ["0.5,,0.5", "0.5,0.5,"], ids=["empty-entry", "trailing-comma"])
+def test_p_text_with_an_empty_entry(text, through_config, capsys, tmp_path):
+    # the text is split at every comma, so the empty entry reaches Marginal
+    code, out, err = run_settings("p", text, through_config, capsys, tmp_path)
+    assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
+    assert err == 'error: marginal probability must be a number, got ""\n'
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["verify", "--generator", "fk", "--n", "3", "--delta", "0.4"], None,
+         'this command needs a marginal: set "p" or --p'),
+        (["validate", "--generator", "fk"], None, 'a sequence length is required: set "N" or --n'),
+        (["sample", *SEQ_ARGS, "--seed", "1"], None,
+         'sampling needs a count: set "count" or --count'),
+        (["validate", "--generator", '{"table": {"2": 1}}', "--n", "2"], None,
+         "generator object needs a 'kind' field"),
+        (["validate"], '{"generator": 5, "N": 3}', "cannot interpret generator setting 5"),
+        (["validate"], "[1]", "config file must hold a JSON object"),
+    ],
+    ids=["no-p", "no-N", "no-count", "no-kind", "generator-number", "config-list"],
+)
+def test_missing_or_unusable_setting(argv, config, message, capsys, tmp_path):
+    left = []
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv, left = [*argv, "--config", str(tmp_path / "run.json")], ["run.json"]
+    if argv[0] == "sample":
+        argv = [*argv, "--out-prefix", str(tmp_path / "batch")]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path, left)
+    assert err == f"error: {message}\n"
+
+
+def test_missing_config_file(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(["validate", "--config", str(missing)], capsys)
+    assert_one_usage_error(code, out, err, tmp_path)
+    reason = FileNotFoundError(2, os.strerror(2), str(missing))
+    assert err == f"error: cannot read config file: {reason}\n"
+
+
+def test_generator_text_that_is_not_json(capsys, tmp_path):
+    code, out, err = run(["validate", "--generator", "{bad", "--n", "3"], capsys)
+    assert_one_usage_error(code, out, err, tmp_path)
+    with pytest.raises(json.JSONDecodeError) as reason:
+        json.loads("{bad")
+    assert err == f"error: invalid generator JSON: {reason.value}\n"
+
+
+def test_validate_below_two_has_nothing_to_check(capsys):
+    code, out, err = run(["validate", "--generator", "fk", "--n", "1"], capsys)
+    assert (code, out, err) == (
+        EXIT_OK, "generator domain is empty below n = 2; nothing to check\n", ""
+    )
+
+
+# Inputs whose first array cannot be allocated (4.00 TiB and 7.28 TiB).  Each runs in a
+# child whose address space is capped, so the allocation fails at once: without the cap,
+# an overcommitting kernel could grant it and the machine's memory would fill.  One BLAS
+# thread keeps numpy's own per-thread buffers from counting against the cap on many cores.
+OUT_OF_MEMORY = {
+    "sample": ["sample", "--generator", "fk", "--p", "0.5,0.5", "--delta", "0.4", "--n", "4",
+               "--seed", "1", "--count", "1099511627776"],
+    "validate": ["validate", "--generator", "fk", "--n", "1000000000000"],
+    "graph": ["graph", "--generator", "fk", "--n", "1000000000000"],
+}
+ADDRESS_SPACE_CAP = 2_000_000 * 1024
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.parametrize("command", list(OUT_OF_MEMORY))
+def test_out_of_memory_is_a_usage_error(command, tmp_path):
+    argv = OUT_OF_MEMORY[command]
+    if command == "sample":
+        argv = [*argv, "--out-prefix", str(tmp_path / "batch")]
+    src = str(Path(depcat.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from depcat.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert_one_usage_error(done.returncode, done.stdout, done.stderr, tmp_path)
+    assert done.stderr.startswith("error: out of memory: Unable to allocate "), done.stderr
 
 
 @pytest.mark.parametrize("value", BAD_INTEGERS, ids=["underscore", "fullwidth", "fraction", "true"])

@@ -20,6 +20,7 @@ import depcat.cli
 import depcat.exact
 from depcat import (
     AxiomViolationError,
+    CrossCovariance,
     DomainError,
     EnumerationTooLargeError,
     GeneratorSpec,
@@ -42,8 +43,8 @@ from depcat import (
 from depcat.exact import (
     EXACT_TOL,
     _pair_joint_enumerated,
-    _pair_joint_propagated,
     _pair_joints,
+    _Propagation,
 )
 from depcat.graph import build_tree
 
@@ -407,7 +408,7 @@ class TestCrossCovariance:
 
     def test_serialization(self):
         cov = cross_covariance_closed_form(P3, 0.4, FSQRT, 2, 4)
-        data = json.loads(cov.to_json())
+        data = json.loads(json.dumps(cov.to_json_dict()))
         assert data["m"] == 2 and data["n"] == 4
         assert data["exponent_basis"] == "theorem"
         assert list(data) == ["m", "n", "exponent_basis", "method", "matrix"]
@@ -417,6 +418,26 @@ class TestCrossCovariance:
         assert lines[0] == "category,1,2,3"
         parsed = [float(v) for v in lines[1].split(",")[1:]]
         assert parsed == [float(v) for v in cov.matrix[0]]
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(DomainError, match="^covariance matrix must be square$"):
+            CrossCovariance(1, 2, np.zeros((2, 3)), "closed-form")
+
+    def test_rejects_rows_that_do_not_sum_to_zero(self):
+        with pytest.raises(
+            DomainError, match="^covariance rows/columns must sum to 0; worst deviation 1$"
+        ):
+            CrossCovariance(1, 2, np.eye(2), "closed-form")
+
+    def test_only_an_empirical_matrix_may_be_asymmetric(self):
+        # rows and columns sum to 0, but the matrix is antisymmetric
+        matrix = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
+        with pytest.raises(
+            DomainError, match="^exact covariance must be symmetric; worst asymmetry 2$"
+        ):
+            CrossCovariance(1, 2, matrix, "closed-form")
+        cov = CrossCovariance(1, 2, matrix, "empirical")
+        assert cov.matrix.tolist() == matrix
 
     @pytest.mark.parametrize("spec", [*ALL_BUILTINS, TABLE], ids=lambda spec: spec.kind)
     def test_theorem_basis_has_no_conjecture_note(self, spec, capsys):
@@ -428,9 +449,10 @@ class TestCrossCovariance:
         ):
             data = cov.to_json_dict()
             assert data["exponent_basis"] == "theorem" and "note" not in data
-            assert "conjecture" not in cov.to_json()
+            assert "conjecture" not in json.dumps(cov.to_json_dict())
+        generator = json.dumps(spec.to_dict(), sort_keys=True)
         for method in ("enumerate", "closed", "both"):
-            argv = ["covariance", "2", "4", "--generator", spec.to_json(),
+            argv = ["covariance", "2", "4", "--generator", generator,
                     "--p", "0.5,0.3,0.2", "--delta", "0.4", "--n", "4", "--method", method]
             assert depcat.cli.main(argv) == 0
             out = capsys.readouterr().out
@@ -610,7 +632,8 @@ class TestPairJointsProperty:
                 assert np.max(np.abs(pair - joint.sum(axis=others))) <= 1e-12
                 enumerated = _pair_joint_enumerated(p, delta, spec, m, n)
                 assert np.max(np.abs(pair - enumerated)) <= 1e-12
-                propagated = _pair_joint_propagated(p, delta, spec, m, n)
+                route = _Propagation(Marginal(p), delta, build_tree(spec, n))
+                propagated = route.pair_joints([(m, n)])[0][0]
                 assert np.max(np.abs(pair - propagated)) <= EXACT_TOL
                 closed = cross_covariance_closed_form(p, delta, spec, m, n).matrix
                 assert np.max(np.abs(pair - (closed + independent))) <= EXACT_TOL

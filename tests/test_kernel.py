@@ -161,6 +161,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             Marginal(np.array([1.0]))
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_marginal_rejects_non_finite_entries(self, entry):
+        with pytest.raises(DomainError, match="^marginal probabilities must be finite$"):
+            Marginal([entry, 0.5])
+
     def test_marginal_accepts_tiny_sum_error(self):
         Marginal(np.array([0.5, 0.5 + 1e-12]))
 

@@ -1,9 +1,10 @@
 """The prime-rank table and prime ranks against independent oracles (trial division, sympy)."""
 
 import numpy as np
+import pytest
 import sympy
 
-from depcat import GeneratorSpec, evaluate
+from depcat import DomainError, GeneratorSpec, evaluate
 from depcat.primes import smallest_prime_factor_ranks
 
 PRIME = GeneratorSpec.builtin("prime_partition")
@@ -57,3 +58,8 @@ def test_sieve_prime_detection():
     assert primes[:10] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes) == sympy.primepi(1000)
     assert [ranks[p] for p in primes] == list(range(1, len(primes) + 1))
+
+
+def test_sieve_limit_below_two_is_rejected():
+    with pytest.raises(DomainError, match="^sieve limit must be >= 2, got 1$"):
+        smallest_prime_factor_ranks(1)

@@ -82,6 +82,13 @@ REMOVED_DEFINITIONS = (
     (depcat.errors, "CategoryIndexError"),
     (depcat.errors, "IncompleteGeneratorError"),
     (depcat.errors, "EmptyBatchError"),
+    # JSON text is written by the CLI from each object's data view
+    (depcat.GeneratorSpec, "to_json"),  # json.dumps(spec.to_dict(), sort_keys=True)
+    (depcat.GeneratorSpec, "from_json"),  # GeneratorSpec.from_dict(json.loads(text))
+    (depcat.CrossCovariance, "to_json"),  # json.dumps(cov.to_json_dict())
+    (depcat.DependencyTree, "to_json"),  # json.dumps({str(n): p for n, p in tree.edges()})
+    (depcat.SampleBatch, "metadata_json"),  # json.dumps(batch.metadata(), sort_keys=True, indent=2)
+    (depcat.exact, "_pair_joint_propagated"),  # _Propagation(...).pair_joints([(m, n)])
 )
 
 

@@ -164,7 +164,7 @@ class TestExports:
         assert meta["N"] == 5 and meta["K"] == 2
         assert meta["generator"] == {"kind": "floor_sqrt"}
         assert meta["delta"] == 0.4
-        round_tripped = json.loads(batch.metadata_json())
+        round_tripped = json.loads(json.dumps(batch.metadata(), sort_keys=True, indent=2))
         assert round_tripped == json.loads(json.dumps(meta))
 
 
