@@ -27,7 +27,6 @@ from .errors import (
     EnumerationTooLargeError,
 )
 from .exact import (
-    BASIS_THEOREM,
     DEFAULT_ENUMERATION_CAP,
     cross_covariance_closed_form,
     cross_covariance_enumerated,
@@ -248,16 +247,11 @@ def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
             marginal, delta, config.spec, m, n, config.enumeration_cap
         )
         closed = cross_covariance_closed_form(marginal, delta, config.spec, m, n)
-        discrepancy = float(np.max(np.abs(enumerated.matrix - closed.matrix)))
-        payload = {
-            "m": m,
-            "n": n,
-            "exponent_basis": BASIS_THEOREM,
-            "method": "both",
-            "enumerated": [[float(v) for v in row] for row in enumerated.matrix],
-            "closed_form": [[float(v) for v in row] for row in closed.matrix],
-            "max_abs_discrepancy": discrepancy,
-        }
+        payload = enumerated.to_json_dict()
+        payload["method"] = "both"
+        payload["enumerated"] = payload.pop("matrix")
+        payload["closed_form"] = closed.to_json_dict()["matrix"]
+        payload["max_abs_discrepancy"] = float(np.max(np.abs(enumerated.matrix - closed.matrix)))
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return EXIT_OK
 
@@ -300,7 +294,7 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
             (meta_path, [sidecar.encode("utf-8")]),
         ]
     )
-    sys.stdout.write(f"wrote {data_path}\nwrote {meta_path}\n")
+    _emit(f"wrote {data_path}\nwrote {meta_path}\n", args.out)
     return EXIT_OK
 
 

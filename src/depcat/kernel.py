@@ -21,7 +21,17 @@ import numpy as np
 from .errors import DomainError
 
 # Construction guard for user-supplied probability vectors.  Vectors whose
-# sum strays further than this are rejected rather than renormalized.
+# sum strays further than this are rejected; an accepted vector whose sum is
+# off by more than rounding (K * 2^-52) is divided by its sum, so every route
+# reads one distribution summing to 1 within K * 2^-53.  The three
+# tolerances of the package then each bound a different error:
+# - MARGINAL_SUM_TOL (1e-9) bounds the caller's input, which no later
+#   result sees once it is divided out;
+# - exact.EXACT_TOL (1e-10) bounds the rounding by which the exact routes
+#   and the closed form may disagree on such a vector, so `verify` can be
+#   tighter than the input rule;
+# - CrossCovariance's 1e-8 bound on row and column sums is a shape check on
+#   any matrix, empirical ones included, far above the rounding of either.
 MARGINAL_SUM_TOL = 1e-9
 
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -42,7 +52,13 @@ def _as_real(value, name: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Marginal:
-    """Base category distribution: K >= 2 probabilities (numbers or decimal text) summing to 1."""
+    """Base category distribution: K >= 2 probabilities (numbers or decimal text) summing to 1.
+
+    A sum within MARGINAL_SUM_TOL of 1 is accepted, and `probs` is the input
+    divided by its sum when that sum is off by more than K * 2^-52.  The
+    divided vector sums to 1 within K * 2^-53, so it is kept as it is when
+    read again (from a batch's metadata, say).
+    """
 
     probs: np.ndarray
 
@@ -69,6 +85,8 @@ class Marginal:
                 f"marginal probabilities sum to {total!r}; expected 1 within "
                 f"{MARGINAL_SUM_TOL:g} (renormalize explicitly if intended)"
             )
+        if abs(total - 1.0) > probs.size * 2.0**-52:
+            probs = probs / total
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 

@@ -47,9 +47,7 @@ block's rows, so each position's draws are one contiguous tile row.  A
 position reads its parent's draws from the parent's tile row when the
 parent lies in the current tile, and from the parent's column of the
 row-major block otherwise.  A finished tile is written back into the
-block with one transposed assignment, or column by column when the
-block's rows hold at most _COLUMNS_MAX_ROW_BYTES, where numpy's
-transposed copy would iterate the short rows.
+block with one transposed assignment.
 
 Batches are a pure function of (seed, parameters); row blocks and tiles
 cannot change the result because the underlying variates are
@@ -86,14 +84,11 @@ _MIN_BUCKETS = 1024
 # Rows are drawn in blocks of _BLOCK_ROWS, the mantissas of a block are
 # generated about _GRID_VARIATES at a time, and its draws go through a tile
 # of at most _TILE positions, so the scratch memory is bounded
-# whatever `count` and the length are.  The tiles of a block whose rows hold
-# at most _COLUMNS_MAX_ROW_BYTES are written back column by column.  Both
-# constants are backed by the timings in BENCH_9.json (`tile_width`,
-# `write_back`).
+# whatever `count` and the length are.  _TILE is backed by the timings in
+# BENCH_9.json (`tile_width`).
 _BLOCK_ROWS = 1 << 14
 _GRID_VARIATES = 1 << 15
 _TILE = 32
-_COLUMNS_MAX_ROW_BYTES = 16
 # Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
 # compact JSON array, so the same cells framed by "[" and "]".
 _CSV_FRAME = (b"", b"\n")
@@ -189,10 +184,11 @@ class SampleBatch:
     `sample_batch` does, in the smallest unsigned dtype that holds K) is
     kept as it is; any other input is range-checked and then copied into
     that dtype, so a caller's array is never frozen or aliased.  Outcomes,
-    `seed`, `marginal` and `delta` are read by the library's rules
-    (`check_integers`, `check_integer`, `as_marginal`, `as_delta`), so a
-    float or bool entry is an error and the metadata holds only values they
-    accept.
+    `seed`, `marginal`, `delta` and `first_index` (the seed's grid row of
+    the first outcome row, in 0..2^64 - count) are read by the library's
+    rules (`check_integers`, `check_integer`, `as_marginal`, `as_delta`),
+    so a float or bool entry is an error and the metadata holds only values
+    they accept.
     """
 
     outcomes: np.ndarray  # (count, length) np.min_scalar_type(K), entries in 1..K
@@ -200,6 +196,7 @@ class SampleBatch:
     marginal: Marginal
     delta: float
     spec: GeneratorSpec
+    first_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
@@ -221,6 +218,8 @@ class SampleBatch:
             outcomes = outcomes.astype(np.min_scalar_type(k), order="C")
             outcomes.flags.writeable = False
         object.__setattr__(self, "outcomes", outcomes)
+        first_index = check_integer(self.first_index, "first_index", 0, _INDEX_LIMIT - self.count)
+        object.__setattr__(self, "first_index", first_index)
 
     @property
     def count(self) -> int:
@@ -239,6 +238,7 @@ class SampleBatch:
             "algorithm": ALGORITHM_ID,
             "seed": self.seed,
             "count": self.count,
+            "first_index": self.first_index,
             "N": self.length,
             "K": self.num_categories,
             "p": [float(v) for v in self.marginal.probs],
@@ -406,15 +406,10 @@ def sample_batch(
                         keys=keys, mantissas=group, scratch=words,
                     )
                     _draw_block(table, tree.parents, group, block, tile_first, column, scratch)
-                tile = scratch.tile[: tile_stop - tile_first, :rows]
-                if block.shape[1] * block.itemsize <= _COLUMNS_MAX_ROW_BYTES:
-                    for column, values in enumerate(tile, start=tile_first):
-                        block[:, column] = values
-                else:
-                    block[:, tile_first:tile_stop] = tile.T
+                block[:, tile_first:tile_stop] = scratch.tile[: tile_stop - tile_first, :rows].T
 
     outcomes.flags.writeable = False
-    return SampleBatch(outcomes, seed, marginal, d, spec)
+    return SampleBatch(outcomes, seed, marginal, d, spec, first_index)
 
 
 @dataclass(frozen=True, eq=False)

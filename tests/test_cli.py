@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import depcat
 import depcat.cli
 import depcat.exact
 import depcat.sampler
@@ -131,6 +132,34 @@ class TestCovariance:
             "max_abs_discrepancy",
         ]
 
+    @pytest.mark.parametrize("generator", ["fk", "sequential", "floor_sqrt",
+                                           "sin_drift", "prime_partition"])
+    def test_both_is_the_two_library_matrices(self, generator, capsys):
+        # The CI point: the report is the two data views' matrices under the
+        # enumerated matrix's keys, not a second statement of their schema.
+        argv = [
+            "covariance", "3", "8", "--generator", generator,
+            "--p", "0.4,0.3,0.2,0.1", "--delta", "0.7", "--n", "8", "--method", "both",
+        ]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert list(payload) == [
+            "m", "n", "exponent_basis", "method", "enumerated", "closed_form",
+            "max_abs_discrepancy",
+        ]
+        spec = depcat.GeneratorSpec.builtin(generator)
+        p = [0.4, 0.3, 0.2, 0.1]
+        enumerated = depcat.cross_covariance_enumerated(p, 0.7, spec, 3, 8).to_json_dict()
+        closed = depcat.cross_covariance_closed_form(p, 0.7, spec, 3, 8).to_json_dict()
+        assert payload["enumerated"] == enumerated["matrix"]
+        assert payload["closed_form"] == closed["matrix"]
+        assert {key: payload[key] for key in ("m", "n", "exponent_basis")} == {
+            key: enumerated[key] for key in ("m", "n", "exponent_basis")
+        }
+        assert payload["method"] == "both"
+        assert payload["max_abs_discrepancy"] <= 1e-12
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             ["covariance", "2", "3", *SEQ_ARGS, "--method", "closed", "--format", "csv"],
@@ -209,6 +238,23 @@ class TestSample:
         assert meta["seed"] == 11
         assert meta["algorithm"] == "splitmix64-2level"
         assert meta["generator"] == {"kind": "sequential"}
+
+    def test_out_takes_the_report(self, capsys, tmp_path):
+        # `--out` takes the report as for every other command, and the data
+        # and sidecar bytes are those of a run without it.
+        argv = [
+            "sample", "--generator", "floor_sqrt", "--p", "0.5,0.3,0.2",
+            "--delta", "0.4", "--n", "9", "--seed", "5", "--count", "50",
+        ]
+        plain, reported = str(tmp_path / "plain"), str(tmp_path / "reported")
+        code, out, _ = run(argv + ["--out-prefix", plain], capsys)
+        assert (code, out) == (EXIT_OK, f"wrote {plain}.csv\nwrote {plain}.meta.json\n")
+        report = tmp_path / "report.txt"
+        code, out, err = run(argv + ["--out-prefix", reported, "--out", str(report)], capsys)
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert report.read_text() == f"wrote {reported}.csv\nwrote {reported}.meta.json\n"
+        for suffix in ("csv", "meta.json"):
+            assert Path(f"{reported}.{suffix}").read_bytes() == Path(f"{plain}.{suffix}").read_bytes()
 
     def test_missing_seed_is_usage_error(self, capsys, tmp_path):
         argv = [
@@ -397,6 +443,16 @@ class TestVerify:
             prefix, suffix = f"{name}: max error ", " (tolerance 1e-10) PASS"
             assert line.startswith(prefix) and line.endswith(suffix), line
             assert 0.0 <= float(line[len(prefix):-len(suffix)]) <= EXACT_TOL
+
+    def test_p_accepted_off_its_unit_sum_passes(self, capsys):
+        # p sums to 0.9999999999: accepted, divided by its sum, and both routes agree
+        code, out, err = run(
+            ["verify", "--generator", "floor_sqrt", "--p", "0.3333333333,0.3333333333,0.3333333333",
+             "--delta", "0.4", "--n", "11"],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert [line.endswith(" PASS") for line in out.splitlines()] == [True] * 4
 
     def test_failed_check_maps_to_verification_exit(self, capsys, monkeypatch):
         import depcat.cli as cli_module

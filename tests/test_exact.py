@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import depcat.cli
 import depcat.exact
+import depcat.sampler
 from depcat import (
     AxiomViolationError,
     CrossCovariance,
@@ -612,6 +613,41 @@ class TestJointGrowth:
         with mock.patch.object(depcat.exact, "_SLICED_MIN_ENTRIES", 0):
             joint = joint_distribution(p, delta, spec, length)
         assert joint.tobytes() == expected.tobytes()
+
+
+class TestDriftedMarginal:
+    """A p accepted off its unit sum is one distribution for every route."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        valid_tables(),
+        st.sampled_from([-0.99e-9, -3e-10, 3e-10, 0.99e-9]) | st.floats(-0.99e-9, 0.99e-9),
+    )
+    def test_drift_inside_the_input_rule(self, case, drift):
+        spec, length, p, delta = case
+        drifted = np.minimum(p * (1.0 + drift), 1.0)
+        marginal = Marginal(drifted)
+        assert abs(marginal.probs.sum() - 1.0) <= len(p) * 2.0**-53
+        checks = verification_suite(drifted, delta, spec, length)
+        assert all(check.passed for check in checks), checks
+        deep = marginal_at(drifted, delta, SEQ, 50).probs
+        assert np.max(np.abs(deep - marginal.probs)) <= EXACT_TOL
+        # The sampler's base row is the cumulative sum of the same p, up to
+        # its forced last cut.
+        cuts = depcat.sampler._draw_table(marginal, delta).cuts
+        assert cuts[0, :-1].tobytes() == np.cumsum(marginal.probs)[:-1].tobytes()
+        assert cuts[0, -1] == 1.0
+
+    def test_the_two_inputs_that_failed_verify(self):
+        thirds = [0.3333333333] * 3
+        assert all(check.passed for check in verification_suite(thirds, 0.4, FSQRT, 11))
+        assert all(
+            check.passed
+            for check in verification_suite([0.5, 0.3, 0.2000000005], 0.4, FK, 11)
+        )
+        given = np.array([0.5, 0.3, 0.1999999995])
+        deep = marginal_at(given, 0.4, SEQ, 50).probs
+        assert np.max(np.abs(deep - given / given.sum())) <= 1e-15
 
 
 class TestPairJointsProperty:

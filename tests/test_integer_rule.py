@@ -210,6 +210,15 @@ ROWS = [
         lambda v: SampleBatch(np.ones((2, 2), dtype=np.int64), v, P, D, SEQ), "seed",
     ),
     row("SampleBatch-entry", lambda v: SampleBatch([[1, v]], 1, P, D, SEQ), "batch entry", 2**63),
+    row(
+        "SampleBatch-first_index",
+        lambda v: SampleBatch(np.ones((2, 2), dtype=np.int64), 1, P, D, SEQ, v), "first_index", -1,
+    ),
+    row(
+        "SampleBatch-first_index-top",
+        lambda v: SampleBatch(np.ones((2, 2), dtype=np.int64), 1, P, D, SEQ, v),
+        "first_index", 2**64 - 1,
+    ),
     row("empirical_marginals-position", lambda v: empirical_marginals(BATCH, v), "position", 5),
     row(
         "empirical_cross_covariance-m",

@@ -169,6 +169,19 @@ class TestValidation:
     def test_marginal_accepts_tiny_sum_error(self):
         Marginal(np.array([0.5, 0.5 + 1e-12]))
 
+    def test_accepted_sum_error_is_divided_out(self):
+        # Off by more than rounding (K * 2^-52): divided by the sum, so every
+        # route reads one distribution; within rounding: kept as given.
+        given = np.array([0.5, 0.3, 0.1999999995])
+        assert Marginal(given).probs.tobytes() == (given / given.sum()).tobytes()
+        drifted = Marginal([0.3333333333] * 3).probs
+        assert abs(drifted.sum() - 1.0) <= 3 * 2.0**-53
+        assert Marginal(drifted).probs.tobytes() == drifted.tobytes()
+        tenths = [0.1] * 10  # sums to 1 - 2^-53
+        assert Marginal(tenths).probs.tolist() == tenths
+        with pytest.raises(DomainError, match="^marginal probabilities sum to"):
+            Marginal([0.5, 0.3, 0.199999998])
+
     def test_marginal_is_immutable(self):
         p = Marginal(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

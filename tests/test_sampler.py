@@ -317,9 +317,10 @@ def compare_count_oracle(p, delta, parents, uniforms):
 
     Position 1 takes a searchsorted over the base cumulative; every later
     position gathers the full cumulative row of its parent's category and
-    counts the cuts below the uniform.
+    counts the cuts below the uniform.  It reads p as `Marginal` accepts it,
+    divided by its sum when that is off by more than rounding.
     """
-    base = np.cumsum(np.asarray(p, dtype=np.float64))
+    base = np.cumsum(as_marginal(p).probs)
     base[-1] = 1.0
     row_cumulative = np.cumsum(transition_kernel(p, delta), axis=1)
     row_cumulative[:, -1] = 1.0
@@ -627,6 +628,33 @@ class TestDrawKernel:
             sample_batch(**kwargs, count=3, first_index=-1)
         with pytest.raises(DomainError):
             sample_batch(**kwargs, count=1, first_index=-1)
+
+    def test_batch_is_redrawn_from_its_own_metadata(self):
+        spec = SIN_DRIFT
+        batch = sample_batch([0.5, 0.3, 0.2], 0.4, spec, 9, 50, seed=21, first_index=100)
+        meta = batch.metadata()
+        assert meta["first_index"] == batch.first_index == 100
+        again = sample_batch(
+            meta["p"], meta["delta"], GeneratorSpec.from_dict(meta["generator"]),
+            meta["N"], meta["count"], meta["seed"], first_index=meta["first_index"],
+        )
+        assert np.array_equal(again.outcomes, batch.outcomes)
+        assert again.metadata() == meta
+        at_zero = sample_batch([0.5, 0.3, 0.2], 0.4, spec, 9, 50, seed=21)
+        assert not np.array_equal(at_zero.outcomes, batch.outcomes)
+        assert at_zero.metadata() == {**meta, "first_index": 0}
+
+    # Rows of at most 16 bytes, across two row blocks: every tile goes back
+    # into the block through the one transposed write.
+    @pytest.mark.parametrize("length", [2, 3, 4, 16])
+    def test_short_rows_across_row_blocks_match_compare_count_oracle(self, length):
+        p, delta, seed, count = [0.5, 0.3, 0.2], 0.4, 9, 2**14 + 17
+        for spec in (FK, FSQRT):
+            batch = sample_batch(p, delta, spec, length, count, seed=seed)
+            parents = build_tree(spec, length).parents
+            uniforms = uniform_grid(seed, 0, count, length)
+            expected = compare_count_oracle(p, delta, parents, uniforms)
+            assert np.array_equal(batch.outcomes, expected)
 
     def test_first_index_reaches_the_last_counter(self):
         # first_index + count may be 2**64: the rows end at index 2**64 - 1
