@@ -25,6 +25,7 @@ from .errors import (
     DepcatError,
     DomainError,
     EnumerationTooLargeError,
+    as_integer,
 )
 from .exact import (
     DEFAULT_ENUMERATION_CAP,
@@ -32,9 +33,10 @@ from .exact import (
     cross_covariance_enumerated,
     verification_suite,
 )
-from .generators import GeneratorSpec, as_integer, validate
+from .generators import GeneratorSpec, validate
 from .graph import build_tree, export_dot
 from .kernel import Marginal, as_delta
+from .rng import ALGORITHM_ID
 from .sampler import SampleBatch, sample_batch
 
 EXIT_OK = 0
@@ -92,7 +94,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     A flag's text and a config value are read by the same library rule:
     `as_integer` for the integer settings, `as_delta` for delta and
     `Marginal` for p, whose text is split at every comma, so an empty
-    entry is an error.
+    entry is an error.  A config key that no setting reads is an error
+    too.  A `sample` sidecar is a config: its `algorithm` must be this
+    package's and its `first_index` 0, the row every CLI batch starts at.
     """
     data: dict = {}
     if args.config is not None:
@@ -106,7 +110,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
 
+    read = set()
+
     def pick(flag_value, key):
+        read.add(key)
         return flag_value if flag_value is not None else data.get(key)
 
     raw_generator = pick(args.generator, "generator")
@@ -117,7 +124,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     raw_seed = pick(args.seed, "seed")
     raw_count = pick(args.count, "count")
     raw_cap = pick(args.cap, "enumeration_cap")
+    algorithm = pick(None, "algorithm")
+    first_index = pick(None, "first_index")
 
+    unread = sorted(data.keys() - read)
+    if unread:
+        raise DomainError(f"config keys that no setting reads: {', '.join(map(repr, unread))}")
+    if algorithm not in (None, ALGORITHM_ID):
+        raise DomainError(f"config algorithm {algorithm!r} is not {ALGORITHM_ID!r}")
+    if first_index is not None and as_integer(first_index, "first_index") != 0:
+        raise DomainError(f"config first_index {first_index!r} is not 0, the CLI's first row")
     if raw_generator is None:
         raise DomainError("a generator is required: set \"generator\" or --generator")
     if raw_length is None:

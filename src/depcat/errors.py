@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy for depcat.
+"""Semantic exception hierarchy for depcat, and the integer rule that raises `DomainError`.
 
 Public functions raise these instead of bare ValueError so callers can
 distinguish bad inputs from structural problems in a dependency spec.
@@ -7,7 +7,11 @@ Each class below `DepcatError` is one exit code of the CLI: a
 `EnumerationTooLargeError` 5.
 """
 
+import json
 import math
+import re
+
+import numpy as np
 
 
 class DepcatError(Exception):
@@ -35,3 +39,51 @@ class EnumerationTooLargeError(DepcatError):
         super().__init__(
             f"sample space has {size} outcomes, exceeding the enumeration cap of {cap}"
         )
+
+
+def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """`value` as an int if it is one (Python or numpy, not a bool), else a DomainError.
+
+    The rule for integer arguments of the library, which int() would
+    truncate (1.5) or read as 1 (True).  `low` and `high` are inclusive
+    bounds, and a `high` comes with a `low`; a value outside them is a
+    DomainError as well.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise DomainError(f"{name} {value} outside {low}..{high}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def check_integers(values, name: str) -> np.ndarray:
+    """`values` as an integer array, each entry by the rule of `check_integer`.
+
+    An ndarray of integer dtype is returned as it is, with no per-entry
+    pass.  Any other input (a list, a float or bool array) is read entry
+    by entry, so 1.5, 2.0, True, "1" and an entry outside int64 are a
+    DomainError naming `name`, and comes back as int64 in its own shape.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    entries = np.array(values, dtype=object)
+    checked = [check_integer(value, name, -(2**63), 2**63 - 1) for value in entries.flat]
+    return np.array(checked, dtype=np.int64).reshape(entries.shape)
+
+
+def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """`value` as an int in low..high, or a DomainError naming `name`.
+
+    The rule for integer settings read from text or JSON: `check_integer`,
+    plus integral floats and plain decimal strings with an optional sign,
+    so 12.0 and "12" read as 12.  Rejects booleans, fractional floats and
+    every other string, where int() would read "1_0" as 10.
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    elif isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        value = int(value)
+    return check_integer(value, name, low, high)

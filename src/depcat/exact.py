@@ -43,8 +43,8 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationTooLargeError
-from .generators import GeneratorSpec, check_integer
+from .errors import DomainError, EnumerationTooLargeError, check_integer
+from .generators import GeneratorSpec
 from .graph import DependencyTree, branch_lengths, build_tree, tree_distance
 from .kernel import (
     DeltaLike,

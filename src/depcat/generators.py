@@ -17,69 +17,31 @@ violations as data while ``evaluate`` raises on them.
 
 from __future__ import annotations
 
-import json
-import re
+import decimal
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .errors import AxiomViolationError, DomainError
+from .errors import AxiomViolationError, DomainError, as_integer, check_integer
 from .primes import smallest_prime_factor_ranks
 
 BUILTIN_KINDS = ("fk", "sequential", "floor_sqrt", "sin_drift", "prime_partition")
 TABLE_KIND = "table"
 ALL_KINDS = BUILTIN_KINDS + (TABLE_KIND,)
 _MAX_INDEX = 2**53  # every index up to here is exact in float64
-
-
-def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
-    """`value` as an int if it is one (Python or numpy, not a bool), else a DomainError.
-
-    The rule for integer arguments of the library, which int() would
-    truncate (1.5) or read as 1 (True).  `low` and `high` are inclusive
-    bounds, and a `high` comes with a `low`; a value outside them is a
-    DomainError as well.
-    """
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {json.dumps(value, default=repr)}")
-    value = int(value)
-    if high is not None and not low <= value <= high:
-        raise DomainError(f"{name} {value} outside {low}..{high}")
-    if low is not None and value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
-def check_integers(values, name: str) -> np.ndarray:
-    """`values` as an integer array, each entry by the rule of `check_integer`.
-
-    An ndarray of integer dtype is returned as it is, with no per-entry
-    pass.  Any other input (a list, a float or bool array) is read entry
-    by entry, so 1.5, 2.0, True, "1" and an entry outside int64 are a
-    DomainError naming `name`, and comes back as int64 in its own shape.
-    """
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return values
-    entries = np.array(values, dtype=object)
-    checked = [check_integer(value, name, -(2**63), 2**63 - 1) for value in entries.flat]
-    return np.array(checked, dtype=np.int64).reshape(entries.shape)
-
-
-def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
-    """`value` as an int in low..high, or a DomainError naming `name`.
-
-    The rule for integer settings read from text or JSON: `check_integer`,
-    plus integral floats and plain decimal strings with an optional sign,
-    so 12.0 and "12" read as 12.  Rejects booleans, fractional floats and
-    every other string, where int() would read "1_0" as 10.
-    """
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        value = int(value)
-    elif isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
-        value = int(value)
-    return check_integer(value, name, low, high)
+# sin_drift's float64 pass allows this many ulps of error in np.sin, more
+# than any libm or numpy build claims.
+_SIN_ULPS = 16
+# sin_drift evaluates this many indices at a time: its float temporaries
+# (32 KiB each) stay in cache and in the allocator's reused memory, where
+# whole-range ones would page in afresh for every pass.
+_SIN_BLOCK = 1 << 12
+# Digits of the decimal re-evaluation of sin_drift.  Its reduction modulo
+# 2*pi works with 20 more, which cover the up to 16 digits of n.
+_SIN_DIGITS = 60
 
 
 @dataclass(frozen=True)
@@ -136,6 +98,27 @@ class GeneratorSpec:
         return {"kind": self.kind}
 
 
+def _sin_drift(indices: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)/2 * sin(n) + n/2), exact, for each n of an int64 array.
+
+    With u = 2**-53, the float64 value v is off by at most
+    u * (n + (_SIN_ULPS + 3) * sqrt(n)) / 2 (to first order): the sqrt, the
+    product and the sum each round by u relatively, and sin is off by
+    _SIN_ULPS ulps of a number below 1, each at most u.  E(n) below is four
+    times that bound, so it also covers the rounding of v - E and v + E.
+    Only an n where floor(v - E) != floor(v + E) may have a floor other
+    than floor(v); those are evaluated again in decimal.
+    """
+    x = indices.astype(np.float64)
+    half_root = np.sqrt(x) / 2.0
+    value = half_root * np.sin(x) + x / 2.0
+    error = (x + (2 * _SIN_ULPS + 6) * half_root) * 2.0**-52
+    parents = np.floor(value).astype(np.int64)
+    for pos in np.flatnonzero(np.floor(value - error) != np.floor(value + error)).tolist():
+        parents[pos] = _sin_drift_decimal(int(indices[pos]))
+    return parents
+
+
 def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
     """alpha(n) for each n >= 2 of an int64 array, without range checks.
 
@@ -153,20 +136,68 @@ def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
         roots -= roots * roots > indices
         return roots
     if kind == "sin_drift":
-        x = indices.astype(np.float64)
-        return np.floor((np.sqrt(x) / 2.0) * np.sin(x) + x / 2.0).astype(np.int64)
+        parents = np.empty_like(indices)
+        for start in range(0, indices.size, _SIN_BLOCK):
+            parents[start : start + _SIN_BLOCK] = _sin_drift(indices[start : start + _SIN_BLOCK])
+        return parents
     if kind == "prime_partition":
         return smallest_prime_factor_ranks(int(indices.max()))[indices]
     assert spec.table is not None
     return np.array([spec.table.get(n, 0) for n in indices.tolist()], dtype=np.int64)
 
 
+@functools.cache
+def _decimal_pi() -> decimal.Decimal:
+    """pi to _SIN_DIGITS + 20 digits, by the `pi` recipe of the `decimal` documentation."""
+    with decimal.localcontext() as context:
+        context.prec = _SIN_DIGITS + 22
+        last, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while s != last:
+            last = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        context.prec -= 2
+        return +s
+
+
+def _sin_drift_decimal(n: int) -> int:
+    """floor(sqrt(n)/2 * sin(n) + n/2) evaluated in _SIN_DIGITS-digit decimal.
+
+    The argument is first reduced modulo 2*pi at _SIN_DIGITS + 20 digits
+    (Payne and Hanek, 1983), then sin is summed by the `sin` recipe of the
+    `decimal` documentation.
+    """
+    with decimal.localcontext() as context:
+        context.prec = _SIN_DIGITS + 20
+        index = decimal.Decimal(n)
+        two_pi = 2 * _decimal_pi()
+        x = index - (index / two_pi).to_integral_value() * two_pi
+        context.prec = _SIN_DIGITS + 2
+        i, last, s, fact, num, sign = 1, 0, x, 1, x, 1
+        while s != last:
+            last = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign *= -1
+            s += num / fact * sign
+        context.prec = _SIN_DIGITS
+        value = index.sqrt() / 2 * s + index / 2
+        return int(value.to_integral_value(rounding=decimal.ROUND_FLOOR))
+
+
 def evaluate(spec: GeneratorSpec, n: int) -> int:
     """Parent index alpha(n), checked to lie in {1..n-1}.
 
     The domain is 2 <= n <= 2**53: every index up to there is exact in
-    float64, which floor_sqrt and sin_drift evaluate in.  prime_partition
-    builds one int64 rank table up to n, so one call costs 8 bytes per index.
+    float64, which floor_sqrt and sin_drift evaluate in, and both give the
+    exact parent on all of it.  sin_drift's float64 pass carries an error
+    bound, and an n it cannot settle is evaluated again in decimal: none
+    below 10**7, about 1 in 40 near 10**13 and nearly all near 2**53.
+    prime_partition builds one int64 rank table up to n, so one call costs
+    8 bytes per index.
     """
     n = check_integer(n, "index", 2, _MAX_INDEX)
     parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])

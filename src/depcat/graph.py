@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators
-from .errors import AxiomViolationError, DomainError
-from .generators import GeneratorSpec, check_integer, check_integers, validate
+from .errors import AxiomViolationError, DomainError, check_integer, check_integers
+from .generators import GeneratorSpec, validate
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_integer
 
 
 def smallest_prime_factor_ranks(limit: int) -> np.ndarray:
@@ -18,8 +18,7 @@ def smallest_prime_factor_ranks(limit: int) -> np.ndarray:
     The r-th prime marks its unmarked multiples, from itself on, with r; the
     primes above isqrt(limit) take the next ranks in order.  0 and 1 read 0.
     """
-    if limit < 2:
-        raise DomainError(f"sieve limit must be >= 2, got {limit}")
+    limit = check_integer(limit, "sieve limit", 2)
     ranks = np.zeros(limit + 1, dtype=np.int64)
     rank = 0
     for p in range(2, isqrt(limit) + 1):

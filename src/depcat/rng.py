@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .generators import check_integer
+from .errors import DomainError, check_integer
 
 ALGORITHM_ID = "splitmix64-2level"
 

@@ -67,9 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer, check_integers
 from .exact import CrossCovariance, _check_pair_positions
-from .generators import GeneratorSpec, check_integer, check_integers
+from .generators import GeneratorSpec
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
 from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _check_array_size

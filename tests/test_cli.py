@@ -28,6 +28,7 @@ from depcat.cli import (
     main,
 )
 from depcat.exact import EXACT_TOL
+from depcat.rng import ALGORITHM_ID
 
 SEQ_ARGS = ["--generator", "sequential", "--p", "0.5,0.3,0.2", "--delta", "0.4", "--n", "6"]
 
@@ -784,6 +785,20 @@ def test_out_of_memory_is_a_usage_error(command, tmp_path):
     assert done.stderr.startswith("error: out of memory: Unable to allocate "), done.stderr
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 4.00 TiB", ""], ids=["message", "bare"])
+def test_out_of_memory_in_process(message, capsys, monkeypatch, tmp_path):
+    # the branch of `main` above, reached in this process by a failing draw
+    def failing(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(depcat.cli, "sample_batch", failing)
+    argv = ["sample", *SEQ_ARGS, "--seed", "1", "--count", "10",
+            "--out-prefix", str(tmp_path / "batch")]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path)
+    assert err == f"error: out of memory: {message or 'an allocation failed'}\n"
+
+
 @pytest.mark.parametrize("value", BAD_INTEGERS, ids=["underscore", "fullwidth", "fraction", "true"])
 @pytest.mark.parametrize("name", ["m", "n", "workers"])
 def test_malformed_integer_argument(name, value, capsys, tmp_path):
@@ -917,6 +932,41 @@ class TestConfigHandling:
         code, _, err = run(["validate", "--n", "5"], capsys)
         assert code == EXIT_USAGE
         assert "generator" in err
+
+    def test_unread_keys_are_a_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"generator": "fk", "N": 4, "p": [0.5, 0.5], "delta": 0.4,
+                                      "detla": 0.9, "enumeration-cap": 1}))
+        code, out, err = run(["verify", "--config", str(config)], capsys)
+        assert_one_usage_error(code, out, err, tmp_path, ["run.json"])
+        assert err == "error: config keys that no setting reads: 'detla', 'enumeration-cap'\n"
+
+    def sample_a(self, capsys, tmp_path):
+        argv = ["sample", *SEQ_ARGS, "--seed", "7", "--count", "40",
+                "--out-prefix", str(tmp_path / "a")]
+        assert run(argv, capsys)[0] == EXIT_OK
+
+    def test_sidecar_redraws_its_batch(self, capsys, tmp_path):
+        self.sample_a(capsys, tmp_path)
+        argv = ["sample", "--config", str(tmp_path / "a.meta.json"),
+                "--out-prefix", str(tmp_path / "b")]
+        assert run(argv, capsys)[0] == EXIT_OK
+        for name in ("csv", "meta.json"):
+            assert (tmp_path / f"b.{name}").read_bytes() == (tmp_path / f"a.{name}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("algorithm", "philox", f"config algorithm 'philox' is not {ALGORITHM_ID!r}"),
+         ("first_index", 100, "config first_index 100 is not 0, the CLI's first row")],
+    )
+    def test_sidecar_of_another_draw(self, key, value, message, capsys, tmp_path):
+        self.sample_a(capsys, tmp_path)
+        sidecar = json.loads((tmp_path / "a.meta.json").read_text())
+        (tmp_path / "c.json").write_text(json.dumps({**sidecar, key: value}))
+        argv = ["sample", "--config", str(tmp_path / "c.json"), "--out-prefix", str(tmp_path / "b")]
+        code, out, err = run(argv, capsys)
+        assert_one_usage_error(code, out, err, tmp_path, ["a.csv", "a.meta.json", "c.json"])
+        assert err == f"error: {message}\n"
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "tree.dot"

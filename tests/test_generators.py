@@ -2,8 +2,10 @@
 
 import json
 import math
+import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -18,7 +20,8 @@ from depcat import (
     evaluate,
     validate,
 )
-from depcat.generators import _parents, as_integer, check_integer
+from depcat.errors import as_integer, check_integer
+from depcat.generators import _parents
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -357,3 +360,47 @@ def test_sin_drift_uses_radians():
         (math.sqrt(13) / 2.0) * math.sin(math.radians(13)) + 6.5
     )
     assert degree_value != 7
+
+
+def sin_drift_oracle(n):
+    """floor(sqrt(n)/2 * sin(n) + n/2) in 60-digit mpmath, apart from the library."""
+    with mpmath.workdps(60):
+        index = mpmath.mpf(n)
+        return int(mpmath.floor(mpmath.sqrt(index) / 2 * mpmath.sin(index) + index / 2))
+
+
+def decade_sample(k):
+    """20 random n in [10**k, 10**(k + 1)), no smaller than 2 and no larger than 2**53."""
+    rng = random.Random(k)
+    return [rng.randrange(max(2, 10**k), min(10 ** (k + 1), 2**53 + 1)) for _ in range(20)]
+
+
+SIN_DRIFT_DECADES = {k: decade_sample(k) for k in range(16)}
+# The ten n below 10**7 whose float64 value lies nearest an integer, from a
+# float scan of every n: 7013135 lies 6.9e-8 above one.
+SIN_DRIFT_NEAR_TIES = (
+    7013135, 1221695, 5202975, 3411332, 60067, 4279328, 1084673, 4741411, 3315479, 7510863,
+)
+
+
+class TestSinDriftExact:
+    """Every sin_drift parent is the exact floor on 2..2**53, checked against mpmath."""
+
+    @pytest.mark.parametrize("decade", sorted(SIN_DRIFT_DECADES))
+    def test_random_n_in_every_decade(self, decade):
+        for n in SIN_DRIFT_DECADES[decade]:
+            assert evaluate(SIN, n) == sin_drift_oracle(n), n
+
+    def test_near_ties_of_a_float_scan(self):
+        for n in SIN_DRIFT_NEAR_TIES:
+            assert evaluate(SIN, n) == sin_drift_oracle(n), n
+
+    def test_domain_end(self):
+        for n in (2**53, 2**53 - 1, 2**52):
+            assert evaluate(SIN, n) == sin_drift_oracle(n), n
+
+    def test_array_evaluation_places_each_exact_parent(self):
+        # one array mixing n the float pass settles with n it hands to decimal
+        indices = sorted({n for sample in SIN_DRIFT_DECADES.values() for n in sample})
+        expected = [sin_drift_oracle(n) for n in indices]
+        assert _parents(SIN, np.array(indices, dtype=np.int64)).tolist() == expected
