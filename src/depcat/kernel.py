@@ -126,9 +126,19 @@ def transition_kernel(p: MarginalLike, delta: DeltaLike) -> np.ndarray:
     checked again.
     """
     marginal = as_marginal(p)
-    d = as_delta(delta)
-    probs = marginal.probs
-    matrix = np.tile(probs * (1.0 - d), (marginal.num_categories, 1))
-    np.fill_diagonal(matrix, probs + d * (1.0 - probs))
+    switch, repeat = _kernel_parts(marginal, as_delta(delta))
+    matrix = np.tile(switch, (marginal.num_categories, 1))
+    np.fill_diagonal(matrix, repeat)
     matrix.flags.writeable = False
     return matrix
+
+
+def _kernel_parts(marginal: Marginal, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two formulas: the switch row p (1 - delta) and the repeat diagonal.
+
+    Kernel row i is the switch row with entry i replaced by the repeat
+    probability p[i] + delta (1 - p[i]); `transition_kernel` and the
+    sampler's draw table both build their rows from these two vectors.
+    """
+    probs = marginal.probs
+    return probs * (1.0 - delta), probs + delta * (1.0 - probs)

@@ -71,7 +71,7 @@ from .errors import DomainError, check_integer, check_integers
 from .exact import CrossCovariance, _check_pair_positions
 from .generators import GeneratorSpec
 from .graph import build_tree
-from .kernel import DeltaLike, Marginal, MarginalLike, as_delta, as_marginal, transition_kernel
+from .kernel import DeltaLike, Marginal, MarginalLike, _kernel_parts, as_delta, as_marginal
 from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _check_array_size
 from .rng import stream_keys, uniform_grid
 
@@ -263,30 +263,38 @@ class SampleBatch:
 
 
 def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
-    """Cut points, bucket starts and guide table, shared read-only by every draw of a call."""
-    k = marginal.num_categories
-    cuts = np.empty((k + 1, k), dtype=np.float64)
-    cuts[0] = np.cumsum(marginal.probs)
-    np.cumsum(transition_kernel(marginal, delta), axis=1, out=cuts[1:])
-    # Forcing the final cut to 1.0 pairs with uniforms in (0, 1]: every
-    # draw lands in exactly one right-closed bucket.
-    cuts[:, -1] = 1.0
+    """Cut points, bucket starts and guide table, shared read-only by every draw of a call.
 
+    Built one row at a time from the kernel's switch row and repeat
+    diagonal, so the cut matrix is the table's only (K+1) x K array.
+    """
+    k = marginal.num_categories
     buckets = max(_MIN_BUCKETS, 1 << (_BUCKETS_PER_CUT * k - 1).bit_length())
     while buckets > 1 and 2 * (k + 1) * (buckets + 1) > _TABLE_BUDGET:
         buckets //= 2
 
-    # A cut lies below b/G exactly when its bucket floor(cut*G) lies below b;
-    # cuts above 1 (a cumulative sum that overshoots) are never below a
-    # uniform and join the last bucket, which always holds the cut at 1.0.
-    # Cuts are >= 0, so the cast's truncation is the floor; writing straight
-    # into the integer holdings makes no (K+1) x K float temporary.
-    holding = np.empty((k + 1, k), dtype=np.intp)
-    np.multiply(cuts, buckets, out=holding, casting="unsafe")
-    np.minimum(holding, buckets, out=holding)
+    cuts = np.empty((k + 1, k), dtype=np.float64)
     start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
     guide = np.empty_like(start)
-    for row_start, row_guide, held in zip(start, guide, holding):
+    switch, repeat = _kernel_parts(marginal, delta)
+    row = switch.copy()
+    held = np.empty(k, dtype=np.intp)
+    for j, (row_cuts, row_start, row_guide) in enumerate(zip(cuts, start, guide)):
+        if j:  # kernel row j - 1
+            row[j - 1] = repeat[j - 1]
+            np.cumsum(row, out=row_cuts)
+            row[j - 1] = switch[j - 1]
+        else:
+            np.cumsum(marginal.probs, out=row_cuts)
+        # Forcing the final cut to 1.0 pairs with uniforms in (0, 1]: every
+        # draw lands in exactly one right-closed bucket.
+        row_cuts[-1] = 1.0
+        # A cut lies below b/G exactly when its bucket floor(cut*G) lies below
+        # b; cuts above 1 (a cumulative sum that overshoots) are never below a
+        # uniform and join the last bucket, which always holds the cut at 1.0.
+        # Cuts are >= 0, so the cast's truncation is the floor.
+        np.multiply(row_cuts, buckets, out=held, casting="unsafe")
+        np.minimum(held, buckets, out=held)
         counts = np.bincount(held, minlength=buckets + 1)
         row_start[:] = np.cumsum(counts) - counts + 1
         row_guide[:] = np.where(counts, 0, row_start)
@@ -425,16 +433,40 @@ class EmpiricalMarginal:
         return self.counts / self.total
 
 
+def _counts(batch: SampleBatch, *positions: int) -> np.ndarray:
+    """Rows per value at one position, or per code v_m (K + 1) + v_n of a pair.
+
+    Values and codes are counted as they stand, so bin 0 and every bin with
+    a 0 digit stay empty and no dtype is ever shifted or wrapped.  Codes are
+    computed in intp a block of rows at a time and the blocks' bincounts
+    summed, so the scratch is one block's codes whatever the row count.  A
+    block holds _BLOCK_ROWS rows, or as many as the counts have bins when
+    that is more, so its codes never outweigh the counts.
+    """
+    width = batch.num_categories + 1
+    bins = width ** len(positions)
+    rows = max(_BLOCK_ROWS, bins)
+    counts = None
+    for first in range(0, batch.count, rows):
+        block = batch.outcomes[first : first + rows]
+        codes = block[:, positions[0] - 1].astype(np.intp)
+        for position in positions[1:]:
+            codes *= width
+            codes += block[:, position - 1]
+        block_counts = np.bincount(codes, minlength=bins)
+        if counts is None:
+            counts = block_counts
+        else:
+            counts += block_counts
+    return counts
+
+
 def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
     """Observed category frequencies at a position."""
     if batch.count == 0:
         raise DomainError("cannot compute marginals of an empty batch")
     position = check_integer(position, "position", 1, batch.length)
-    # Counted in intp as they stand (entry v lands in bin v, bin 0 stays
-    # empty), so no dtype is ever shifted or wrapped.
-    column = batch.outcomes[:, position - 1].astype(np.intp)
-    counts = np.bincount(column, minlength=batch.num_categories + 1)[1:]
-    return EmpiricalMarginal(position, counts, batch.count)
+    return EmpiricalMarginal(position, _counts(batch, position)[1:], batch.count)
 
 
 def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovariance:
@@ -443,12 +475,7 @@ def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovar
         raise DomainError("cannot compute covariance of an empty batch")
     _check_pair_positions(m, n)
     check_integer(n, "position", 1, batch.length)
-    # Pair (i, j) lands in bin i (K+1) + j, an index computed in intp.
     width = batch.num_categories + 1
-    pairs = batch.outcomes[:, m - 1].astype(np.intp)
-    pairs *= width
-    pairs += batch.outcomes[:, n - 1]
-    counts = np.bincount(pairs, minlength=width * width)
-    joint = counts.reshape(width, width)[1:, 1:] / batch.count
+    joint = _counts(batch, m, n).reshape(width, width)[1:, 1:] / batch.count
     matrix = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
     return CrossCovariance(m, n, matrix, "empirical")

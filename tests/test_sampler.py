@@ -33,6 +33,9 @@ SEQ = GeneratorSpec.builtin("sequential")
 FSQRT = GeneratorSpec.builtin("floor_sqrt")
 SIN_DRIFT = GeneratorSpec.builtin("sin_drift")
 PRIME = GeneratorSpec.builtin("prime_partition")
+BLOCK = depcat.sampler._BLOCK_ROWS
+PINNED_COUNTS = "911b14c00b837e573b46f7e407274850abb88262f9bc700af9c41491852b62b7"
+PINNED_COVARIANCES = "3540ae7913e44919f6d7e13bfdfa0608dd4f945d1cafd3ac434402ee0067436b"
 
 
 class TestDeterminism:
@@ -223,9 +226,7 @@ class TestOutcomeDtype:
     @pytest.mark.parametrize("kept", [None, np.uint64, np.int32])
     @pytest.mark.parametrize("k", [3, 255, 256, 300])
     def test_empirical_statistics_match_an_int64_oracle(self, k, kept):
-        outcomes = np.random.default_rng(k).integers(1, k + 1, size=(600, 4))
-        outcomes[0], outcomes[1] = 1, k  # every column holds both ends
-        outcomes[2, ::2], outcomes[2, 1::2] = k, 1  # and the pairs (K, 1), (1, K)
+        outcomes = oracle_outcomes(k, 600)
         given = outcomes
         if kept is not None:  # read-only: int32 is kept as it is, uint64 copied
             given = outcomes.astype(kept)
@@ -233,16 +234,58 @@ class TestOutcomeDtype:
         batch = SampleBatch(given, 1, as_marginal(np.full(k, 1 / k)), 0.4, SEQ)
         narrow = kept in (None, np.uint64)  # uint64 does not cast safely to intp
         assert batch.outcomes.dtype == (np.min_scalar_type(k) if narrow else kept)
-        zero_based = outcomes.astype(np.int64) - 1
-        for position in range(1, 5):
-            expected = np.bincount(zero_based[:, position - 1], minlength=k)
-            assert np.array_equal(empirical_marginals(batch, position).counts, expected)
-        for m, n in [(1, 2), (1, 4), (2, 3), (3, 4)]:
-            pairs = zero_based[:, m - 1] * k + zero_based[:, n - 1]
-            joint = np.bincount(pairs, minlength=k * k).reshape(k, k) / len(outcomes)
-            expected = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
-            got = empirical_cross_covariance(batch, m, n).matrix
-            assert np.max(np.abs(got - expected)) <= 1e-15
+        assert_empirical_statistics_match_an_int64_oracle(batch, outcomes)
+
+    # Row counts around one and two counting blocks of B rows.  A pair's
+    # block is the larger of B and its (K + 1)^2 bins: 16 384 rows at K = 3,
+    # 65 536 at K = 255, 66 049 at K = 256 and 90 601 at K = 300, so the
+    # last case spans three pair blocks.
+    @pytest.mark.parametrize(
+        "k, rows",
+        [(k, rows) for k in (3, 255, 256, 300) for rows in (BLOCK - 1, BLOCK, BLOCK + 1)]
+        + [(k, 2 * BLOCK + 1) for k in (3, 255, 256, 300)]
+        + [(300, 2 * 301**2 + 1)],
+    )
+    def test_counts_across_row_blocks_match_an_int64_oracle(self, k, rows):
+        outcomes = oracle_outcomes(k, rows)
+        batch = SampleBatch(outcomes, 1, as_marginal(np.full(k, 1 / k)), 0.4, SEQ)
+        assert batch.outcomes.dtype == np.min_scalar_type(k)
+        assert_empirical_statistics_match_an_int64_oracle(batch, outcomes)
+
+    def test_counts_and_covariances_are_pinned(self):
+        # sha256 of every position's counts and every pair's covariance
+        # matrix on a 40 000 x 5 batch at K = 64 (three counting blocks),
+        # recorded from the whole-column counting that preceded the blocks.
+        batch = sample_batch(np.full(64, 1 / 64), 0.6, FSQRT, 5, 40_000, seed=23)
+        counts = hashlib.sha256()
+        for position in range(1, 6):
+            counts.update(empirical_marginals(batch, position).counts.astype("<i8").tobytes())
+        matrices = hashlib.sha256()
+        for m in range(1, 5):
+            for n in range(m + 1, 6):
+                matrix = empirical_cross_covariance(batch, m, n).matrix
+                matrices.update(matrix.astype("<f8").tobytes())
+        assert counts.hexdigest() == PINNED_COUNTS
+        assert matrices.hexdigest() == PINNED_COVARIANCES
+
+    @pytest.mark.parametrize(
+        "statistic, positions",
+        [(empirical_marginals, (2,)), (empirical_cross_covariance, (1, 2))],
+        ids=["marginals", "cross_covariance"],
+    )
+    def test_counting_scratch_does_not_grow_with_the_rows(self, statistic, positions):
+        # Widening a whole column to intp would take 1 MiB at 2^17 rows and
+        # 8 MiB at 2^20; counting a block at a time takes the same at both.
+        peaks = []
+        for rows in (2**17, 2**20):
+            batch = sample_batch([0.5, 0.3, 0.2], 0.4, SEQ, 4, rows, seed=1)
+            tracemalloc.start()
+            try:
+                statistic(batch, *positions)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * 2**20
 
 
 class TestErrors:
@@ -336,6 +379,52 @@ def compare_count_oracle(p, delta, parents, uniforms):
 def digest(batch):
     data = np.ascontiguousarray(batch.outcomes, dtype="<i8").tobytes()
     return hashlib.sha256(data).hexdigest()
+
+
+def oracle_outcomes(k, rows):
+    """A (rows, 4) int64 array in 1..K: every column holds 1 and K, and row 3 reads K, 1, K, 1."""
+    outcomes = np.random.default_rng(k).integers(1, k + 1, size=(rows, 4))
+    outcomes[0], outcomes[1] = 1, k
+    outcomes[2, ::2], outcomes[2, 1::2] = k, 1
+    return outcomes
+
+
+def assert_empirical_statistics_match_an_int64_oracle(batch, outcomes):
+    """Counts and covariances of `batch` against int64 bincounts of `outcomes`."""
+    k = batch.num_categories
+    zero_based = outcomes.astype(np.int64) - 1
+    for position in range(1, 5):
+        expected = np.bincount(zero_based[:, position - 1], minlength=k)
+        assert np.array_equal(empirical_marginals(batch, position).counts, expected)
+    for m, n in [(1, 2), (1, 4), (2, 3), (3, 4)]:
+        pairs = zero_based[:, m - 1] * k + zero_based[:, n - 1]
+        joint = np.bincount(pairs, minlength=k * k).reshape(k, k) / len(outcomes)
+        expected = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        got = empirical_cross_covariance(batch, m, n).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def kernel_built_table(marginal, delta, buckets):
+    """The draw table of G = `buckets` by its definition, with cuts from `transition_kernel`.
+
+    start[j, b] = 1 + #{c : cuts[j, c] < b/G}; guide[j, b] is 0 where the
+    bucket [b/G, (b+1)/G) holds a cut of row j and start[j, b] elsewhere.
+    """
+    k = marginal.num_categories
+    cuts = np.empty((k + 1, k))
+    cuts[0] = np.cumsum(marginal.probs)
+    cuts[1:] = np.cumsum(transition_kernel(marginal, delta), axis=1)
+    cuts[:, -1] = 1.0
+    edges = np.arange(buckets + 1) / buckets
+    start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
+    guide = np.empty_like(start)
+    for row, row_start, row_guide in zip(cuts, start, guide):
+        # The cuts before the forced 1.0 rise; 1.0 is below no edge.
+        below = np.searchsorted(row[:-1], edges, side="left")
+        holds = np.append(below[1:] > below[:-1], True)  # bucket G holds 1.0
+        row_start[:] = below + 1
+        row_guide[:] = np.where(holds, 0, below + 1)
+    return cuts, guide, start
 
 
 def zero_category_marginal():
@@ -498,6 +587,17 @@ class TestGuideTableExactness:
         assert table.guide.size <= depcat.sampler._TABLE_BUDGET
         assert table.buckets & (table.buckets - 1) == 0
         assert table.guide.shape == (k + 1, table.buckets + 1)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("k", [3, 64, 300, 4096])
+    def test_row_built_table_equals_the_kernel_built_one(self, k, delta):
+        probs = np.random.default_rng(k).random(k)
+        marginal = as_marginal(probs / probs.sum())
+        table = depcat.sampler._draw_table(marginal, delta)
+        cuts, guide, start = kernel_built_table(marginal, delta, table.buckets)
+        assert table.cuts.tobytes() == cuts.tobytes()
+        assert table.guide.dtype == guide.dtype and np.array_equal(table.guide, guide)
+        assert np.array_equal(table.start, start)
 
     def test_sequence_is_the_one_row_case(self):
         p = zero_category_marginal()
