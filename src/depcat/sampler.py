@@ -7,34 +7,37 @@ pass suffices).  A row's cut points are its cumulative sums with the last
 forced to 1.0, and a uniform u in (0, 1] draws category
 1 + #{c : cut[c] < u}: right-closed inverse-CDF bucketing.
 
-The count is read from a guide table (Chen & Asau 1974; Devroye 1986,
-section III.2), built once per call.
-Its K + 1 rows are the base and the K kernel rows.  Its columns are the
-buckets [b/G, (b+1)/G) for b = 0..G, where G = 2^g is a power of two of
-about 32 K, capped so that the guide and the bucket-start table together
-hold at most a fixed number of entries.  A start entry holds 1 + the
-number of the row's cuts below b/G; a guide entry holds the same for a
-bucket that holds no cut of the row, and 0 for one that does.
+The count is read from a bucket index (Chen & Asau 1974; Devroye 1986,
+section III.2), built once per call.  Its K + 1 rows are the base and the
+K kernel rows.  Its columns are the buckets [b/G, (b+1)/G) for b = 0..G,
+where G = 2^g is the largest power of two up to 4 K, at least 64, and
+capped so that the bucket tables take at most _TABLE_BUDGET bytes.  Per
+row and bucket it keeps a start, 1 + the number of the row's cuts below
+b/G, and a threshold.
 
 A uniform is u = m * 2^-53 for a 53-bit integer mantissa m in 1..2^53
 (see `depcat.rng`), so its bucket floor(u G) is the integer shift
-m >> (53 - g), exactly, with no float pass.  A draw reads the guide entry
-at its bucket.  Only a 0 refines: the draw starts from the bucket's first
-cut, the one at its start entry, and steps forward while that cut lies
-below u.
+m >> (53 - g), exactly, with no float pass.  A cut c is exact after
+scaling by 2^53, so c < u exactly when T = floor(c * 2^53) < m: one
+integer compare.  A bucket's threshold is the T of the row's first cut
+not below b/G.  When every cut of the bucket has that T, the bucket's
+J cuts are all below u or none is, so the draw is start[b] + J * [T < m],
+and start[b] + J is start[b + 1].  J counts repeated cuts too: those of
+zero-probability categories, and the all-0 and all-1 cuts of delta = 1.
+An empty bucket's threshold belongs to a cut above it, and bucket G's to
+a cut at or above 1, so neither is ever below u.
 
-The lookup is exact, not approximate.  b/G <= u < (b+1)/G, so a bucket
-that holds no cut holds none in [b/G, u) either, and the count below u
-equals the count below b/G.  The refinement is exact because the cuts
-below u are a prefix of the row: cuts rise until they pass 1, and every
-later cut, the forced last cut 1.0 included, is >= u.  Outcomes are
-therefore bit-identical to right-closed inverse-CDF bucketing, also for
-zero-probability categories, for rows whose cumulative sum overshoots 1.0,
-and for u = 1.0 (bucket G holds the cut at 1.0 and always refines).  A
-refined draw steps over at most the cuts its bucket holds, not over K:
-while G is about 32 K only the buckets holding a cut refine, about K/G of
-the draws; when the budget caps G (G = 256 at K = 4096) every draw may
-refine, over about K/G cuts.
+Only a bucket whose cuts give two values of T below 1 is marked for
+refinement, by the threshold _REFINE, which is below no mantissa; a
+table without such a bucket never looks for one.  A marked draw searches
+its bucket's start[b + 1] - start[b] cuts by halving: the cuts below u
+are a prefix of the row (cuts rise until they pass 1, and every later
+cut, the forced last cut 1.0 included, is >= u), so a refined draw takes
+about log2 of the most cuts in one bucket steps.  That happens for cuts
+closer than 1/G, and for every draw when the budget caps G (G = 256 at
+K = 4096).  Outcomes are therefore bit-identical to right-closed
+inverse-CDF bucketing, also for zero-probability categories, for rows
+whose cumulative sum overshoots 1.0, and for u = 1.0.
 
 Every batch is drawn on the calling thread, a block of 2^14 rows at a
 time, in buffers made once per call: the block's stream keys are mixed
@@ -54,10 +57,11 @@ cannot change the result because the underlying variates are
 counter-based.  `workers` is accepted for compatibility and has no
 effect.  Outcomes are stored in the smallest unsigned dtype that holds K
 (`np.min_scalar_type(K)`: uint8 up to K = 255, uint16 up to K = 65535),
-the dtype of the guide table and of the tile; index arithmetic on them is
-done in intp, so no narrow value ever wraps.  Batch text is encoded by gathering the bytes of each
-outcome from a token table, with the same bytes as formatting each cell
-with str().
+the dtype of the start table and of the tile; index arithmetic on them is
+done in intp, so no narrow value ever wraps.  Batch text has the bytes of
+formatting each cell with str(): with K <= 9 each cell is one
+little-endian uint16 add, its digit and ",", and wider K gathers the
+bytes of each outcome from a token table.
 """
 
 from __future__ import annotations
@@ -76,11 +80,16 @@ from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _check_array
 from .rng import stream_keys, uniform_grid
 
 
-# The guide and bucket-start tables hold at most this many entries together,
-# whatever K is.
-_TABLE_BUDGET = 1 << 22
-_BUCKETS_PER_CUT = 32
-_MIN_BUCKETS = 1024
+# The start and threshold tables take at most this many bytes together,
+# whatever K is: 16 MiB, so G = 256 at K = 4096.  The bucket constants are
+# backed by the timings in BENCH_24.json (`bucket_sizing`).
+_TABLE_BUDGET = 1 << 24
+_BUCKETS_PER_CUT = 4
+_MIN_BUCKETS = 64
+# The threshold of a bucket whose cuts give two thresholds: above every
+# mantissa and below 2^63, so such a draw keeps its bucket's start until it
+# is refined.
+_REFINE = np.uint64(2**63 - 1)
 # Rows are drawn in blocks of _BLOCK_ROWS, the mantissas of a block are
 # generated about _GRID_VARIATES at a time, and its draws go through a tile
 # of at most _TILE positions, so the scratch memory is bounded
@@ -94,6 +103,8 @@ _TILE = 32
 _CSV_FRAME = (b"", b"\n")
 _JSONL_FRAME = (b"[", b"]\n")
 _PAD = ord(" ")
+# A one-digit cell v is the little-endian uint16 v + _DIGIT_CELL: its digit, then ",".
+_DIGIT_CELL = np.uint16(ord("0") + (ord(",") << 8))
 # No batch is drawn on a thread pool.  The name stays because the
 # benchmark's tracer (bench/spans.py) patches it when it installs.
 ThreadPoolExecutor = None
@@ -103,15 +114,20 @@ ThreadPoolExecutor = None
 class _DrawTable:
     """Row 0 of `cuts` is the base cumulative, row j the cumsum of kernel row j.
 
-    `start[j, b]` is 1 + #{c : cuts[j, c] < b/G} for the bucket [b/G, (b+1)/G);
-    `guide[j, b]` is the same for a bucket holding no cut of row j, and 0 for
-    a bucket that holds one.
+    For the bucket [b/G, (b+1)/G) of row j, `start[j, b]` is
+    1 + #{c : cuts[j, c] < b/G}, so bucket b < G holds
+    start[j, b + 1] - start[j, b] cuts.  `thresholds[j, b]` is
+    floor(c * 2^53) for the row's first cut c not below b/G, or _REFINE
+    when the cuts of bucket b < G give floor(c * 2^53) two values.  `depth`
+    halving steps resolve the fullest _REFINE bucket; it is 0 when there is
+    none.
     """
 
     cuts: np.ndarray  # (K+1, K) float64
-    guide: np.ndarray  # (K+1, G+1) smallest unsigned dtype holding K
-    start: np.ndarray  # (K+1, G+1), the guide's dtype
+    start: np.ndarray  # (K+1, G+1) smallest unsigned dtype holding K
+    thresholds: np.ndarray  # (K+1, G+1) uint64
     buckets: int  # G, a power of two
+    depth: int
 
     @property
     def shift(self) -> int:
@@ -125,15 +141,17 @@ class _Scratch:
     `mantissas` and `words` hold `variates` entries each, a group of
     positions of one block of `rows` rows; `words` is the mixing scratch
     (of the block's stream keys too) and then, viewed as intp, the group's
-    guide-table indices.  Row i of `tile` holds the draws of the tile's
-    i-th position.
+    table indices.  `offset`, `threshold` and `mask` hold one position's
+    parent rows, gathered thresholds and refinement marks.  Row i of `tile`
+    holds the draws of the tile's i-th position.
     """
 
     def __init__(self, variates: int, rows: int, positions: int, dtype: np.dtype):
         self.mantissas = np.empty(variates, dtype=np.uint64)
         self.words = np.empty(variates, dtype=np.uint64)
         self.offset = np.empty(rows, dtype=np.intp)
-        self.held = np.empty(rows, dtype=bool)
+        self.threshold = np.empty(rows, dtype=np.uint64)
+        self.mask = np.empty(rows, dtype=bool)
         self.tile = np.empty((positions, rows), dtype=dtype)
 
 
@@ -149,17 +167,21 @@ def _token_table(num_categories: int) -> np.ndarray:
 def _encode_rows(rows: np.ndarray, num_categories: int, frame: tuple[bytes, bytes]) -> str:
     """The text of `rows` (entries in 1..K), each row framed by (prefix, terminator).
 
-    The tokens of a block of rows are gathered from the token table into
-    one uint8 buffer, and the terminator is written over each row's last
-    separator.  With K <= 9 every token has the same width and the buffer
-    is the text as it stands; wider K drops the pad bytes with one mask.
-    A prefix, or a terminator of more than one byte (JSONL), costs one more
-    pass over the block to frame its rows.
+    The cells of a block of rows go into one uint8 buffer, and the
+    terminator is written over each row's last separator.  With K <= 9 a
+    cell is one add, v + _DIGIT_CELL as a little-endian uint16, so the
+    buffer is the text as it stands; wider K gathers each cell's token from
+    the token table and drops the pad bytes with one mask.  A prefix, or a
+    terminator of more than one byte (JSONL), costs one more pass over the
+    block to frame its rows.
     """
-    tokens = _token_table(num_categories)
     prefix, terminator = frame
     count, length = rows.shape
-    cells = np.take(tokens, rows, axis=0, mode="clip").reshape(count, length * tokens.shape[1])
+    if num_categories <= 9:
+        cells = np.add(rows, _DIGIT_CELL, dtype="<u2", casting="unsafe").view(np.uint8)
+    else:
+        tokens = _token_table(num_categories)
+        cells = np.take(tokens, rows, axis=0, mode="clip").reshape(count, length * tokens.shape[1])
     if prefix or len(terminator) > 1:
         cells = np.concatenate(
             [
@@ -170,7 +192,7 @@ def _encode_rows(rows: np.ndarray, num_categories: int, frame: tuple[bytes, byte
             axis=1,
         )
     cells[:, cells.shape[1] - len(terminator) :] = np.frombuffer(terminator, dtype=np.uint8)
-    if tokens.shape[1] > 2:
+    if num_categories > 9:
         cells = cells[cells != _PAD]
     return cells.tobytes().decode("ascii")
 
@@ -263,23 +285,24 @@ class SampleBatch:
 
 
 def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
-    """Cut points, bucket starts and guide table, shared read-only by every draw of a call.
+    """Cut points, bucket starts and thresholds, shared read-only by every draw of a call.
 
     Built one row at a time from the kernel's switch row and repeat
     diagonal, so the cut matrix is the table's only (K+1) x K array.
     """
     k = marginal.num_categories
-    buckets = max(_MIN_BUCKETS, 1 << (_BUCKETS_PER_CUT * k - 1).bit_length())
-    while buckets > 1 and 2 * (k + 1) * (buckets + 1) > _TABLE_BUDGET:
+    dtype = np.min_scalar_type(k)
+    entry = dtype.itemsize + 8  # a start and a threshold
+    buckets = max(_MIN_BUCKETS, 1 << (_BUCKETS_PER_CUT * k).bit_length() - 1)
+    while buckets > 1 and (k + 1) * (buckets + 1) * entry > _TABLE_BUDGET:
         buckets //= 2
 
     cuts = np.empty((k + 1, k), dtype=np.float64)
-    start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
-    guide = np.empty_like(start)
+    start = np.empty((k + 1, buckets + 1), dtype=dtype)
+    edges = np.arange(buckets + 1) / buckets  # b/G, exact
     switch, repeat = _kernel_parts(marginal, delta)
     row = switch.copy()
-    held = np.empty(k, dtype=np.intp)
-    for j, (row_cuts, row_start, row_guide) in enumerate(zip(cuts, start, guide)):
+    for j, (row_cuts, row_start) in enumerate(zip(cuts, start)):
         if j:  # kernel row j - 1
             row[j - 1] = repeat[j - 1]
             np.cumsum(row, out=row_cuts)
@@ -289,16 +312,35 @@ def _draw_table(marginal: Marginal, delta: float) -> _DrawTable:
         # Forcing the final cut to 1.0 pairs with uniforms in (0, 1]: every
         # draw lands in exactly one right-closed bucket.
         row_cuts[-1] = 1.0
-        # A cut lies below b/G exactly when its bucket floor(cut*G) lies below
-        # b; cuts above 1 (a cumulative sum that overshoots) are never below a
-        # uniform and join the last bucket, which always holds the cut at 1.0.
-        # Cuts are >= 0, so the cast's truncation is the floor.
-        np.multiply(row_cuts, buckets, out=held, casting="unsafe")
-        np.minimum(held, buckets, out=held)
-        counts = np.bincount(held, minlength=buckets + 1)
-        row_start[:] = np.cumsum(counts) - counts + 1
-        row_guide[:] = np.where(counts, 0, row_start)
-    return _DrawTable(cuts, guide, start, buckets)
+        # The cuts before it rise (a cumulative sum that overshoots 1 only
+        # rises further), and 1.0 is below no edge b/G <= 1.
+        np.add(row_cuts[:-1].searchsorted(edges), 1, out=row_start, casting="unsafe")
+
+    # c * 2^53 is exact, so c < m * 2^-53 exactly when floor(c * 2^53) < m,
+    # and cuts of one threshold are one value to every uniform.  Bucket b
+    # holds the row's cuts from entry start[b] - 1 to entry start[b + 1] - 2,
+    # so only a bucket of two or more cuts can refine.  Rows go a chunk of
+    # about 2^17 entries at a time, so the index scratch stays near 1 MiB.
+    thresholds = np.empty(start.shape, dtype=np.uint64)
+    fullest = 1
+    chunk = max(1, (1 << 17) // (buckets + 1))
+    for first in range(0, k + 1, chunk):
+        rows = slice(first, first + chunk)
+        index = start[rows].astype(np.intp)
+        index += np.arange(first, first + len(index), dtype=np.intp)[:, None] * k - 1
+        index = index.ravel()  # the row's first cut not below b/G, in `cuts.ravel()`
+        chunk_thresholds = thresholds[rows].ravel()
+        # The cast truncates a product >= 0, which is its floor.
+        np.multiply(cuts.ravel().take(index), 2.0**_MANTISSA_BITS, out=chunk_thresholds, casting="unsafe")
+        size = np.diff(index)
+        size[buckets :: buckets + 1] = 0  # bucket G, whose next entry starts the next row
+        held = np.flatnonzero(size > 1)
+        last = cuts.ravel().take(index.take(held + 1) - 1)
+        last *= 2.0**_MANTISSA_BITS
+        refine = np.floor(last, out=last) != chunk_thresholds.take(held)
+        chunk_thresholds[held[refine]] = _REFINE
+        fullest = max(fullest, int(size.take(held[refine]).max(initial=1)))
+    return _DrawTable(cuts, start, thresholds, buckets, (fullest - 1).bit_length())
 
 
 def _draw_block(
@@ -322,13 +364,14 @@ def _draw_block(
     width, rows = mantissas.shape
     k = table.cuts.shape[1]
     stride = np.intp(table.buckets + 1)
-    guide, start, cuts = table.guide.ravel(), table.start.ravel(), table.cuts.ravel()
+    start, thresholds, cuts = table.start.ravel(), table.thresholds.ravel(), table.cuts.ravel()
     # Bucket b = floor(u*G) = m >> (53 - g) of the whole group in one shift.
     index = scratch.words[: width * rows].reshape(width, rows)
     np.right_shift(mantissas, table.shift, out=index)
     index = index.view(np.intp)
     tile = scratch.tile[:, :rows]
-    offset, held = scratch.offset[:rows], scratch.held[:rows]
+    offset, threshold, mask = scratch.offset[:rows], scratch.threshold[:rows], scratch.mask[:rows]
+    step, depth = threshold.view(np.intp), table.depth
     for position in range(width):
         column = first_column + position
         bucket = index[position]
@@ -340,24 +383,36 @@ def _draw_block(
             offset[:] = tile[parent - tile_first] if parent >= tile_first else block[:, parent]
             offset *= stride
             bucket += offset
-        guide.take(bucket, out=values, mode="clip")
-        np.equal(values, 0, out=held)
-        hit = held.nonzero()[0]
+        thresholds.take(bucket, out=threshold, mode="clip")
+        if depth:
+            np.equal(threshold, _REFINE, out=mask)
+        # T - m wraps past 2^63 exactly when T < m (both lie below 2^63), so
+        # its top bit steps the draw to start[b + 1] = start[b] + J.
+        np.subtract(threshold, mantissas[position], out=threshold)
+        np.right_shift(threshold, 63, out=threshold)
+        bucket += step
+        start.take(bucket, out=values, mode="clip")
+        if not depth:
+            continue
+        hit = mask.nonzero()[0]
         if hit.size:
-            # The cuts below u are a prefix of the row: start from the first
-            # cut not below the bucket's start and step past those below u.
-            # The forced last cut 1.0 is never below u, so no step leaves the row.
+            # The cuts below u are a prefix of the row, so a halving search
+            # over the bucket's cuts counts those below u: each step keeps
+            # the half that holds the first cut not below u.
             flat = bucket[hit]
-            cut = flat // stride * k
-            cut += start[flat]
-            cut -= 1
+            found = flat // stride * k
+            found += start[flat]
+            found -= 1
+            size = start[flat + 1].astype(np.intp)
+            size -= start[flat]
             u = mantissas[position, hit] * _UNIT
-            while True:
-                below = cuts[cut] < u
-                if not below.any():
-                    break
-                cut += below
-            values[hit] = cut % k + 1
+            for _ in range(depth):
+                half = size >> 1
+                size -= half
+                half *= cuts[found + half] < u
+                found += half
+            found += cuts[found] < u
+            values[hit] = found % k + 1
 
 
 def sample_batch(
@@ -392,11 +447,11 @@ def sample_batch(
     tree = build_tree(spec, length)  # validates the generator up to length
     table = _draw_table(marginal, d)
 
-    outcomes = np.empty((count, length), dtype=table.guide.dtype)
+    outcomes = np.empty((count, length), dtype=table.start.dtype)
     if count:  # the group width below divides by the block's rows
         rows = min(count, _BLOCK_ROWS)
         variates = rows * min(length, _TILE, max(1, _GRID_VARIATES // rows))
-        scratch = _Scratch(variates, rows, min(length, _TILE), table.guide.dtype)
+        scratch = _Scratch(variates, rows, min(length, _TILE), table.start.dtype)
         for start in range(0, count, _BLOCK_ROWS):
             block = outcomes[start : start + _BLOCK_ROWS]
             rows = block.shape[0]

@@ -407,8 +407,11 @@ def assert_empirical_statistics_match_an_int64_oracle(batch, outcomes):
 def kernel_built_table(marginal, delta, buckets):
     """The draw table of G = `buckets` by its definition, with cuts from `transition_kernel`.
 
-    start[j, b] = 1 + #{c : cuts[j, c] < b/G}; guide[j, b] is 0 where the
-    bucket [b/G, (b+1)/G) holds a cut of row j and start[j, b] elsewhere.
+    Bucket b of row j holds the cuts in [b/G, (b+1)/G), and bucket G those
+    at or above 1.  start[j, b] = 1 + #{c : cuts[j, c] < b/G};
+    thresholds[j, b] is floor(c * 2^53) for the row's first cut c not below
+    b/G, or _REFINE when the cuts of bucket b < G give floor(c * 2^53) two
+    values.
     """
     k = marginal.num_categories
     cuts = np.empty((k + 1, k))
@@ -417,14 +420,22 @@ def kernel_built_table(marginal, delta, buckets):
     cuts[:, -1] = 1.0
     edges = np.arange(buckets + 1) / buckets
     start = np.empty((k + 1, buckets + 1), dtype=np.min_scalar_type(k))
-    guide = np.empty_like(start)
-    for row, row_start, row_guide in zip(cuts, start, guide):
+    thresholds = np.empty((k + 1, buckets + 1), dtype=np.uint64)
+    for row, row_start, row_thresholds in zip(cuts, start, thresholds):
         # The cuts before the forced 1.0 rise; 1.0 is below no edge.
         below = np.searchsorted(row[:-1], edges, side="left")
-        holds = np.append(below[1:] > below[:-1], True)  # bucket G holds 1.0
         row_start[:] = below + 1
-        row_guide[:] = np.where(holds, 0, below + 1)
-    return cuts, guide, start
+        scaled = np.floor(np.ldexp(row, 53))
+        row_thresholds[:] = scaled[below].astype(np.uint64)
+        # One entry per distinct (bucket, floor(c * 2^53)); a bucket below G
+        # with two entries refines.
+        bucket = np.searchsorted(edges, row, side="right") - 1  # the last edge <= the cut
+        order = np.lexsort((scaled, bucket))
+        bucket, scaled = bucket[order], scaled[order]
+        new = np.append(True, (bucket[1:] != bucket[:-1]) | (scaled[1:] != scaled[:-1]))
+        values = np.bincount(bucket[new], minlength=buckets + 1)
+        row_thresholds[np.nonzero(values[:buckets] > 1)[0]] = depcat.sampler._REFINE
+    return cuts, start, thresholds
 
 
 def zero_category_marginal():
@@ -551,6 +562,8 @@ class TestGuideTableExactness:
             [0.25, 0.0, 0.5, 1e-13, 0.25 - 1e-13],
             [0.3, 0.7 + 1e-10, 1e-12],  # cumulative sum overshoots 1.0
             list(np.full(17, 1 / 17)),
+            [0.5, 0.005, 0.495],  # the cuts 0.5 and 0.505 share bucket 32 of G = 64
+            [0.4, 0.0, 0.0, 0.6],  # three equal cuts at 0.4
         ],
     )
     @pytest.mark.parametrize("delta", [0.0, 0.3, 1.0 - 1e-12, 1.0])
@@ -576,7 +589,7 @@ class TestGuideTableExactness:
         uniforms = grid.T * 2.0**-53
         parents = np.array([1])
         out = np.empty(uniforms.shape, dtype=np.int64)
-        scratch = depcat.sampler._Scratch(grid.size, grid.shape[1], 2, table.guide.dtype)
+        scratch = depcat.sampler._Scratch(grid.size, grid.shape[1], 2, table.start.dtype)
         depcat.sampler._draw_block(table, parents, grid, out, 0, 0, scratch)
         out[:] = scratch.tile.T
         assert np.array_equal(out, compare_count_oracle(p, delta, parents, uniforms))
@@ -584,9 +597,9 @@ class TestGuideTableExactness:
     @pytest.mark.parametrize("k", [2, 64, 300, 1000])
     def test_table_stays_within_budget(self, k):
         table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.5)
-        assert table.guide.size <= depcat.sampler._TABLE_BUDGET
+        assert table.start.nbytes + table.thresholds.nbytes <= depcat.sampler._TABLE_BUDGET
         assert table.buckets & (table.buckets - 1) == 0
-        assert table.guide.shape == (k + 1, table.buckets + 1)
+        assert table.start.shape == table.thresholds.shape == (k + 1, table.buckets + 1)
 
     @pytest.mark.parametrize("delta", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("k", [3, 64, 300, 4096])
@@ -594,10 +607,10 @@ class TestGuideTableExactness:
         probs = np.random.default_rng(k).random(k)
         marginal = as_marginal(probs / probs.sum())
         table = depcat.sampler._draw_table(marginal, delta)
-        cuts, guide, start = kernel_built_table(marginal, delta, table.buckets)
+        cuts, start, thresholds = kernel_built_table(marginal, delta, table.buckets)
         assert table.cuts.tobytes() == cuts.tobytes()
-        assert table.guide.dtype == guide.dtype and np.array_equal(table.guide, guide)
-        assert np.array_equal(table.start, start)
+        assert table.start.dtype == start.dtype and np.array_equal(table.start, start)
+        assert table.thresholds.tobytes() == thresholds.tobytes()
 
     def test_sequence_is_the_one_row_case(self):
         p = zero_category_marginal()
@@ -628,20 +641,18 @@ class TestDrawKernel:
     @pytest.mark.parametrize("k", [2, 64, 181, 256, 1000])
     def test_tables_share_the_budget_and_shift_matches_buckets(self, k):
         table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.5)
-        assert table.guide.size + table.start.size <= depcat.sampler._TABLE_BUDGET
-        assert table.start.shape == table.guide.shape == (k + 1, table.buckets + 1)
+        assert table.start.nbytes + table.thresholds.nbytes <= depcat.sampler._TABLE_BUDGET
+        assert table.start.shape == table.thresholds.shape == (k + 1, table.buckets + 1)
         assert 1 << (53 - table.shift) == table.buckets
-        held = table.guide == 0
-        assert np.array_equal(table.guide[~held], table.start[~held])
 
     @pytest.mark.parametrize("spec", [FSQRT, SEQ])
     def test_budget_capped_k4096_matches_compare_count_oracle(self, spec):
-        # At K = 4096 the budget caps G at 256: every bucket of every row
-        # holds cuts, so every draw refines, stepping over the cuts of its bucket.
+        # At K = 4096 the budget caps G at 256: every bucket but G of every row
+        # holds distinct cuts, so every draw refines, searching the cuts of its bucket.
         k, delta, length, count, seed = 4096, 0.002, 6, 400, 2**64 - 7
         p = np.full(k, 1 / k)
         table = depcat.sampler._draw_table(as_marginal(p), delta)
-        assert table.buckets == 256 and np.all(table.guide == 0)
+        assert table.buckets == 256 and np.all(table.thresholds[:, :-1] == depcat.sampler._REFINE)
         assert np.diff(table.start, axis=1).max() > 1  # some bucket holds several cuts
         del table
         batch = sample_batch(p, delta, spec, length, count, seed=seed)
@@ -686,14 +697,14 @@ class TestDrawKernel:
         table = depcat.sampler._draw_table(as_marginal(np.full(k, 1 / k)), 0.4)
         rows, width = 2**14, 8
         parents = build_tree(spec, width).parents
-        scratch = depcat.sampler._Scratch(rows * width, rows, width, table.guide.dtype)
+        scratch = depcat.sampler._Scratch(rows * width, rows, width, table.start.dtype)
         group = scratch.mantissas.reshape(width, rows)
         keys, words = stream_keys(5, 0, rows), scratch.words.reshape(width, rows)
         uniform_grid(5, 0, rows, width, keys=keys, mantissas=group, scratch=words)
         expected = compare_count_oracle(
             np.full(k, 1 / k), 0.4, parents, group.T * 2.0**-53
         )
-        out = np.empty((rows, width), dtype=table.guide.dtype)
+        out = np.empty((rows, width), dtype=table.start.dtype)
         tracemalloc.start()
         try:
             depcat.sampler._draw_block(table, parents, group, out, 0, 0, scratch)
