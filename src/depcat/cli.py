@@ -352,12 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser(
         "validate", parents=[shared], help="check the generator axioms up to N"
-    )
+    ).set_defaults(run=cmd_validate)
 
     graph = commands.add_parser(
         "graph", parents=[shared], help="emit the dependency tree"
     )
     graph.add_argument("--format", choices=("dot", "json"), default="dot")
+    graph.set_defaults(run=cmd_graph)
 
     covariance = commands.add_parser(
         "covariance", parents=[shared], help="cross-covariance matrix of two positions"
@@ -368,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("enumerate", "closed", "both"), default="both"
     )
     covariance.add_argument("--format", choices=("json", "csv"), default="json")
+    covariance.set_defaults(run=cmd_covariance)
 
     sample = commands.add_parser(
         "sample", parents=[shared], help="draw a seeded batch and write it to files"
@@ -381,10 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="accepted for compatibility, no effect: batches are drawn on one thread",
     )
+    sample.set_defaults(run=cmd_sample)
 
     commands.add_parser(
         "verify", parents=[shared], help="run the exact-route agreement checks"
-    )
+    ).set_defaults(run=cmd_verify)
 
     return parser
 
@@ -400,20 +403,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "graph": cmd_graph,
-    "covariance": cmd_covariance,
-    "sample": cmd_sample,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args)
-        return _COMMANDS[args.command](config, args)
+        return args.run(config, args)
     except EnumerationTooLargeError as exc:
         print(f"error: {exc}; reduce N or raise the cap", file=sys.stderr)
         return EXIT_CAP

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, EnumerationTooLargeError, check_integer
 from .generators import GeneratorSpec
-from .graph import DependencyTree, branch_lengths, build_tree, tree_distance
+from .graph import DependencyTree, build_tree, tree_distance
 from .kernel import (
     DeltaLike,
     Marginal,
@@ -317,7 +317,7 @@ class _Propagation:
         counts the branch lengths a and b.  Returns the (len(pairs), K, K)
         joints and the distances a + b.
         """
-        ancestors, up, down = zip(*(branch_lengths(self.tree, m, n) for m, n in pairs))
+        ancestors, up, down = zip(*(self.tree.branch_lengths(m, n) for m, n in pairs))
         for exponent in sorted(set(up) | set(down)):
             self.power(exponent)
         at_ancestor = np.array([self.marginal(c) for c in ancestors])
@@ -382,9 +382,14 @@ class CrossCovariance:
 
     def __post_init__(self):
         _check_pair_positions(self.m, self.n)
-        matrix = np.array(self.matrix, dtype=np.float64)
+        try:
+            matrix = np.array(self.matrix, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"covariance matrix entries must be numbers: {exc}") from None
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DomainError("covariance matrix must be square")
+        if not np.all(np.isfinite(matrix)):
+            raise DomainError("covariance matrix entries must be finite")
         sums = np.concatenate([matrix.sum(axis=0), matrix.sum(axis=1)])
         worst = float(np.max(np.abs(sums)))
         if worst > 1e-8:

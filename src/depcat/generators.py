@@ -18,7 +18,6 @@ violations as data while ``evaluate`` raises on them.
 from __future__ import annotations
 
 import decimal
-import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -42,6 +41,13 @@ _SIN_BLOCK = 1 << 12
 # Digits of the decimal re-evaluation of sin_drift.  Its reduction modulo
 # 2*pi works with 20 more, which cover the up to 16 digits of n.
 _SIN_DIGITS = 60
+# pi to 100 significant digits, correctly rounded.  It is a fixed number, so
+# it is written out rather than summed from a series at run time; the
+# reduction modulo 2*pi reads the first _SIN_DIGITS + 20 = 80 of them.
+_PI = decimal.Decimal(
+    "3.14159265358979323846264338327950288419716939937510"
+    "5820974944592307816406286208998628034825342117068"
+)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,8 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GeneratorSpec":
+        if not isinstance(data, Mapping):
+            raise DomainError(f"generator must be a JSON object, got {type(data).__name__}")
         if "kind" not in data:
             raise DomainError("generator object needs a 'kind' field")
         return cls(kind=data["kind"], table=data.get("table"))
@@ -141,25 +149,9 @@ def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
             parents[start : start + _SIN_BLOCK] = _sin_drift(indices[start : start + _SIN_BLOCK])
         return parents
     if kind == "prime_partition":
-        return smallest_prime_factor_ranks(int(indices.max()))[indices]
+        return smallest_prime_factor_ranks(int(indices.max(initial=2)))[indices]
     assert spec.table is not None
     return np.array([spec.table.get(n, 0) for n in indices.tolist()], dtype=np.int64)
-
-
-@functools.cache
-def _decimal_pi() -> decimal.Decimal:
-    """pi to _SIN_DIGITS + 20 digits, by the `pi` recipe of the `decimal` documentation."""
-    with decimal.localcontext() as context:
-        context.prec = _SIN_DIGITS + 22
-        last, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
-        while s != last:
-            last = s
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            t = (t * n) / d
-            s += t
-        context.prec -= 2
-        return +s
 
 
 def _sin_drift_decimal(n: int) -> int:
@@ -172,7 +164,7 @@ def _sin_drift_decimal(n: int) -> int:
     with decimal.localcontext() as context:
         context.prec = _SIN_DIGITS + 20
         index = decimal.Decimal(n)
-        two_pi = 2 * _decimal_pi()
+        two_pi = 2 * _PI
         x = index - (index / two_pi).to_integral_value() * two_pi
         context.prec = _SIN_DIGITS + 2
         i, last, s, fact, num, sign = 1, 0, x, 1, x, 1

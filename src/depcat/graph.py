@@ -54,6 +54,25 @@ class DependencyTree:
         for node in range(2, self.size + 1):
             yield node, int(self.parents[node - 2])
 
+    def branch_lengths(self, m: int, n: int) -> tuple[int, int, int]:
+        """The lowest common ancestor c of m and n, and the edges c..m and c..n.
+
+        Walks the larger index up its parent chain until the two meet;
+        because parents strictly decrease this converges at c, after
+        exactly the edges of the path between m and n.  m and n are checked
+        once; every hop after that stays inside 1..size.
+        """
+        self._check_node(m)
+        self._check_node(n)
+        parent = self.parents.item  # parent(i) is the parent of node i + 2
+        up = down = 0
+        while m != n:
+            if m > n:
+                m, up = parent(m - 2), up + 1
+            else:
+                n, down = parent(n - 2), down + 1
+        return m, up, down
+
     def _check_node(self, node: int) -> None:
         check_integer(node, "node index", 1, self.size)
 
@@ -64,8 +83,7 @@ def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
     The tree is the one check of the parents; only a generator that fails
     it is run through `validate`, to report its violations.
     """
-    if check_integer(size, "tree size") < 2:  # DependencyTree rejects a size below 1
-        return DependencyTree(size, np.empty(0, dtype=np.int64))
+    size = check_integer(size, "tree size", 1)
     indices = np.arange(2, size + 1, dtype=np.int64)
     try:
         return DependencyTree(size, generators._parents(spec, indices))
@@ -78,29 +96,9 @@ def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
         ) from None
 
 
-def branch_lengths(tree: DependencyTree, m: int, n: int) -> tuple[int, int, int]:
-    """The lowest common ancestor c of m and n, and the edges c..m and c..n.
-
-    Walks the larger index up its parent chain until the two meet; because
-    parents strictly decrease this converges at c, after exactly the edges
-    of the path between m and n.  m and n are checked once; every hop
-    after that stays inside 1..size, so it reads `tree.parents` directly.
-    """
-    tree._check_node(m)
-    tree._check_node(n)
-    parent = tree.parents.item  # parent(i) is the parent of node i + 2
-    up = down = 0
-    while m != n:
-        if m > n:
-            m, up = parent(m - 2), up + 1
-        else:
-            n, down = parent(n - 2), down + 1
-    return m, up, down
-
-
 def tree_distance(tree: DependencyTree, m: int, n: int) -> int:
     """Edge count of the unique path between m and n."""
-    _, up, down = branch_lengths(tree, m, n)
+    _, up, down = tree.branch_lengths(m, n)
     return up + down
 
 

@@ -501,18 +501,14 @@ def _counts(batch: SampleBatch, *positions: int) -> np.ndarray:
     width = batch.num_categories + 1
     bins = width ** len(positions)
     rows = max(_BLOCK_ROWS, bins)
-    counts = None
+    counts = np.zeros(bins, dtype=np.intp)
     for first in range(0, batch.count, rows):
         block = batch.outcomes[first : first + rows]
         codes = block[:, positions[0] - 1].astype(np.intp)
         for position in positions[1:]:
             codes *= width
             codes += block[:, position - 1]
-        block_counts = np.bincount(codes, minlength=bins)
-        if counts is None:
-            counts = block_counts
-        else:
-            counts += block_counts
+        counts += np.bincount(codes, minlength=bins)
     return counts
 
 
