@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy for depcat, and the integer rule that raises `DomainError`.
+"""Semantic exception hierarchy for depcat, and the input rules that raise `DomainError`.
 
 Public functions raise these instead of bare ValueError so callers can
 distinguish bad inputs from structural problems in a dependency spec.
@@ -9,9 +9,12 @@ Each class below `DepcatError` is one exit code of the CLI: a
 
 import json
 import math
+import numbers
 import re
 
 import numpy as np
+
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class DepcatError(Exception):
@@ -59,6 +62,17 @@ def check_integer(value, name: str, low: int | None = None, high: int | None = N
     return value
 
 
+def _entries(values, name: str) -> np.ndarray:
+    """`values` as an object array of its entries, or a DomainError naming `name`.
+
+    numpy cannot shape nested arrays of unequal shapes even as objects.
+    """
+    try:
+        return np.array(values, dtype=object)
+    except ValueError as exc:
+        raise DomainError(f"{name}: nested entries of unequal shapes ({exc})") from None
+
+
 def check_integers(values, name: str) -> np.ndarray:
     """`values` as an integer array, each entry by the rule of `check_integer`.
 
@@ -69,7 +83,7 @@ def check_integers(values, name: str) -> np.ndarray:
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
-    entries = np.array(values, dtype=object)
+    entries = _entries(values, name)
     checked = [check_integer(value, name, -(2**63), 2**63 - 1) for value in entries.flat]
     return np.array(checked, dtype=np.int64).reshape(entries.shape)
 
@@ -87,3 +101,32 @@ def as_integer(value, name: str, low: int | None = None, high: int | None = None
     elif isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
         value = int(value)
     return check_integer(value, name, low, high)
+
+
+def as_real(value, name: str) -> float:
+    """`value` as a float: a real number that is not a bool, or its plain decimal text.
+
+    The rule for real arguments and settings.  So 0.4 and "0.4" read as
+    0.4, and true, "abc", "1_0", " 1", "inf" and a list are a DomainError
+    naming `name`, where float() would read true as 1.0 and "1_0" as 10.0.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return float(value)
+    raise DomainError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
+
+
+def check_reals(values, name: str) -> np.ndarray:
+    """`values` as a float64 array, each entry by the rule of `as_real`.
+
+    An ndarray of integer or float dtype is cast with no per-entry pass, so
+    a float64 one comes back as it is.  Any other input (a list, a bool,
+    string or object array) is read entry by entry, so true and "1_0" are a
+    DomainError naming `name`, and comes back as float64 in its own shape.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(np.float64, copy=False)
+    entries = _entries(values, name)
+    checked = [as_real(value, name) for value in entries.flat]
+    return np.array(checked, dtype=np.float64).reshape(entries.shape)

@@ -43,7 +43,7 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EnumerationTooLargeError, check_integer
+from .errors import DomainError, EnumerationTooLargeError, check_integer, check_reals
 from .generators import GeneratorSpec
 from .graph import DependencyTree, build_tree, tree_distance
 from .kernel import (
@@ -383,8 +383,8 @@ class CrossCovariance:
     def __post_init__(self):
         _check_pair_positions(self.m, self.n)
         try:
-            matrix = np.array(self.matrix, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            matrix = check_reals(self.matrix, "entry").copy()  # never the caller's
+        except DomainError as exc:
             raise DomainError(f"covariance matrix entries must be numbers: {exc}") from None
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DomainError("covariance matrix must be square")

@@ -94,6 +94,11 @@ class GeneratorSpec:
             raise DomainError(f"generator must be a JSON object, got {type(data).__name__}")
         if "kind" not in data:
             raise DomainError("generator object needs a 'kind' field")
+        unknown = sorted(data.keys() - {"kind", "table"}, key=str)
+        if unknown:
+            raise DomainError(
+                f"generator keys other than 'kind' and 'table': {', '.join(map(repr, unknown))}"
+            )
         return cls(kind=data["kind"], table=data.get("table"))
 
     def to_dict(self) -> dict:
@@ -227,13 +232,14 @@ class ValidationReport:
 def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
     """Check 1 <= alpha(n) <= n-1 for every n in {2..max_index}.
 
+    The range ends at 2**53 at most, the end of `evaluate`'s domain.
     Missing table entries and out-of-range parents are reported, not
     raised.  An empty report means the generator restricted to the range
     is a valid dependency generator.  The parents are evaluated once, by
     `_parents`, and the report is read from that array; a missing table
     entry reads 0.
     """
-    max_index = check_integer(max_index, "max_index", 2)
+    max_index = check_integer(max_index, "max_index", 2, _MAX_INDEX)
     indices = np.arange(2, max_index + 1, dtype=np.int64)
     parents = _parents(spec, indices)
     violations = []

@@ -80,10 +80,11 @@ class DependencyTree:
 def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
     """Tree with an edge n -> alpha(n) for every n in {2..size}.
 
-    The tree is the one check of the parents; only a generator that fails
-    it is run through `validate`, to report its violations.
+    The size ends at 2**53 at most, the end of the generators' domain.  The
+    tree is the one check of the parents; only a generator that fails it
+    is run through `validate`, to report its violations.
     """
-    size = check_integer(size, "tree size", 1)
+    size = check_integer(size, "tree size", 1, generators._MAX_INDEX)
     indices = np.arange(2, size + 1, dtype=np.int64)
     try:
         return DependencyTree(size, generators._parents(spec, indices))

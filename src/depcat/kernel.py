@@ -10,15 +10,12 @@ deterministic copying of the parent outcome (1).
 
 from __future__ import annotations
 
-import json
-import numbers
-import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, as_real, check_reals
 
 # Construction guard for user-supplied probability vectors.  Vectors whose
 # sum strays further than this are rejected; an accepted vector whose sum is
@@ -34,21 +31,6 @@ from .errors import DomainError
 #   any matrix, empirical ones included, far above the rounding of either.
 MARGINAL_SUM_TOL = 1e-9
 
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
-
-def _as_real(value, name: str) -> float:
-    """`value` as a float: a real number that is not a bool, or its plain decimal text.
-
-    So 0.4 and "0.4" read as 0.4, and true, "abc", "1_0" and a list are a
-    DomainError naming `name`, where float() would read true as 1.0.
-    """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return float(value)
-    raise DomainError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
-
 
 @dataclass(frozen=True, eq=False)
 class Marginal:
@@ -63,12 +45,7 @@ class Marginal:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = self.probs
-        if not (isinstance(probs, np.ndarray) and probs.dtype.kind in "iuf"):
-            entries = np.array(probs, dtype=object)
-            probs = [_as_real(v, "marginal probability") for v in entries.flat]
-            probs = np.reshape(probs, entries.shape)
-        probs = np.array(probs, dtype=np.float64)
+        probs = check_reals(self.probs, "marginal probability").copy()  # never the caller's
         if probs.ndim != 1:
             raise DomainError("marginal probabilities must be a 1-D vector")
         if probs.size < 2:
@@ -105,7 +82,7 @@ def as_marginal(p: MarginalLike) -> Marginal:
 
 def as_delta(delta: DeltaLike) -> float:
     """The dependence strength delta in [0, 1]: 0 = independent, 1 = copy the parent."""
-    value = _as_real(delta, "dependency coefficient")
+    value = as_real(delta, "dependency coefficient")
     if not 0.0 <= value <= 1.0:  # NaN too
         raise DomainError(f"dependency coefficient must lie in [0, 1], got {delta!r}")
     return value

@@ -52,6 +52,13 @@ parent lies in the current tile, and from the parent's column of the
 row-major block otherwise.  A finished tile is written back into the
 block with one transposed assignment.
 
+A parent's draws become row offsets into the table once per run of its
+children: the scratch remembers which column its offsets were made from,
+and a child of that same column adds them as they are.  In first-kind
+dependence every child shares one parent, and floor_sqrt's children come
+in runs of about 2 sqrt(n).  A row block's draws change the offsets'
+source, so each block starts with none.
+
 Batches are a pure function of (seed, parameters); row blocks and tiles
 cannot change the result because the underlying variates are
 counter-based.  `workers` is accepted for compatibility and has no
@@ -142,8 +149,10 @@ class _Scratch:
     positions of one block of `rows` rows; `words` is the mixing scratch
     (of the block's stream keys too) and then, viewed as intp, the group's
     table indices.  `offset`, `threshold` and `mask` hold one position's
-    parent rows, gathered thresholds and refinement marks.  Row i of `tile`
-    holds the draws of the tile's i-th position.
+    parent rows, gathered thresholds and refinement marks.  `parent` is the
+    0-based column whose rows `offset` holds, or -1 when it holds none; a
+    new block of rows resets it.  Row i of `tile` holds the draws of the
+    tile's i-th position.
     """
 
     def __init__(self, variates: int, rows: int, positions: int, dtype: np.dtype):
@@ -152,6 +161,7 @@ class _Scratch:
         self.offset = np.empty(rows, dtype=np.intp)
         self.threshold = np.empty(rows, dtype=np.uint64)
         self.mask = np.empty(rows, dtype=bool)
+        self.parent = -1
         self.tile = np.empty((positions, rows), dtype=dtype)
 
 
@@ -360,6 +370,8 @@ def _draw_block(
     c - tile_first.  Draws position by position: a column reads the kernel
     row of its parent's draw, from the tile when the parent's column is
     tile_first or later, else from `block`, which must already hold it.
+    A column whose parent is `scratch.parent` reads the rows already in
+    `scratch.offset`.
     """
     width, rows = mantissas.shape
     k = table.cuts.shape[1]
@@ -377,11 +389,13 @@ def _draw_block(
         bucket = index[position]
         values = tile[column - tile_first]
         if column:  # position 1 reads row 0, the others the row of their parent's draw
-            parent = parents[column - 1] - 1
-            # Widened by a copy, then scaled in place: a mixed-dtype multiply
-            # would allocate a cast buffer on every call.
-            offset[:] = tile[parent - tile_first] if parent >= tile_first else block[:, parent]
-            offset *= stride
+            parent = parents.item(column - 1) - 1  # a Python int, cheap to compare
+            if parent != scratch.parent:  # siblings reuse their parent's rows
+                # Widened by a copy, then scaled in place: a mixed-dtype
+                # multiply would allocate a cast buffer on every call.
+                offset[:] = tile[parent - tile_first] if parent >= tile_first else block[:, parent]
+                offset *= stride
+                scratch.parent = parent
             bucket += offset
         thresholds.take(bucket, out=threshold, mode="clip")
         if depth:
@@ -457,6 +471,7 @@ def sample_batch(
             rows = block.shape[0]
             first = first_index + start
             keys = stream_keys(seed, first, rows, scratch=scratch.words[:rows])
+            scratch.parent = -1  # the parent rows of the last block are stale
             width = min(_TILE, variates // rows)
             for tile_first in range(0, length, _TILE):
                 tile_stop = min(tile_first + _TILE, length)

@@ -745,6 +745,38 @@ def test_generator_text_that_is_not_json(capsys, tmp_path):
     assert err == f"error: invalid generator JSON: {reason.value}\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "graph", "verify"])
+@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
+def test_generator_with_an_unknown_key_is_a_usage_error(command, through_config, capsys, tmp_path):
+    generator = {"kind": "fk", "tabel": {"2": 1}}
+    argv = [command, "--n", "3", "--p", "0.5,0.5", "--delta", "0.4"]
+    if command != "verify":
+        argv = argv[:3]
+    if through_config:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"generator": generator}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--generator", json.dumps(generator)]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
+    assert err == "error: generator keys other than 'kind' and 'table': 'tabel'\n"
+
+
+# One past the end of the generators' domain: a usage error naming the bound,
+# before any array of that size is asked for.
+@pytest.mark.parametrize(
+    "command, message",
+    [("validate", "max_index 9007199254740993 outside 2..9007199254740992"),
+     ("graph", "tree size 9007199254740993 outside 1..9007199254740992")],
+)
+def test_size_past_the_domain_end_is_a_usage_error(command, message, capsys, tmp_path):
+    argv = [command, "--generator", "sin_drift", "--n", str(2**53 + 1)]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path)
+    assert err == f"error: {message}\n"
+
+
 def test_validate_below_two_has_nothing_to_check(capsys):
     code, out, err = run(["validate", "--generator", "fk", "--n", "1"], capsys)
     assert (code, out, err) == (

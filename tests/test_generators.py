@@ -279,6 +279,18 @@ class TestSerialization:
             with pytest.raises(DomainError, match="table generators require a table mapping"):
                 build()
 
+    @pytest.mark.parametrize(
+        "data, shown",
+        [({"kind": "fk", "tabel": {"2": 1}}, "'tabel'"),
+         ({"kind": "table", "table": {"2": 1}, "Kind": "fk", "x": 0}, "'Kind', 'x'"),
+         ({"kind": "fk", 2: 1}, "2")],
+        ids=["misspelt-table", "two-extra", "non-string-key"],
+    )
+    def test_unknown_keys_rejected(self, data, shown):
+        message = f"^generator keys other than 'kind' and 'table': {shown}$"
+        with pytest.raises(DomainError, match=message):
+            GeneratorSpec.from_dict(data)
+
 
 class TestIntegerRule:
     @pytest.mark.parametrize(

@@ -167,10 +167,13 @@ ROWS = [
     row("evaluate-n", lambda v: evaluate(SEQ, v), "index", 1),
     row("prime_partition-n", lambda v: evaluate(PRIME, v), "index", 1),
     row("validate-max_index", lambda v: validate(SEQ, v), "max_index", 1),
+    # both sizes end at 2**53, the end of the generators' domain
+    row("validate-max_index-top", lambda v: validate(SEQ, v), "max_index", 2**53 + 1),
     # graph
     row("DependencyTree-size", lambda v: DependencyTree(v, []), "tree size", 0),
     row("DependencyTree.parent_of-node", TREE.parent_of, "node index", 4),
     row("build_tree-size", lambda v: build_tree(SEQ, v), "tree size", 0),
+    row("build_tree-size-top", lambda v: build_tree(SEQ, v), "tree size", 2**53 + 1),
     # a list entry past int64 is an error, not a numpy OverflowError
     row("DependencyTree-parent", lambda v: DependencyTree(3, [1, v]), "tree parent", 2**63),
     # a uint64 entry past int64 is the same error, where the int64 cast would wrap it to -1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from depcat import (
     DomainError,
     GeneratorSpec,
+    DependencyTree,
     Marginal,
     build_tree,
     evaluate,
@@ -17,6 +18,8 @@ from depcat import (
     transition_kernel,
     tree_distance,
 )
+from depcat.errors import check_reals
+from depcat.exact import CrossCovariance
 from depcat.kernel import as_delta
 
 
@@ -229,3 +232,56 @@ class TestValidation:
         assert kernel.shape == (2, 2)
         assert kernel[0, 0] == pytest.approx(0.6, abs=1e-15)
         assert kernel[0, 1] == pytest.approx(0.4, abs=1e-15)
+
+
+class TestNumberRule:
+    """One rule for real entries: `Marginal` and `CrossCovariance` read through `check_reals`."""
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [(True, "true"), (np.True_, '"np.True_"'), ("1_0", '"1_0"'), (" 0.5", '" 0.5"'),
+         ("inf", '"inf"'), ("0x1", '"0x1"'), (None, "null"), (0.5 + 0j, '"(0.5+0j)"')],
+    )
+    def test_marginal_and_covariance_reject_the_same_entries(self, entry, shown):
+        got = f"must be a number, got {re.escape(shown)}$"
+        with pytest.raises(DomainError, match=f"^marginal probability {got}"):
+            Marginal([entry, 0.5])
+        named = f"^covariance matrix entries must be numbers: entry {got}"
+        with pytest.raises(DomainError, match=named):
+            CrossCovariance(1, 2, [[entry, 0.0], [0.0, 0.0]], "empirical")
+
+    @pytest.mark.parametrize("method", ["empirical", "closed-form"])
+    def test_boolean_arrays_are_rejected(self, method):
+        with pytest.raises(DomainError, match="must be a number, got true$"):
+            CrossCovariance(1, 2, np.array([[True, False], [False, True]]), method)
+        with pytest.raises(DomainError, match="^marginal probability must be a number, got true$"):
+            Marginal(np.array([True, False]))
+
+    def test_decimal_text_reads_alike(self):
+        text = [["0.25", "-0.25"], ["-.25", "2.5e-1"]]
+        matrix = CrossCovariance(1, 2, text, "closed-form").matrix
+        assert matrix.dtype == np.float64 and matrix.tolist() == [[0.25, -0.25], [-0.25, 0.25]]
+        assert Marginal(["0.25", ".75"]).probs.tolist() == Marginal([0.25, 0.75]).probs.tolist()
+
+    def test_float64_arrays_pass_without_a_copy(self):
+        # CrossCovariance reads every exact and empirical matrix this way.
+        values = np.zeros((64, 64))
+        assert check_reals(values, "x") is values
+        assert check_reals(np.arange(3, dtype=np.uint8), "x").tolist() == [0.0, 1.0, 2.0]
+        mixed = [[1, "2"], [0.5, np.float32(3)]]
+        assert check_reals(mixed, "x").tolist() == [[1.0, 2.0], [0.5, 3.0]]
+
+    def test_nested_arrays_of_unequal_shapes_are_a_domain_error(self):
+        ragged = [np.zeros((2, 2)), np.zeros((2, 3))]
+        with pytest.raises(DomainError, match="^covariance matrix entries must be numbers: entry: "):
+            CrossCovariance(1, 2, ragged, "empirical")
+        with pytest.raises(DomainError, match="^marginal probability: nested entries of unequal"):
+            Marginal(ragged)
+        with pytest.raises(DomainError, match="^tree parent: nested entries of unequal shapes"):
+            DependencyTree(3, ragged)
+
+    def test_caller_arrays_are_neither_frozen_nor_aliased(self):
+        probs, matrix = np.array([0.5, 0.5]), np.zeros((2, 2))
+        kept = Marginal(probs).probs, CrossCovariance(1, 2, matrix, "empirical").matrix
+        assert probs.flags.writeable and matrix.flags.writeable
+        assert not any(np.shares_memory(a, b) for a, b in zip(kept, (probs, matrix)))

@@ -779,3 +779,50 @@ class TestDrawKernel:
             with pytest.raises(DomainError, match=f"^first_index {first + 1} outside 0..{first}$"):
                 sample_batch(**kwargs, count=count, first_index=first + 1)
 
+
+
+class TestSiblingsShareOneParentRead:
+    """A run of children of one parent widens its draws once; each row block starts afresh."""
+
+    # Recorded at the draw loop that widened the parent's draws for every
+    # child.  fk is the star: 62 of its 63 children reuse the first
+    # position's rows, across three row blocks.
+    @pytest.mark.parametrize(
+        "p, delta, seed, expected",
+        [
+            ([0.5, 0.3, 0.2], 0.4, 7,
+             "cf72b2e5da24463883f040c94b8c912aa3e74248677602ef3171df9e53ee489d"),
+            ([0.05] * 8 + [0.15] * 4, 0.6, 2,
+             "7e5607382e8bc9a03166aef1808940f48f1d9119231396187f962b8d808bf310"),
+        ],
+        ids=["k3", "k12"],
+    )
+    def test_fk_pinned_across_row_blocks(self, p, delta, seed, expected):
+        batch = sample_batch(p, delta, FK, 64, 2 * BLOCK + 17, seed=seed)
+        assert digest(batch) == expected
+
+    # A first_index off the block grid shifts every block's rows, so no
+    # block starts where the row counter does.
+    @pytest.mark.parametrize("spec", [FK, FSQRT], ids=["fk", "floor_sqrt"])
+    @pytest.mark.parametrize("first_index", [1, BLOCK - 5, 2**40 + 3])
+    def test_matches_compare_count_oracle_past_a_row_block(self, spec, first_index):
+        p, delta, seed, length, count = [0.1, 0.2, 0.3, 0.4], 0.7, 19, 40, BLOCK + 17
+        batch = sample_batch(p, delta, spec, length, count, seed=seed, first_index=first_index)
+        parents = build_tree(spec, length).parents
+        uniforms = uniform_grid(seed, first_index, count, length)
+        assert np.array_equal(batch.outcomes, compare_count_oracle(p, delta, parents, uniforms))
+
+    def test_scratch_remembers_the_last_parent_read(self):
+        # fk's children all read column 0; sequential's last child reads the
+        # column before it.
+        table = depcat.sampler._draw_table(as_marginal([0.5, 0.3, 0.2]), 0.4)
+        rows, width = 64, 8
+        for spec, held in ((FK, 0), (SEQ, width - 2)):
+            scratch = depcat.sampler._Scratch(rows * width, rows, width, table.start.dtype)
+            assert scratch.parent == -1
+            group = np.arange(1, rows * width + 1, dtype=np.uint64).reshape(width, rows) << 40
+            out = np.empty((rows, width), dtype=table.start.dtype)
+            depcat.sampler._draw_block(
+                table, build_tree(spec, width).parents, group, out, 0, 0, scratch
+            )
+            assert scratch.parent == held
