@@ -16,7 +16,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -62,16 +62,20 @@ class RunConfig:
     seed: int | None = None
     count: int | None = None
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+    # The error for a setting that a command needs and the run left unset.
+    _UNSET: ClassVar[dict] = {
+        "marginal": "this command needs a marginal: set \"p\" or --p",
+        "delta": "this command needs a coefficient: set \"delta\" or --delta",
+        "seed": "sampling needs a seed: set \"seed\" or --seed",
+        "count": "sampling needs a count: set \"count\" or --count",
+    }
 
-    def require_marginal(self) -> Marginal:
-        if self.marginal is None:
-            raise DomainError("this command needs a marginal: set \"p\" or --p")
-        return self.marginal
-
-    def require_delta(self) -> float:
-        if self.delta is None:
-            raise DomainError("this command needs a coefficient: set \"delta\" or --delta")
-        return self.delta
+    def need(self, *names: str) -> tuple:
+        """The named settings in order; the first that is unset is a DomainError."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise DomainError(self._UNSET[name])
+        return tuple(getattr(self, name) for name in names)
 
 
 def _parse_generator(value) -> GeneratorSpec:
@@ -252,8 +256,7 @@ def cmd_graph(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
-    marginal = config.require_marginal()
-    delta = config.require_delta()
+    marginal, delta = config.need("marginal", "delta")
     m, n = as_integer(args.m, "m"), as_integer(args.n_pos, "n", 1, config.length)
 
     if args.method == "both":
@@ -285,19 +288,9 @@ def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
-    marginal = config.require_marginal()
-    delta = config.require_delta()
-    if config.seed is None:
-        raise DomainError("sampling needs a seed: set \"seed\" or --seed")
-    if config.count is None:
-        raise DomainError("sampling needs a count: set \"count\" or --count")
+    marginal, delta, seed, count = config.need("marginal", "delta", "seed", "count")
     batch = sample_batch(
-        marginal,
-        delta,
-        config.spec,
-        config.length,
-        config.count,
-        config.seed,
+        marginal, delta, config.spec, config.length, count, seed,
         workers=as_integer(args.workers, "workers"),
     )
     suffix = "csv" if args.format == "csv" else "jsonl"
@@ -315,8 +308,7 @@ def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    marginal = config.require_marginal()
-    delta = config.require_delta()
+    marginal, delta = config.need("marginal", "delta")
     checks = verification_suite(
         marginal, delta, config.spec, config.length, config.enumeration_cap
     )

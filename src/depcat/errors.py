@@ -7,6 +7,7 @@ Each class below `DepcatError` is one exit code of the CLI: a
 `EnumerationTooLargeError` 5.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -62,15 +63,18 @@ def check_integer(value, name: str, low: int | None = None, high: int | None = N
     return value
 
 
-def _entries(values, name: str) -> np.ndarray:
-    """`values` as an object array of its entries, or a DomainError naming `name`.
+def _read_entries(values, name: str, rule, dtype) -> np.ndarray:
+    """`values` in its own shape as a `dtype` array, each entry read by `rule(entry, name)`.
 
-    numpy cannot shape nested arrays of unequal shapes even as objects.
+    numpy cannot shape nested arrays of unequal shapes even as objects,
+    so those are a DomainError naming `name` as well.
     """
     try:
-        return np.array(values, dtype=object)
+        entries = np.array(values, dtype=object)
     except ValueError as exc:
         raise DomainError(f"{name}: nested entries of unequal shapes ({exc})") from None
+    checked = [rule(value, name) for value in entries.flat]
+    return np.array(checked, dtype=dtype).reshape(entries.shape)
 
 
 def check_integers(values, name: str) -> np.ndarray:
@@ -83,9 +87,8 @@ def check_integers(values, name: str) -> np.ndarray:
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values
-    entries = _entries(values, name)
-    checked = [check_integer(value, name, -(2**63), 2**63 - 1) for value in entries.flat]
-    return np.array(checked, dtype=np.int64).reshape(entries.shape)
+    int64 = functools.partial(check_integer, low=-(2**63), high=2**63 - 1)
+    return _read_entries(values, name, int64, np.int64)
 
 
 def as_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -127,6 +130,4 @@ def check_reals(values, name: str) -> np.ndarray:
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return values.astype(np.float64, copy=False)
-    entries = _entries(values, name)
-    checked = [as_real(value, name) for value in entries.flat]
-    return np.array(checked, dtype=np.float64).reshape(entries.shape)
+    return _read_entries(values, name, as_real, np.float64)

@@ -76,13 +76,10 @@ BASIS_THEOREM = "theorem"
 def _check_enumeration_size(num_categories: int, length: int, cap: int) -> None:
     length = check_integer(length, "sequence length", 1)
     cap = check_integer(cap, "enumeration cap", 1)
-    # K**N itself is an N*log2(K)-bit number; with K >= 2 the product
-    # passes the cap within cap.bit_length() steps.
-    size = 1
-    for _ in range(length):
-        size *= num_categories
-        if size > cap:
-            raise EnumerationTooLargeError(num_categories, length, cap)
+    # With K >= 2, K**N >= 2**N is over the cap once N reaches the cap's bit
+    # length, so K**N itself is only computed while it is short.
+    if length >= cap.bit_length() or num_categories**length > cap:
+        raise EnumerationTooLargeError(num_categories, length, cap)
 
 
 def enumerate_outcomes(

@@ -68,10 +68,6 @@ def _check_array_size(count: int, length: int = 1) -> None:
         raise DomainError(f"count {count} of length {length} is over {limit} array entries")
 
 
-def _as_seed(seed: int) -> np.uint64:
-    return np.uint64(check_integer(seed, "seed") & _U64_MASK)
-
-
 def stream_keys(
     seed: int, first_index: int, count: int, *, scratch: np.ndarray | None = None
 ) -> np.ndarray:
@@ -93,7 +89,7 @@ def stream_keys(
         raise DomainError(f"scratch must be a uint64 array of {count} entries")
     keys += _ONE
     keys *= _GOLDEN
-    keys += _as_seed(seed)
+    keys += np.uint64(check_integer(seed, "seed") & _U64_MASK)
     return _mix64(keys, scratch)
 
 
@@ -135,8 +131,12 @@ def uniform_grid(
     entry [r, c] of the float grid.  `mantissas` is returned, `scratch` is
     overwritten, and nothing is allocated; a caller that fills one block of
     rows a group of positions at a time mixes the block's keys only once.
+    `seed` and `first_index` are read by the integer rule in both forms,
+    though the integer form takes its keys as given.
     """
     count = check_integer(count, "count", 0, _INDEX_LIMIT)
+    check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
+    check_integer(seed, "seed")
     length = check_integer(length, "length", 1)
     first_position = check_integer(first_position, "first_position", 0)
     _check_array_size(count, length)

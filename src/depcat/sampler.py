@@ -43,7 +43,7 @@ Every batch is drawn on the calling thread, a block of 2^14 rows at a
 time, in buffers made once per call: the block's stream keys are mixed
 once, and each group of positions gets its mantissas, bucket indices and
 parent rows, so the loop allocates no array per position or group.  Only
-refinement makes arrays, the size of its refined draws.
+refinement makes arrays: one mark per row, and the refined draws.
 
 Draws go into a position-major tile of at most _TILE positions by the
 block's rows, so each position's draws are one contiguous tile row.  A
@@ -148,11 +148,11 @@ class _Scratch:
     `mantissas` and `words` hold `variates` entries each, a group of
     positions of one block of `rows` rows; `words` is the mixing scratch
     (of the block's stream keys too) and then, viewed as intp, the group's
-    table indices.  `offset`, `threshold` and `mask` hold one position's
-    parent rows, gathered thresholds and refinement marks.  `parent` is the
-    0-based column whose rows `offset` holds, or -1 when it holds none; a
-    new block of rows resets it.  Row i of `tile` holds the draws of the
-    tile's i-th position.
+    table indices.  `offset` and `threshold` hold one position's parent
+    rows and gathered thresholds.  `parent` is the 0-based column whose
+    rows `offset` holds, or -1 when it holds none; a new block of rows
+    resets it.  Row i of `tile` holds the draws of the tile's i-th
+    position.
     """
 
     def __init__(self, variates: int, rows: int, positions: int, dtype: np.dtype):
@@ -160,7 +160,6 @@ class _Scratch:
         self.words = np.empty(variates, dtype=np.uint64)
         self.offset = np.empty(rows, dtype=np.intp)
         self.threshold = np.empty(rows, dtype=np.uint64)
-        self.mask = np.empty(rows, dtype=bool)
         self.parent = -1
         self.tile = np.empty((positions, rows), dtype=dtype)
 
@@ -382,7 +381,7 @@ def _draw_block(
     np.right_shift(mantissas, table.shift, out=index)
     index = index.view(np.intp)
     tile = scratch.tile[:, :rows]
-    offset, threshold, mask = scratch.offset[:rows], scratch.threshold[:rows], scratch.mask[:rows]
+    offset, threshold = scratch.offset[:rows], scratch.threshold[:rows]
     step, depth = threshold.view(np.intp), table.depth
     for position in range(width):
         column = first_column + position
@@ -398,18 +397,15 @@ def _draw_block(
                 scratch.parent = parent
             bucket += offset
         thresholds.take(bucket, out=threshold, mode="clip")
-        if depth:
-            np.equal(threshold, _REFINE, out=mask)
+        # The refined draws, read before the compare overwrites their marks.
+        hit = np.flatnonzero(threshold == _REFINE) if depth else ()
         # T - m wraps past 2^63 exactly when T < m (both lie below 2^63), so
         # its top bit steps the draw to start[b + 1] = start[b] + J.
         np.subtract(threshold, mantissas[position], out=threshold)
         np.right_shift(threshold, 63, out=threshold)
         bucket += step
         start.take(bucket, out=values, mode="clip")
-        if not depth:
-            continue
-        hit = mask.nonzero()[0]
-        if hit.size:
+        if len(hit):
             # The cuts below u are a prefix of the row, so a halving search
             # over the bucket's cuts counts those below u: each step keeps
             # the half that holds the first cut not below u.

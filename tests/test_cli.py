@@ -714,8 +714,21 @@ def test_p_text_with_an_empty_entry(text, through_config, capsys, tmp_path):
          "generator object needs a 'kind' field"),
         (["validate"], '{"generator": 5, "N": 3}', "cannot interpret generator setting 5"),
         (["validate"], "[1]", "config file must hold a JSON object"),
+        (["covariance", "2", "3", "--generator", "fk", "--n", "3", "--p", "0.5,0.5"], None,
+         'this command needs a coefficient: set "delta" or --delta'),
+        (["sample", *SEQ_ARGS, "--count", "2"], None,
+         'sampling needs a seed: set "seed" or --seed'),
+        # the checks run in one order: marginal, coefficient, seed, count
+        (["verify", "--generator", "fk", "--n", "3"], None,
+         'this command needs a marginal: set "p" or --p'),
+        (["sample", "--generator", "fk", "--n", "3", "--p", "0.5,0.5"], None,
+         'this command needs a coefficient: set "delta" or --delta'),
+        (["sample", *SEQ_ARGS], None, 'sampling needs a seed: set "seed" or --seed'),
     ],
-    ids=["no-p", "no-N", "no-count", "no-kind", "generator-number", "config-list"],
+    ids=[
+        "no-p", "no-N", "no-count", "no-kind", "generator-number", "config-list",
+        "no-delta", "no-seed", "no-p-or-delta", "sample-only-p", "no-seed-or-count",
+    ],
 )
 def test_missing_or_unusable_setting(argv, config, message, capsys, tmp_path):
     left = []

@@ -146,6 +146,21 @@ class TestEnumeration:
         assert "3**10" in str(excinfo.value)
         assert "59049" in str(excinfo.value)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cap_boundary(self, k):
+        # A K**N equal to the cap is accepted and one over it refused: with the
+        # cap at K**N and one under it (at K = 2, N is cap.bit_length() - 1 and
+        # cap.bit_length() in turn), and at N on each side of the cap's bit
+        # length, past which the check stops computing K**N.
+        cases = [(n, k**n + under) for n in range(1, 41) for under in (0, -1)]
+        cases += [(cap.bit_length() + side, cap) for cap in range(2, 600) for side in (-1, 0)]
+        for length, cap in cases:
+            if k**length > cap:
+                with pytest.raises(EnumerationTooLargeError):
+                    enumerate_outcomes(length, k, cap)
+            else:
+                enumerate_outcomes(length, k, cap)
+
     def test_joint_distribution_honors_cap(self):
         with pytest.raises(EnumerationTooLargeError):
             joint_distribution(P3, 0.4, SEQ, 20, cap=1000)

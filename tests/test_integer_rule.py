@@ -68,6 +68,15 @@ def unsigned_parents(value):
     return np.array([1, value], dtype=np.uint64) if type(value) is int else [1, value]
 
 
+def buffered_grid(seed, first_index):
+    """`uniform_grid` in its integer form, which takes 4 rows' keys as given."""
+    words = np.empty((2, 4), dtype=np.uint64)
+    return uniform_grid(
+        seed, first_index, 4, 2, keys=stream_keys(7, 0, 4), mantissas=words,
+        scratch=np.empty_like(words),
+    )
+
+
 def too_long(count, length):
     """The message of a count whose rows of `length` no array can hold."""
     return f"^count {count} of length {length} is over "
@@ -244,6 +253,17 @@ ROWS = [
     ),
     row("uniform_grid-seed", lambda v: uniform_grid(v, 0, 3, 2), "seed"),
     row("uniform_grid-first_index", lambda v: uniform_grid(1, v, 3, 2), "first_index", -1),
+    row(
+        "uniform_grid-first_index-top",
+        lambda v: uniform_grid(1, v, 3, 2), "first_index", 2**64 - 2,
+    ),
+    # the integer form reads both as well, though it takes its keys as given
+    row("uniform_grid-buffers-seed", lambda v: buffered_grid(v, 0), "seed"),
+    row("uniform_grid-buffers-first_index", lambda v: buffered_grid(1, v), "first_index", -1),
+    row(
+        "uniform_grid-buffers-first_index-top",
+        lambda v: buffered_grid(1, v), "first_index", 2**64 - 3,
+    ),
     row("uniform_grid-count", lambda v: uniform_grid(1, 0, v, 2), "count", -1),
     row(
         "uniform_grid-count-size", lambda v: uniform_grid(1, 0, v, 1), "count", 2**63,
