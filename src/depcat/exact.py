@@ -393,6 +393,9 @@ class CrossCovariance:
             raise DomainError(
                 f"covariance rows/columns must sum to 0; worst deviation {worst:g}"
             )
+        methods = ("enumeration", "closed-form", "empirical")
+        if not isinstance(self.method, str) or self.method not in methods:
+            raise DomainError(f"covariance method must be one of {methods}, got {self.method!r}")
         if self.method != "empirical":
             asym = float(np.max(np.abs(matrix - matrix.T)))
             if asym > EXACT_TOL:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -186,7 +186,7 @@ def _sin_drift_decimal(n: int) -> int:
 
 
 def evaluate(spec: GeneratorSpec, n: int) -> int:
-    """Parent index alpha(n), checked to lie in {1..n-1}.
+    """Parent index alpha(n); outside {1..n-1} it raises `validate`'s reason for n.
 
     The domain is 2 <= n <= 2**53: every index up to there is exact in
     float64, which floor_sqrt and sin_drift evaluate in, and both give the
@@ -196,15 +196,12 @@ def evaluate(spec: GeneratorSpec, n: int) -> int:
     prime_partition builds one int64 rank table up to n, so one call costs
     8 bytes per index.
     """
-    n = check_integer(n, "index", 2, _MAX_INDEX)
-    parent = int(_parents(spec, np.array([n], dtype=np.int64))[0])
-    if parent == 0:
-        raise AxiomViolationError(f"table generator has no entry for n = {n}")
-    if not 1 <= parent <= n - 1:
-        raise AxiomViolationError(
-            f"generator {spec.kind!r} maps {n} to {parent}, outside 1..{n - 1}"
-        )
-    return parent
+    index = np.array([check_integer(n, "index", 2, _MAX_INDEX)], dtype=np.int64)
+    parent = _parents(spec, index)
+    first = next(_violations(index, parent), None)
+    if first is not None:
+        raise AxiomViolationError(f"generator {spec.kind!r}: {first.reason}")
+    return int(parent[0])
 
 
 @dataclass(frozen=True)
@@ -236,19 +233,19 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
     Missing table entries and out-of-range parents are reported, not
     raised.  An empty report means the generator restricted to the range
     is a valid dependency generator.  The parents are evaluated once, by
-    `_parents`, and the report is read from that array; a missing table
-    entry reads 0.
+    `_parents`, and `_violations` reads the report from that array.
     """
     max_index = check_integer(max_index, "max_index", 2, _MAX_INDEX)
     indices = np.arange(2, max_index + 1, dtype=np.int64)
-    parents = _parents(spec, indices)
-    violations = []
-    for pos in np.flatnonzero((parents < 1) | (parents >= indices)):
+    violations = tuple(_violations(indices, _parents(spec, indices)))
+    return ValidationReport(spec.kind, max_index, violations)
+
+
+def _violations(indices: np.ndarray, parents: np.ndarray) -> Iterator[GeneratorViolation]:
+    """The axiom check: one GeneratorViolation per n, ascending, whose parent is not in 1..n-1."""
+    for pos in np.flatnonzero((parents < 1) | (parents >= indices)).tolist():
         n, parent = int(indices[pos]), int(parents[pos])
         if parent == 0:
-            violations.append(GeneratorViolation(n, None, f"n={n}: no table entry"))
+            yield GeneratorViolation(n, None, f"n={n}: no table entry")
         else:
-            violations.append(
-                GeneratorViolation(n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}")
-            )
-    return ValidationReport(spec.kind, max_index, tuple(violations))
+            yield GeneratorViolation(n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import generators
 from .errors import AxiomViolationError, DomainError, check_integer, check_integers
-from .generators import GeneratorSpec, validate
+from .generators import GeneratorSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,13 +32,10 @@ class DependencyTree:
         parents = np.array(parents, dtype=np.int64)
         if parents.shape != (size - 1,):
             raise DomainError(f"expected {size - 1} parent entries, got {parents.shape}")
-        children = np.arange(2, size + 1, dtype=np.int64)
-        bad = (parents < 1) | (parents >= children)
-        if np.any(bad):
-            n = int(children[np.argmax(bad)])
-            raise AxiomViolationError(
-                f"node {n} has parent {int(parents[n - 2])}, outside 1..{n - 1}"
-            )
+        first = next(generators._violations(np.arange(2, size + 1), parents), None)
+        if first is not None:
+            n = first.index
+            raise AxiomViolationError(f"node {n} has parent {parents[n - 2]}, outside 1..{n - 1}")
         parents.flags.writeable = False
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "parents", parents)
@@ -81,19 +78,19 @@ def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
     """Tree with an edge n -> alpha(n) for every n in {2..size}.
 
     The size ends at 2**53 at most, the end of the generators' domain.  The
-    tree is the one check of the parents; only a generator that fails it
-    is run through `validate`, to report its violations.
+    tree is the one check of the parents; only when it fails are the
+    violations read, from the same parents, to report them.
     """
     size = check_integer(size, "tree size", 1, generators._MAX_INDEX)
     indices = np.arange(2, size + 1, dtype=np.int64)
+    parents = generators._parents(spec, indices)
     try:
-        return DependencyTree(size, generators._parents(spec, indices))
+        return DependencyTree(size, parents)
     except AxiomViolationError:
-        report = validate(spec, size)
-        first = report.violations[0]
+        violations = list(generators._violations(indices, parents))
         raise AxiomViolationError(
             f"generator {spec.kind!r} fails validation up to {size} "
-            f"({len(report.violations)} violation(s); first: {first.reason})"
+            f"({len(violations)} violation(s); first: {violations[0].reason})"
         ) from None
 
 

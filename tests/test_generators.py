@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from depcat import (
     AxiomViolationError,
+    DependencyTree,
     DomainError,
     GeneratorSpec,
     build_tree,
@@ -88,7 +89,7 @@ class TestEvaluate:
     def test_table_lookup_and_miss(self):
         spec = GeneratorSpec.from_table({2: 1, 3: 2, 4: 1})
         assert evaluate(spec, 3) == 2
-        with pytest.raises(AxiomViolationError, match="^table generator has no entry for n = 5$"):
+        with pytest.raises(AxiomViolationError, match="^generator 'table': n=5: no table entry$"):
             evaluate(spec, 5)
 
     def test_table_axiom_violation_raises(self):
@@ -190,6 +191,57 @@ class TestValidate:
         n = np.arange(2, 1_000_001, dtype=np.float64)
         value = (np.sqrt(n) / 2.0) * np.sin(n) + n / 2.0
         assert np.min(np.abs(value - np.round(value))) > 1e-9
+
+
+@st.composite
+def gapped_tables(draw):
+    """A size N <= 40 and a table over 2..N with some keys missing and parents in 1..2N.
+
+    Only the drawn faulty indices may miss their key or have a parent >= n,
+    so that valid tables are drawn too.
+    """
+    size = draw(st.integers(2, 40))
+    faulty = draw(st.sets(st.integers(2, size)))
+    entries = {
+        n: draw(st.none() | st.integers(1, 2 * size) if n in faulty else st.integers(1, n - 1))
+        for n in range(2, size + 1)
+    }
+    return size, {n: parent for n, parent in entries.items() if parent is not None}
+
+
+class TestOneAxiomCheck:
+    """evaluate, validate, build_tree and DependencyTree read one check of the axiom."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gapped_tables())
+    def test_the_four_readers_agree(self, drawn):
+        size, table = drawn
+        spec = GeneratorSpec.from_table(table)
+        report = validate(spec, size)
+        reasons = {violation.index: violation.reason for violation in report.violations}
+        for n in range(2, size + 1):
+            if n in reasons:
+                with pytest.raises(AxiomViolationError) as raised:
+                    evaluate(spec, n)
+                assert str(raised.value) == f"generator 'table': {reasons[n]}"
+            else:
+                assert evaluate(spec, n) == table[n]
+        parents = [table.get(n, 0) for n in range(2, size + 1)]
+        if report.ok:
+            assert dict(build_tree(spec, size).edges()) == table
+            assert DependencyTree(size, parents).parents.tolist() == parents
+            return
+        first = report.violations[0]
+        with pytest.raises(AxiomViolationError) as raised:
+            build_tree(spec, size)
+        assert str(raised.value) == (
+            f"generator 'table' fails validation up to {size} "
+            f"({len(report.violations)} violation(s); first: {first.reason})"
+        )
+        n = first.index
+        with pytest.raises(AxiomViolationError) as raised:
+            DependencyTree(size, parents)
+        assert str(raised.value) == f"node {n} has parent {parents[n - 2]}, outside 1..{n - 1}"
 
 
 BULK_MAX = 10**5

@@ -75,6 +75,24 @@ class TestBuildTree:
         assert calls == [11]
         assert tree.parents.tolist() == [evaluate(spec, n) for n in range(2, 12)]
 
+    def test_a_failing_generator_is_evaluated_once(self, monkeypatch):
+        # the violations are read from the parents the tree rejected
+        calls = []
+        evaluator = depcat.generators._parents
+
+        def counting(spec, indices):
+            calls.append(int(indices[-1]))
+            return evaluator(spec, indices)
+
+        monkeypatch.setattr(depcat.generators, "_parents", counting)
+        expected = (
+            r"^generator 'table' fails validation up to 6 "
+            r"\(4 violation\(s\); first: n=3: no table entry\)$"
+        )
+        with pytest.raises(AxiomViolationError, match=expected):
+            build_tree(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
+        assert calls == [6]
+
     def test_table_parents_are_its_entries(self):
         table = {2: 1, 3: 1, 4: 2, 5: 4}
         assert dict(build_tree(GeneratorSpec.from_table(table), 5).edges()) == table

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import mpmath
 import numpy as np
@@ -130,6 +131,17 @@ class TestCrossCovarianceRejects:
     def test_not_a_number(self):
         with pytest.raises(DomainError, match="must be numbers"):
             CrossCovariance(1, 2, "abc", "x")
+
+    @pytest.mark.parametrize(
+        "method",
+        ["bogus", None, "Empirical", "both", np.array("empirical"), np.array(["empirical"])],
+    )
+    def test_a_method_the_library_does_not_make(self, method):
+        # to_json_dict prints the method, and only "empirical" skips the symmetry check
+        methods = re.escape(repr(("enumeration", "closed-form", "empirical")))
+        named = f"^covariance method must be one of {methods}, got {re.escape(repr(method))}$"
+        with pytest.raises(DomainError, match=named):
+            CrossCovariance(1, 2, [[0.25, -0.25], [-0.25, 0.25]], method)
 
 
 @pytest.mark.parametrize("data", [5, None, ["kind"], "kind"])

@@ -62,7 +62,7 @@ REMOVED_NAMES = (
     "path_to_root",  # DependencyTree.parent_of, tree_distance
     "endpoint_match_probability",  # closed_form_covariance_matrix(p, delta, n - 1), diagonal + p**2
     "CategoryIndexError",  # DomainError: "category index 3 outside 1..2"
-    "IncompleteGeneratorError",  # AxiomViolationError: "table generator has no entry for n = 5"
+    "IncompleteGeneratorError",  # AxiomViolationError: "generator 'table': n=5: no table entry"
     "EmptyBatchError",  # DomainError: "cannot compute marginals of an empty batch"
     "DependencyCoefficient",  # DependencyCoefficient(x).value is depcat.kernel.as_delta(x)
 )
