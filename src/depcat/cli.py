@@ -122,7 +122,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     raw_generator = pick(args.generator, "generator")
     raw_length = pick(args.n, "N")
-    raw_k = pick(args.k, "K")
+    raw_k = pick(None, "K")
     raw_probs = pick(args.p, "p")
     raw_delta = pick(args.delta, "delta")
     raw_seed = pick(args.seed, "seed")
@@ -259,43 +259,39 @@ def cmd_covariance(config: RunConfig, args: argparse.Namespace) -> int:
     marginal, delta = config.need("marginal", "delta")
     m, n = as_integer(args.m, "m"), as_integer(args.n_pos, "n", 1, config.length)
 
+    if args.method == "both" and args.format == "csv":
+        raise DomainError("method 'both' reports two matrices; use --format json")
+    shared = (marginal, delta, config.spec, m, n)
+    enumerated = closed = None
+    if args.method != "closed":
+        enumerated = cross_covariance_enumerated(*shared, config.enumeration_cap)
+    if args.method != "enumerate":
+        closed = cross_covariance_closed_form(*shared)
+    cov = enumerated or closed
+    if args.format == "csv":
+        _emit(cov.to_csv(), args.out)
+        return EXIT_OK
+    payload = cov.to_json_dict()
     if args.method == "both":
-        if args.format == "csv":
-            raise DomainError("method 'both' reports two matrices; use --format json")
-        enumerated = cross_covariance_enumerated(
-            marginal, delta, config.spec, m, n, config.enumeration_cap
-        )
-        closed = cross_covariance_closed_form(marginal, delta, config.spec, m, n)
-        payload = enumerated.to_json_dict()
         payload["method"] = "both"
         payload["enumerated"] = payload.pop("matrix")
         payload["closed_form"] = closed.to_json_dict()["matrix"]
         payload["max_abs_discrepancy"] = float(np.max(np.abs(enumerated.matrix - closed.matrix)))
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-
-    if args.method == "enumerate":
-        cov = cross_covariance_enumerated(
-            marginal, delta, config.spec, m, n, config.enumeration_cap
-        )
-    else:
-        cov = cross_covariance_closed_form(marginal, delta, config.spec, m, n)
-    if args.format == "csv":
-        _emit(cov.to_csv(), args.out)
-    else:
-        _emit(json.dumps(cov.to_json_dict(), indent=2) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_sample(config: RunConfig, args: argparse.Namespace) -> int:
     marginal, delta, seed, count = config.need("marginal", "delta", "seed", "count")
+    data_path = f"{args.out_prefix}.{args.format}"
+    meta_path = f"{args.out_prefix}.meta.json"
+    for path in (data_path, meta_path):
+        if args.out is not None and os.path.realpath(args.out) == os.path.realpath(path):
+            raise DomainError(f"--out {args.out} is {path}, a file this run writes")
     batch = sample_batch(
         marginal, delta, config.spec, config.length, count, seed,
         workers=as_integer(args.workers, "workers"),
     )
-    suffix = "csv" if args.format == "csv" else "jsonl"
-    data_path = f"{args.out_prefix}.{suffix}"
-    meta_path = f"{args.out_prefix}.meta.json"
     sidecar = json.dumps(batch.metadata(), sort_keys=True, indent=2) + "\n"
     _write_files(
         [
@@ -328,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="JSON config file; flags override its fields")
     shared.add_argument("--generator", help="builtin kind or generator JSON object")
     shared.add_argument("--n", help="sequence length N")
-    shared.add_argument("--k", help="category count K (must match p)")
     shared.add_argument("--p", help="comma-separated marginal probabilities")
     shared.add_argument("--delta", help="dependency coefficient in [0,1]")
     shared.add_argument("--seed", help="64-bit sampling seed")

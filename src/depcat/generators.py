@@ -68,9 +68,11 @@ class GeneratorSpec:
                     "table generators require a table mapping index -> parent, "
                     f"got {type(self.table).__name__}"
                 )
-            entries = {}
+            entries, keys = {}, {}
             for key, value in self.table.items():
                 n = as_integer(key, "table key", 2)
+                if keys.setdefault(n, key) != key:  # an earlier key names n too
+                    raise DomainError(f"table keys {keys[n]!r} and {key!r} both name index {n}")
                 entries[n] = as_integer(value, f"table parent of {n}", 1, _MAX_INDEX)
             object.__setattr__(self, "table", MappingProxyType(entries))
         elif self.table is not None:
@@ -210,7 +212,12 @@ class GeneratorViolation:
 
     index: int
     parent: int | None
-    reason: str
+
+    @property
+    def reason(self) -> str:
+        if self.parent is None:
+            return f"n={self.index}: no table entry"
+        return f"n={self.index}: alpha={self.parent} not in 1..{self.index - 1}"
 
 
 @dataclass(frozen=True)
@@ -244,8 +251,4 @@ def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
 def _violations(indices: np.ndarray, parents: np.ndarray) -> Iterator[GeneratorViolation]:
     """The axiom check: one GeneratorViolation per n, ascending, whose parent is not in 1..n-1."""
     for pos in np.flatnonzero((parents < 1) | (parents >= indices)).tolist():
-        n, parent = int(indices[pos]), int(parents[pos])
-        if parent == 0:
-            yield GeneratorViolation(n, None, f"n={n}: no table entry")
-        else:
-            yield GeneratorViolation(n, parent, f"n={n}: alpha={parent} not in 1..{n - 1}")
+        yield GeneratorViolation(int(indices[pos]), int(parents[pos]) or None)

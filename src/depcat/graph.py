@@ -8,7 +8,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,23 +21,22 @@ from .generators import GeneratorSpec
 class DependencyTree:
     """Parent pointers for nodes 2..size; node 1 is the root."""
 
-    size: int
     parents: np.ndarray  # entry i: parent of node i + 2
+    size: int = field(init=False)  # one more than the parents
 
     def __post_init__(self):
-        size = check_integer(self.size, "tree size", 1)
         parents = check_integers(self.parents, "tree parent")
+        if parents.ndim != 1:
+            raise DomainError(f"tree parents must be one sequence, got shape {parents.shape}")
         if parents.dtype.kind == "u":  # the int64 cast would wrap an entry past 2**63
             check_integer(parents.max(initial=0), "tree parent", -(2**63), 2**63 - 1)
         parents = np.array(parents, dtype=np.int64)
-        if parents.shape != (size - 1,):
-            raise DomainError(f"expected {size - 1} parent entries, got {parents.shape}")
-        first = next(generators._violations(np.arange(2, size + 1), parents), None)
+        object.__setattr__(self, "size", len(parents) + 1)
+        first = next(generators._violations(np.arange(2, self.size + 1), parents), None)
         if first is not None:
             n = first.index
             raise AxiomViolationError(f"node {n} has parent {parents[n - 2]}, outside 1..{n - 1}")
         parents.flags.writeable = False
-        object.__setattr__(self, "size", size)
         object.__setattr__(self, "parents", parents)
 
     def parent_of(self, node: int) -> int:
@@ -85,7 +84,7 @@ def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:
     indices = np.arange(2, size + 1, dtype=np.int64)
     parents = generators._parents(spec, indices)
     try:
-        return DependencyTree(size, parents)
+        return DependencyTree(parents)
     except AxiomViolationError:
         violations = list(generators._violations(indices, parents))
         raise AxiomViolationError(

@@ -492,7 +492,10 @@ class EmpiricalMarginal:
 
     position: int
     counts: np.ndarray
-    total: int
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -528,7 +531,7 @@ def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
     if batch.count == 0:
         raise DomainError("cannot compute marginals of an empty batch")
     position = check_integer(position, "position", 1, batch.length)
-    return EmpiricalMarginal(position, _counts(batch, position)[1:], batch.count)
+    return EmpiricalMarginal(position, _counts(batch, position)[1:])
 
 
 def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovariance:

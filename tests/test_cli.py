@@ -84,6 +84,12 @@ class TestGraph:
             "2": 1, "3": 1, "4": 2, "5": 2, "6": 2, "7": 2, "8": 2, "9": 3,
         }
 
+    def test_table_keys_naming_one_index_twice(self, capsys):
+        spec = json.dumps({"kind": "table", "table": {"2": 1, "3": 1, "03": 2}})
+        code, out, err = run(["graph", "--generator", spec, "--n", "3", "--format", "json"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: table keys '3' and '03' both name index 3\n"
+
     def test_invalid_generator_exit(self, capsys):
         spec = json.dumps({"kind": "table", "table": {"2": 2}})
         code, _, err = run(["graph", "--generator", spec, "--n", "2"], capsys)
@@ -160,6 +166,28 @@ class TestCovariance:
         }
         assert payload["method"] == "both"
         assert payload["max_abs_discrepancy"] <= 1e-12
+
+    @pytest.mark.parametrize(
+        "method, routes, reported",
+        [("enumerate", ["enumerated"], "enumeration"),
+         ("closed", ["closed_form"], "closed-form"),
+         ("both", ["enumerated", "closed_form"], "both")],
+        ids=["enumerate", "closed", "both"],
+    )
+    def test_each_route_runs_once_when_asked(self, method, routes, reported, capsys, monkeypatch):
+        calls = []
+        for route in ("enumerated", "closed_form"):
+            library = getattr(depcat.cli, f"cross_covariance_{route}")
+
+            def counted(*args, route=route, library=library):
+                calls.append(route)
+                return library(*args)
+
+            monkeypatch.setattr(depcat.cli, f"cross_covariance_{route}", counted)
+        code, out, _ = run(["covariance", "2", "3", *SEQ_ARGS, "--method", method], capsys)
+        assert code == EXIT_OK
+        assert calls == routes
+        assert json.loads(out)["method"] == reported
 
     def test_csv_format(self, capsys):
         code, out, _ = run(
@@ -256,6 +284,25 @@ class TestSample:
         assert report.read_text() == f"wrote {reported}.csv\nwrote {reported}.meta.json\n"
         for suffix in ("csv", "meta.json"):
             assert Path(f"{reported}.{suffix}").read_bytes() == Path(f"{plain}.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize(
+        "out, named",
+        [("x.csv", "x.csv"), ("x.meta.json", "x.meta.json"), ("./x.csv", "x.csv"),
+         ("link", "x.csv")],
+        ids=["data", "sidecar", "dot-slash", "symlink"],
+    )
+    def test_out_that_is_a_file_of_the_run_is_refused(self, out, named, capsys, tmp_path):
+        # the report would replace the batch, or the sidecar describing it
+        argv = ["sample", "--generator", "fk", "--p", "0.5,0.5", "--delta", "0.4", "--n", "3",
+                "--count", "2", "--seed", "1", "--out-prefix", str(tmp_path / "x")]
+        assert run(argv, capsys)[0] == EXIT_OK
+        (tmp_path / "link").symlink_to(tmp_path / "x.csv")
+        before = {name: (tmp_path / name).read_bytes() for name in ("x.csv", "x.meta.json")}
+        report = os.path.join(str(tmp_path), out)
+        code, stdout, err = run([*argv, "--count", "5", "--out", report], capsys)
+        assert_one_usage_error(code, stdout, err, tmp_path, ["link", *before])
+        assert err == f"error: --out {report} is {tmp_path / named}, a file this run writes\n"
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
     def test_missing_seed_is_usage_error(self, capsys, tmp_path):
         argv = [
@@ -643,8 +690,7 @@ def test_non_integer_table_entry_is_a_usage_error(command, table, capsys, tmp_pa
 # Every setting of a run, valid, as config keys and as the text of their flags.
 SETTINGS = {"generator": "fk", "N": 4, "K": 2, "p": [0.5, 0.5], "delta": 0.4, "seed": 1,
             "count": 3, "enumeration_cap": 1000}
-FLAGS = {"generator": ("--generator", "fk"), "N": ("--n", "4"), "K": ("--k", "2"),
-         "p": ("--p", "0.5,0.5"), "delta": ("--delta", "0.4"), "seed": ("--seed", "1"),
+FLAGS = {"generator": ("--generator", "fk"), "N": ("--n", "4"), "p": ("--p", "0.5,0.5"), "delta": ("--delta", "0.4"), "seed": ("--seed", "1"),
          "count": ("--count", "3"), "enumeration_cap": ("--cap", "1000")}
 BAD_INTEGERS = ["1_0", "\uff13", "2.5", True]  # "\uff13" is a fullwidth 3
 BAD_NUMBERS = [True, [True, False], "abc", [0.3], None, [[0.5, 0.5]]]
@@ -674,9 +720,16 @@ def run_settings(key, value, through_config, capsys, tmp_path):
     return run(argv, capsys)
 
 
-@pytest.mark.parametrize("through_config", [False, True], ids=["flag", "config"])
-@pytest.mark.parametrize("value", BAD_INTEGERS, ids=["underscore", "fullwidth", "fraction", "true"])
-@pytest.mark.parametrize("key", ["N", "K", "seed", "count", "enumeration_cap"])
+@pytest.mark.parametrize(
+    "key, value, through_config",
+    [
+        pytest.param(key, value, through_config, id=f"{key}-{name}-{via}")
+        for key in ["N", "K", "seed", "count", "enumeration_cap"]
+        for value, name in zip(BAD_INTEGERS, ["underscore", "fullwidth", "fraction", "true"])
+        for through_config, via in [(False, "flag"), (True, "config")]
+        if key in FLAGS or through_config  # K is p's length: a config key, not a flag
+    ],
+)
 def test_malformed_integer_setting(key, value, through_config, capsys, tmp_path):
     code, out, err = run_settings(key, value, through_config, capsys, tmp_path)
     assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
@@ -941,14 +994,24 @@ class TestConfigHandling:
         assert code == EXIT_OK
         assert json.loads(out) == {"2": 1, "3": 1, "4": 2}
 
-    def test_k_p_mismatch(self, capsys):
+    def test_k_p_mismatch(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"K": 4}))
         code, _, err = run(
-            ["validate", "--generator", "fk", "--n", "3", "--k", "4",
+            ["validate", "--config", str(config), "--generator", "fk", "--n", "3",
              "--p", "0.5,0.5"],
             capsys,
         )
         assert code == EXIT_USAGE
-        assert "conflict" in err
+        assert err == "error: K=4 conflicts with a 2-entry p\n"
+
+    def test_k_is_not_a_flag(self, capsys):
+        # K is p's length; a config may state it, as every sidecar does, and it is checked
+        argv = ["verify", "--generator", "fk", "--p", "0.5,0.5", "--delta", "0.4", "--n", "3",
+                "--k", "2"]
+        code, out, err = run_or_exit(argv, capsys)
+        assert (code, out) == (("SystemExit", EXIT_USAGE), "")
+        assert err.splitlines()[-1] == "depcat: error: unrecognized arguments: --k 2"
 
     def test_malformed_config_file(self, capsys, tmp_path):
         config = tmp_path / "broken.json"

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath
@@ -17,6 +18,7 @@ from depcat import (
     DependencyTree,
     DomainError,
     GeneratorSpec,
+    GeneratorViolation,
     build_tree,
     evaluate,
     validate,
@@ -159,6 +161,11 @@ class TestValidate:
         assert violation.parent == 3
         assert "not in 1..2" in violation.reason
 
+    def test_reason_is_read_from_index_and_parent(self):
+        assert GeneratorViolation(3, None).reason == "n=3: no table entry"
+        assert GeneratorViolation(3, 3).reason == "n=3: alpha=3 not in 1..2"
+        assert GeneratorViolation(5, -1).reason == "n=5: alpha=-1 not in 1..4"
+
     def test_table_missing_entry_reported(self):
         report = validate(GeneratorSpec.from_table({2: 1}), 4)
         assert [v.index for v in report.violations] == [3, 4]
@@ -229,7 +236,7 @@ class TestOneAxiomCheck:
         parents = [table.get(n, 0) for n in range(2, size + 1)]
         if report.ok:
             assert dict(build_tree(spec, size).edges()) == table
-            assert DependencyTree(size, parents).parents.tolist() == parents
+            assert DependencyTree(parents).parents.tolist() == parents
             return
         first = report.violations[0]
         with pytest.raises(AxiomViolationError) as raised:
@@ -240,7 +247,7 @@ class TestOneAxiomCheck:
         )
         n = first.index
         with pytest.raises(AxiomViolationError) as raised:
-            DependencyTree(size, parents)
+            DependencyTree(parents)
         assert str(raised.value) == f"node {n} has parent {parents[n - 2]}, outside 1..{n - 1}"
 
 
@@ -342,6 +349,22 @@ class TestSerialization:
         message = f"^generator keys other than 'kind' and 'table': {shown}$"
         with pytest.raises(DomainError, match=message):
             GeneratorSpec.from_dict(data)
+
+
+    @pytest.mark.parametrize(
+        "table, shown",
+        [({"3": 1, "03": 2, "2": 1}, "'3' and '03'"),
+         ({3: 1, "3": 2, 2: 1}, "3 and '3'"),
+         ({"2": 1, "+3": 1, 3.0: 2}, "'+3' and 3.0")],
+        ids=["zero-padded", "int-and-str", "signed-and-float"],
+    )
+    def test_keys_naming_one_index_twice_rejected(self, table, shown):
+        # the second key is refused, where the last one would have won
+        message = f"^table keys {re.escape(shown)} both name index 3$"
+        with pytest.raises(DomainError, match=message):
+            GeneratorSpec.from_table(table)
+        with pytest.raises(DomainError, match=message):
+            GeneratorSpec.from_dict({"kind": "table", "table": table})
 
 
 class TestIntegerRule:

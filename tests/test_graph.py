@@ -99,11 +99,16 @@ class TestBuildTree:
 
     def test_direct_construction_rejects_forward_edges(self):
         with pytest.raises(AxiomViolationError):
-            DependencyTree(3, np.array([1, 3]))
+            DependencyTree(np.array([1, 3]))
 
-    def test_direct_construction_rejects_a_short_parent_list(self):
-        with pytest.raises(DomainError, match=r"^expected 2 parent entries, got \(1,\)$"):
-            DependencyTree(3, [1])
+    def test_direct_construction_reads_its_size_from_the_parents(self):
+        assert DependencyTree([1, 1, 2]).size == 4
+        assert DependencyTree([]).size == 1
+
+    @pytest.mark.parametrize("parents", [1, [[1], [1]]], ids=["scalar", "two-d"])
+    def test_direct_construction_rejects_parents_that_are_not_one_sequence(self, parents):
+        with pytest.raises(DomainError, match=r"^tree parents must be one sequence, got shape \("):
+            DependencyTree(parents)
 
 
 class TestPaths:

@@ -179,16 +179,15 @@ ROWS = [
     # both sizes end at 2**53, the end of the generators' domain
     row("validate-max_index-top", lambda v: validate(SEQ, v), "max_index", 2**53 + 1),
     # graph
-    row("DependencyTree-size", lambda v: DependencyTree(v, []), "tree size", 0),
     row("DependencyTree.parent_of-node", TREE.parent_of, "node index", 4),
     row("build_tree-size", lambda v: build_tree(SEQ, v), "tree size", 0),
     row("build_tree-size-top", lambda v: build_tree(SEQ, v), "tree size", 2**53 + 1),
     # a list entry past int64 is an error, not a numpy OverflowError
-    row("DependencyTree-parent", lambda v: DependencyTree(3, [1, v]), "tree parent", 2**63),
+    row("DependencyTree-parent", lambda v: DependencyTree([1, v]), "tree parent", 2**63),
     # a uint64 entry past int64 is the same error, where the int64 cast would wrap it to -1
     row(
         "DependencyTree-uint64-parent",
-        lambda v: DependencyTree(3, unsigned_parents(v)), "tree parent", 2**64 - 1,
+        lambda v: DependencyTree(unsigned_parents(v)), "tree parent", 2**64 - 1,
         named=rf"^tree parent {2**64 - 1} outside -{2**63}\.\.{2**63 - 1}$",
     ),
     row("tree_distance-m", lambda v: tree_distance(TREE, v, 3), "node index", 0),
@@ -299,8 +298,8 @@ NOT_INTEGER_ENTRIES = [
 def test_tree_parents_are_integers(parents, shown):
     named = f"^tree parent must be an integer, got {re.escape(shown)}$"
     with pytest.raises(DomainError, match=named):
-        DependencyTree(3, parents)
-    assert DependencyTree(3, [1, np.int64(2)]).parents.tolist() == [1, 2]
+        DependencyTree(parents)
+    assert DependencyTree([1, np.int64(2)]).parents.tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("entries, shown", NOT_INTEGER_ENTRIES)

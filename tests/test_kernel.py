@@ -278,7 +278,7 @@ class TestNumberRule:
         with pytest.raises(DomainError, match="^marginal probability: nested entries of unequal"):
             Marginal(ragged)
         with pytest.raises(DomainError, match="^tree parent: nested entries of unequal shapes"):
-            DependencyTree(3, ragged)
+            DependencyTree(ragged)
 
     def test_caller_arrays_are_neither_frozen_nor_aliased(self):
         probs, matrix = np.array([0.5, 0.5]), np.zeros((2, 2))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import depcat.sampler
 from depcat import (
     DomainError,
+    EmpiricalMarginal,
     GeneratorSpec,
     cross_covariance_enumerated,
     empirical_cross_covariance,
@@ -97,8 +98,13 @@ class TestDegenerateLimits:
     def test_single_draw_marginal_is_one_hot(self):
         batch = sample_batch([0.5, 0.5], 0.2, SEQ, 3, 1, seed=8)
         marginal = empirical_marginals(batch, 2)
-        assert marginal.counts.sum() == 1
+        assert marginal.counts.sum() == marginal.total == 1
         assert set(marginal.counts) == {0, 1}
+
+    def test_total_is_the_sum_of_the_counts(self):
+        marginal = EmpiricalMarginal(1, np.array([3, 0, 1]))
+        assert marginal.total == 4 and type(marginal.total) is int
+        assert marginal.frequencies.tolist() == [0.75, 0.0, 0.25]
 
 
 class TestConvergence:
