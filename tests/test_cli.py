@@ -690,8 +690,9 @@ def test_non_integer_table_entry_is_a_usage_error(command, table, capsys, tmp_pa
 # Every setting of a run, valid, as config keys and as the text of their flags.
 SETTINGS = {"generator": "fk", "N": 4, "K": 2, "p": [0.5, 0.5], "delta": 0.4, "seed": 1,
             "count": 3, "enumeration_cap": 1000}
-FLAGS = {"generator": ("--generator", "fk"), "N": ("--n", "4"), "p": ("--p", "0.5,0.5"), "delta": ("--delta", "0.4"), "seed": ("--seed", "1"),
-         "count": ("--count", "3"), "enumeration_cap": ("--cap", "1000")}
+FLAGS = {"generator": ("--generator", "fk"), "N": ("--n", "4"), "p": ("--p", "0.5,0.5"),
+         "delta": ("--delta", "0.4"), "seed": ("--seed", "1"), "count": ("--count", "3"),
+         "enumeration_cap": ("--cap", "1000")}
 BAD_INTEGERS = ["1_0", "\uff13", "2.5", True]  # "\uff13" is a fullwidth 3
 BAD_NUMBERS = [True, [True, False], "abc", [0.3], None, [[0.5, 0.5]]]
 

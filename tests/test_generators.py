@@ -350,7 +350,6 @@ class TestSerialization:
         with pytest.raises(DomainError, match=message):
             GeneratorSpec.from_dict(data)
 
-
     @pytest.mark.parametrize(
         "table, shown",
         [({"3": 1, "03": 2, "2": 1}, "'3' and '03'"),
