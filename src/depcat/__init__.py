@@ -32,7 +32,6 @@ from .generators import (
     BUILTIN_KINDS,
     GeneratorSpec,
     GeneratorViolation,
-    ValidationReport,
     evaluate,
     validate,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "GeneratorViolation",
     "Marginal",
     "SampleBatch",
-    "ValidationReport",
     "VerificationCheck",
     "build_tree",
     "closed_form_covariance_matrix",

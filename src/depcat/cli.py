@@ -78,6 +78,20 @@ class RunConfig:
         return tuple(getattr(self, name) for name in names)
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """The `object_pairs_hook` of every JSON read: a key given twice is a DomainError.
+
+    `json` alone keeps the last value of a repeated key, so the first
+    would be dropped without a word.
+    """
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise DomainError(f"JSON object gives the key {key!r} twice")
+        data[key] = value
+    return data
+
+
 def _parse_generator(value) -> GeneratorSpec:
     if isinstance(value, dict):
         return GeneratorSpec.from_dict(value)
@@ -85,7 +99,7 @@ def _parse_generator(value) -> GeneratorSpec:
         text = value.strip()
         if text.startswith("{"):
             try:
-                return GeneratorSpec.from_dict(json.loads(text))
+                return GeneratorSpec.from_dict(json.loads(text, object_pairs_hook=_json_object))
             except json.JSONDecodeError as exc:
                 raise DomainError(f"invalid generator JSON: {exc}") from exc
         return GeneratorSpec.builtin(text)
@@ -106,7 +120,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+                data = json.load(handle, object_pairs_hook=_json_object)
         except OSError as exc:
             raise DomainError(f"cannot read config file: {exc}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -234,15 +248,11 @@ def cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     if config.length < 2:
         _emit("generator domain is empty below n = 2; nothing to check\n", args.out)
         return EXIT_OK
-    report = validate(config.spec, config.length)
-    if report.ok:
-        _emit(
-            f"generator {config.spec.kind!r} valid for n in 2..{report.max_index}\n",
-            args.out,
-        )
+    violations = validate(config.spec, config.length)
+    if not violations:
+        _emit(f"generator {config.spec.kind!r} valid for n in 2..{config.length}\n", args.out)
         return EXIT_OK
-    lines = [violation.reason for violation in report.violations]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("".join(f"{violation.reason}\n" for violation in violations), args.out)
     return EXIT_VALIDATION
 
 

@@ -200,17 +200,16 @@ def enumerated_marginals(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Marginals of every position from the full joint; shape (length, K)."""
-    pairs = _pair_joints(joint_distribution(p, delta, spec, length, cap))
-    return _diagonal_marginals(pairs)
+    return _pair_joints(joint_distribution(p, delta, spec, length, cap))[0]
 
 
-def _pair_joints(joint: np.ndarray) -> np.ndarray:
-    """Every two-position marginal of a (K, ..., K) joint, in one pass.
+def _pair_joints(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every one- and two-position marginal of a (K, ..., K) joint, in one pass.
 
-    Entry [a, b] of the (N, N, K, K) result, for a <= b, is the joint law
-    of the draws at positions a + 1 and b + 1: for a < b the joint summed
-    over every other axis, and [a, a] is diag(marginal at a + 1).  Entries
-    below the diagonal are zero.
+    Returns (marginals, pairs).  Row a of the (N, K) marginals is the law
+    of the draw at position a + 1.  Entry [a, b] of the (N, N, K, K) pairs,
+    for a < b, is the joint law of the draws at positions a + 1 and b + 1:
+    the joint summed over every other axis.  Entries with a >= b are zero.
 
     For each a the axes before a are summed once (from the sum for a - 1),
     then the trailing axes are peeled off one at a time, so each pair sums
@@ -219,6 +218,7 @@ def _pair_joints(joint: np.ndarray) -> np.ndarray:
     """
     length, k = joint.ndim, joint.shape[0]
     ones = np.ones(max(joint.size // k**2, k))
+    marginals = np.empty((length, k))
     pairs = np.zeros((length, length, k, k), dtype=np.float64)
     leading = joint.reshape(k, -1)  # axis a, then every later axis
     for a in range(length):
@@ -227,15 +227,10 @@ def _pair_joints(joint: np.ndarray) -> np.ndarray:
             block = trailing.reshape(k, -1, k)
             pairs[a, b] = ones[: block.shape[1]] @ block
             trailing = block @ ones[:k]
-        pairs[a, a] = np.diag(trailing.reshape(k))
+        marginals[a] = trailing.reshape(k)
         if a + 1 < length:
             leading = leading.sum(axis=0).reshape(k, -1)
-    return pairs
-
-
-def _diagonal_marginals(pairs: np.ndarray) -> np.ndarray:
-    """Per-position marginals, shape (N, K), read off `_pair_joints`."""
-    return np.einsum("aaii->ai", pairs).copy()
+    return marginals, pairs
 
 
 def _pair_joint_enumerated(
@@ -307,12 +302,12 @@ class _Propagation:
             self._powers[exponent] = power
         return power
 
-    def pair_joints(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    def pair_joints(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
         """Joint law of each (m, n) in `pairs`, and each pair's tree distance.
 
         One walk per pair up to its lowest common ancestor, which also
         counts the branch lengths a and b.  Returns the (len(pairs), K, K)
-        joints and the distances a + b.
+        joints and the list of distances a + b.
         """
         ancestors, up, down = zip(*(self.tree.branch_lengths(m, n) for m, n in pairs))
         for exponent in sorted(set(up) | set(down)):
@@ -321,7 +316,7 @@ class _Propagation:
         left = np.array([self.power(a).T for a in up])
         right = np.array([self.power(b) for b in down])
         joints = left @ (at_ancestor[:, :, None] * right)
-        return joints, np.array(up, dtype=np.int64) + np.array(down, dtype=np.int64)
+        return joints, [a + b for a, b in zip(up, down)]
 
 
 def joint_pair_probability(
@@ -508,18 +503,17 @@ def verification_suite(
     probs = marginal.probs
     joint = joint_distribution(marginal, delta, spec, length, cap)
     total = float(joint.sum())
-    pairs = _pair_joints(joint)
+    marginals, pairs = _pair_joints(joint)
     route = _Propagation(marginal, delta, build_tree(spec, length))
     checks = [VerificationCheck("normalization", abs(total - 1.0), EXACT_TOL)]
 
     propagated = np.array([route.marginal(n) for n in range(1, length + 1)])
-    both = np.stack([_diagonal_marginals(pairs), propagated])
+    both = np.stack([marginals, propagated])
     err = float(np.max(np.abs(both - probs)))
     checks.append(VerificationCheck("identical-marginals", err, EXACT_TOL))
 
     positions = [(m, n) for m in range(1, length) for n in range(m + 1, length + 1)]
     propagated, distances = route.pair_joints(positions)
-    distances = distances.tolist()
     closed = {d: closed_form_covariance_matrix(marginal, delta, d) for d in set(distances)}
     closed = np.array([closed[d] for d in distances])
     first, second = (np.array(positions) - 1).T

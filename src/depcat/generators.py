@@ -220,32 +220,18 @@ class GeneratorViolation:
         return f"n={self.index}: alpha={self.parent} not in 1..{self.index - 1}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Axiom check over a finite index range; violations are data."""
-
-    kind: str
-    max_index: int
-    violations: tuple[GeneratorViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(spec: GeneratorSpec, max_index: int) -> ValidationReport:
-    """Check 1 <= alpha(n) <= n-1 for every n in {2..max_index}.
+def validate(spec: GeneratorSpec, max_index: int) -> tuple[GeneratorViolation, ...]:
+    """A GeneratorViolation per n in {2..max_index}, ascending, where 1 <= alpha(n) <= n-1 fails.
 
     The range ends at 2**53 at most, the end of `evaluate`'s domain.
-    Missing table entries and out-of-range parents are reported, not
-    raised.  An empty report means the generator restricted to the range
+    Missing table entries and out-of-range parents are returned, not
+    raised.  An empty tuple means the generator restricted to the range
     is a valid dependency generator.  The parents are evaluated once, by
-    `_parents`, and `_violations` reads the report from that array.
+    `_parents`, and `_violations` reads the violations from that array.
     """
     max_index = check_integer(max_index, "max_index", 2, _MAX_INDEX)
     indices = np.arange(2, max_index + 1, dtype=np.int64)
-    violations = tuple(_violations(indices, _parents(spec, indices)))
-    return ValidationReport(spec.kind, max_index, violations)
+    return tuple(_violations(indices, _parents(spec, indices)))
 
 
 def _violations(indices: np.ndarray, parents: np.ndarray) -> Iterator[GeneratorViolation]:

@@ -45,6 +45,10 @@ class TestValidate:
         assert code == EXIT_OK
         assert "valid" in out
 
+    def test_valid_report_names_the_range(self, capsys):
+        code, out, err = run(["validate", "--generator", "sin_drift", "--n", "100"], capsys)
+        assert (code, out, err) == (EXIT_OK, "generator 'sin_drift' valid for n in 2..100\n", "")
+
     def test_violation_exit_and_message(self, capsys):
         spec = json.dumps({"kind": "table", "table": {"2": 1, "3": 5}})
         code, out, _ = run(["validate", "--generator", spec, "--n", "3"], capsys)
@@ -828,6 +832,32 @@ def test_generator_with_an_unknown_key_is_a_usage_error(command, through_config,
     code, out, err = run(argv, capsys)
     assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if through_config else [])
     assert err == "error: generator keys other than 'kind' and 'table': 'tabel'\n"
+
+
+# JSON text that gives one key twice, as written: `json` alone keeps the last
+# value.  Keys that differ as text ("3", "03") are GeneratorSpec's to refuse.
+@pytest.mark.parametrize(
+    "argv, config, key",
+    [
+        pytest.param(["graph", "--format", "json"], '{"generator": "fk", "N": 3, "N": 4}', "N",
+                     id="config-N"),
+        pytest.param(["graph", "--format", "json"],
+                     '{"N": 3, "generator": {"kind": "table", "table": {"2": 1, "2": 1}}}', "2",
+                     id="config-nested-table"),
+        pytest.param(["graph", "--generator",
+                      '{"kind": "table", "table": {"2": 1, "3": 1, "3": 2}}',
+                      "--n", "3", "--format", "json"], None, "3", id="flag-table"),
+        pytest.param(["validate", "--generator", '{"kind": "fk", "kind": "sequential"}',
+                      "--n", "3"], None, "kind", id="flag-kind"),
+    ],
+)
+def test_a_repeated_json_key_is_a_usage_error(argv, config, key, capsys, tmp_path):
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    code, out, err = run(argv, capsys)
+    assert_one_usage_error(code, out, err, tmp_path, ["run.json"] if config else [])
+    assert err == f"error: JSON object gives the key {key!r} twice\n"
 
 
 # One past the end of the generators' domain: a usage error naming the bound,

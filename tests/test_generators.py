@@ -143,20 +143,17 @@ class TestPrimePartition:
 
 class TestValidate:
     def test_sequential_clean_to_100(self):
-        report = validate(SEQ, 100)
-        assert report.ok
-        assert report.violations == ()
+        assert validate(SEQ, 100) == ()
 
     def test_non_integer_range_is_rejected(self):
-        # int() would truncate it: the report read max_index 3.5 over 2..3
+        # int() would truncate it and check 2..3
         with pytest.raises(DomainError, match="^max_index must be an integer, got 3.5$"):
             validate(SEQ, 3.5)
 
     def test_table_violation_is_reported_not_raised(self):
-        report = validate(GeneratorSpec.from_table({2: 1, 3: 3}), 3)
-        assert not report.ok
-        assert len(report.violations) == 1
-        violation = report.violations[0]
+        violations = validate(GeneratorSpec.from_table({2: 1, 3: 3}), 3)
+        assert len(violations) == 1
+        violation = violations[0]
         assert violation.index == 3
         assert violation.parent == 3
         assert "not in 1..2" in violation.reason
@@ -167,13 +164,13 @@ class TestValidate:
         assert GeneratorViolation(5, -1).reason == "n=5: alpha=-1 not in 1..4"
 
     def test_table_missing_entry_reported(self):
-        report = validate(GeneratorSpec.from_table({2: 1}), 4)
-        assert [v.index for v in report.violations] == [3, 4]
-        assert report.violations[0].parent is None
+        violations = validate(GeneratorSpec.from_table({2: 1}), 4)
+        assert [v.index for v in violations] == [3, 4]
+        assert violations[0].parent is None
 
     def test_table_report_in_index_order(self):
-        report = validate(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
-        assert [(v.index, v.parent, v.reason) for v in report.violations] == [
+        violations = validate(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
+        assert [(v.index, v.parent, v.reason) for v in violations] == [
             (3, None, "n=3: no table entry"),
             (4, 4, "n=4: alpha=4 not in 1..3"),
             (5, 9, "n=5: alpha=9 not in 1..4"),
@@ -185,11 +182,11 @@ class TestValidate:
             build_tree(GeneratorSpec.from_table({2: 1, 4: 4, 5: 9}), 6)
 
     def test_sin_drift_exhaustive_to_ten_thousand(self):
-        assert validate(SIN, 10_000).ok
+        assert validate(SIN, 10_000) == ()
 
     def test_all_builtins_to_one_million(self):
         for spec in ALL_BUILTINS:
-            assert validate(spec, 1_000_000).ok, spec.kind
+            assert validate(spec, 1_000_000) == (), spec.kind
 
     def test_sin_drift_never_near_floor_boundary(self):
         # Documented determinism guard: no builtin evaluation sits within
@@ -224,8 +221,8 @@ class TestOneAxiomCheck:
     def test_the_four_readers_agree(self, drawn):
         size, table = drawn
         spec = GeneratorSpec.from_table(table)
-        report = validate(spec, size)
-        reasons = {violation.index: violation.reason for violation in report.violations}
+        violations = validate(spec, size)
+        reasons = {violation.index: violation.reason for violation in violations}
         for n in range(2, size + 1):
             if n in reasons:
                 with pytest.raises(AxiomViolationError) as raised:
@@ -234,16 +231,16 @@ class TestOneAxiomCheck:
             else:
                 assert evaluate(spec, n) == table[n]
         parents = [table.get(n, 0) for n in range(2, size + 1)]
-        if report.ok:
+        if not violations:
             assert dict(build_tree(spec, size).edges()) == table
             assert DependencyTree(parents).parents.tolist() == parents
             return
-        first = report.violations[0]
+        first = violations[0]
         with pytest.raises(AxiomViolationError) as raised:
             build_tree(spec, size)
         assert str(raised.value) == (
             f"generator 'table' fails validation up to {size} "
-            f"({len(report.violations)} violation(s); first: {first.reason})"
+            f"({len(violations)} violation(s); first: {first.reason})"
         )
         n = first.index
         with pytest.raises(AxiomViolationError) as raised:

@@ -8,7 +8,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from depcat import CrossCovariance, DomainError, GeneratorSpec, build_tree
+from depcat import (
+    CrossCovariance,
+    DomainError,
+    GeneratorSpec,
+    build_tree,
+    enumerated_marginals,
+    verification_suite,
+)
 from depcat.cli import main
 from depcat.generators import BUILTIN_KINDS, _PI
 
@@ -148,3 +155,69 @@ class TestCrossCovarianceRejects:
 def test_generator_from_a_non_mapping(data):
     with pytest.raises(DomainError, match="JSON object"):
         GeneratorSpec.from_dict(data)
+
+
+# The reports above print 12 significant digits, so these pin every bit: the
+# sha256 of enumerated_marginals' float64 bytes, and of the verification
+# suite's max errors as reprs, one a line, at the two CI points.
+BIT_POINTS = {
+    "k4": ((0.4, 0.3, 0.2, 0.1), 0.7, 8),
+    "k2": ((0.6, 0.4), 0.2, 12),
+}
+BIT_DIGESTS = {
+    ("fk", "k2"): (
+        "351ca792f6a894dc6edb944307b74bfd2f2361629a4f31849a2da8502a67a9c3",
+        "51a47aaf3e2506807e976550a1579d232a37930ec602cfced8c9be0ca557a830",
+    ),
+    ("fk", "k4"): (
+        "887825e7b8fe2480441514c2beba38089d3e7c984a4a5aae748ac9e718115c3a",
+        "00efcd677c5914a7bbf999a661830581e526266f801dc50f8c7879d836995799",
+    ),
+    ("floor_sqrt", "k2"): (
+        "dc6e50b8af2e9a3ec19a6f40a951c3e095e7b6529912375c11f09a7f42e06423",
+        "02e805b325ee0cbe9326da550f425eb1145a23d244625eceed91e54051ffa5e9",
+    ),
+    ("floor_sqrt", "k4"): (
+        "26316cdfe01c843edc636bf4c1334ec89f6b238ff266395c3020b36633a9e9be",
+        "a84531bc3887f45b81be962a42061dcc2f3a6b6ce72846863a3216037bb2ae19",
+    ),
+    ("prime_partition", "k2"): (
+        "298895dbaee2c702ad736cec5171457cc8dc85b9069460c375ee3c15799ec026",
+        "4a1532915bd8f8f03b8b0efcc987036d9f3d5f8240fc318293cebb8a2a0289b6",
+    ),
+    ("prime_partition", "k4"): (
+        "61c64351d1587d1d267f444925f32b9e1e1ff5380707ad78891dc28b0f6063dc",
+        "0e19cec0e4bfade9f61ac78e0dcd84814551fab8118d332739a6807db346c200",
+    ),
+    ("sequential", "k2"): (
+        "a33f3449d9829db42558c038a136494aaf8d8fa844783357925ae227c57ca67d",
+        "b4d81d49700e240232a25896c346dfffdea487c0a3bd756afd9fa461f0e97088",
+    ),
+    ("sequential", "k4"): (
+        "26f924996896985e5180013063ccbd620376d9c822b6adf7ba7c6799679cdc68",
+        "db901f20ef8a24fe565f738b7b7f5f0942630c27cb035f60690336394f90ae5a",
+    ),
+    ("sin_drift", "k2"): (
+        "8ad215c0673d990c2e6074b10ca95d41395254e1668218148a54ee6d767a48c1",
+        "693bb67f61d97bb4911fe8e94951e4f29b3ee5c26eda98c09b676a40249883fd",
+    ),
+    ("sin_drift", "k4"): (
+        "4387f19b087a9556719bfe072d2f46e29daab5e3c9da5914b7dda8eacbc44f6f",
+        "a6b736b0082c47c006bc7dbd656873e3427de10249028613cca80a64ea23058e",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kind, point", sorted(BIT_DIGESTS))
+def test_exact_bits_are_pinned(kind, point):
+    p, delta, length = BIT_POINTS[point]
+    spec = GeneratorSpec.builtin(kind)
+    marginals = enumerated_marginals(p, delta, spec, length)
+    assert marginals.dtype == np.float64 and marginals.shape == (length, len(p))
+    checks = verification_suite(p, delta, spec, length)
+    errors = "\n".join(repr(check.max_error) for check in checks).encode("ascii")
+    assert (_sha256(marginals.tobytes()), _sha256(errors)) == BIT_DIGESTS[kind, point]
