@@ -69,6 +69,24 @@ done in intp, so no narrow value ever wraps.  Batch text has the bytes of
 formatting each cell with str(): with K <= 9 each cell is one
 little-endian uint16 add, its digit and ",", and wider K gathers the
 bytes of each outcome from a token table.
+
+`empirical_marginals` and `empirical_cross_covariance` read their counts
+from a tally the batch makes on first use: one window of statistics per
+arity, counted in one pass over the row blocks, so each block is read once
+for the whole window, not once per statistic (loop blocking; Wolf & Lam
+1991).  A marginal window covers the aligned positions [a, a + W), and a
+pair window the tree edges (alpha(c), c) for the aligned children c in
+[a, a + W), with a - 1 a multiple of W.  W is the most statistics whose
+intp counts fit _TALLY_BUDGET (256 KiB), at most _TALLY_POSITIONS (64) and
+at least 1: at K = 64 one window holds all 64 positions, or 7 edges, and
+from K = 181 on a pair window holds one edge of (K + 1)^2 counts.  A
+statistic outside the held window replaces it; a pair that is not a tree
+edge is counted alone and kept nowhere.  So a batch keeps at most one
+window per arity, freed with the batch, and a lone call counts up to 64
+statistics in place of one.  Each call returns new arrays, never a view of
+the held window, which is read-only.  The counts are cached per batch:
+outcomes are read-only, and a caller who makes them writeable again and
+changes them gets stale statistics.
 """
 
 from __future__ import annotations
@@ -80,7 +98,7 @@ import numpy as np
 
 from .errors import DomainError, check_integer, check_integers
 from .exact import CrossCovariance, _check_pair_positions
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, _parents
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, _kernel_parts, as_delta, as_marginal
 from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _check_array_size
@@ -105,6 +123,12 @@ _REFINE = np.uint64(2**63 - 1)
 _BLOCK_ROWS = 1 << 14
 _GRID_VARIATES = 1 << 15
 _TILE = 32
+# A batch's window of counts holds at most _TALLY_POSITIONS statistics, and
+# as many as fit _TALLY_BUDGET bytes of intp counts (one, when one does not
+# fit), so a lone call counts at most _TALLY_POSITIONS statistics.  Backed by
+# the timings in BENCH_31.json (`tally_window`).
+_TALLY_BUDGET = 1 << 18
+_TALLY_POSITIONS = 64
 # Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
 # compact JSON array, so the same cells framed by "[" and "]".
 _CSV_FRAME = (b"", b"\n")
@@ -502,28 +526,93 @@ class EmpiricalMarginal:
         return self.counts / self.total
 
 
-def _counts(batch: SampleBatch, *positions: int) -> np.ndarray:
-    """Rows per value at one position, or per code v_m (K + 1) + v_n of a pair.
+def _counts(batch: SampleBatch, statistics: list[tuple[int, ...]]) -> np.ndarray:
+    """Row i: rows per value at position statistics[i], or per code v_m (K + 1) + v_n of a pair.
 
-    Values and codes are counted as they stand, so bin 0 and every bin with
-    a 0 digit stay empty and no dtype is ever shifted or wrapped.  Codes are
-    computed in intp a block of rows at a time and the blocks' bincounts
-    summed, so the scratch is one block's codes whatever the row count.  A
-    block holds _BLOCK_ROWS rows, or as many as the counts have bins when
-    that is more, so its codes never outweigh the counts.
+    The statistics share one arity and are counted in one pass over the
+    rows, so each block of rows is read once for all of them.  Values and
+    codes are counted as they stand, so bin 0 and every bin with a 0 digit
+    stay empty and no dtype is ever shifted or wrapped.  Codes are computed
+    in intp a block of rows at a time and the blocks' bincounts summed, so
+    the scratch is one block's codes whatever the row count.  A block holds
+    _BLOCK_ROWS rows, or as many as the counts have bins when that is more,
+    so its codes never outweigh one statistic's counts.
     """
     width = batch.num_categories + 1
-    bins = width ** len(positions)
+    bins = width ** len(statistics[0])
     rows = max(_BLOCK_ROWS, bins)
-    counts = np.zeros(bins, dtype=np.intp)
+    counts = np.zeros((len(statistics), bins), dtype=np.intp)
+    scratch = np.empty(min(rows, batch.count), dtype=np.intp)
     for first in range(0, batch.count, rows):
         block = batch.outcomes[first : first + rows]
-        codes = block[:, positions[0] - 1].astype(np.intp)
-        for position in positions[1:]:
-            codes *= width
-            codes += block[:, position - 1]
-        counts += np.bincount(codes, minlength=bins)
+        codes = scratch[: len(block)]
+        for row, (position, *others) in zip(counts, statistics):
+            np.copyto(codes, block[:, position - 1])
+            for other in others:
+                codes *= width
+                codes += block[:, other - 1]
+            row += np.bincount(codes, minlength=bins)
     return counts
+
+
+class _Tally:
+    """The counts a batch keeps: one read-only window per arity, and the tree's parents.
+
+    `windows[arity]` maps each statistic of the window last counted at that
+    arity to its row of counts.  `parents[c - 2]` is alpha(c) for c in
+    2..N, evaluated on the first pair call.
+    """
+
+    def __init__(self):
+        self.windows: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
+        self.parents: np.ndarray | None = None
+
+
+def _window(batch: SampleBatch, tally: _Tally, statistic: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The statistics counted with `statistic`: positions, or tree edges by their child.
+
+    The window of position or child c covers the aligned c in [a, a + W),
+    a = W floor((c - 1) / W) + 1, where W is the most statistics whose
+    intp counts fit _TALLY_BUDGET, at most _TALLY_POSITIONS and at least 1.
+    A pair window holds the edges (alpha(c), c) whose parent lies in
+    1..c-1, so a pair that is not a tree edge is in no window.
+    """
+    bins = (batch.num_categories + 1) ** len(statistic)
+    size = min(_TALLY_POSITIONS, max(1, _TALLY_BUDGET // (bins * np.dtype(np.intp).itemsize)))
+    first = (statistic[-1] - 1) // size * size + 1
+    stop = min(first + size, batch.length + 1)
+    if len(statistic) == 1:
+        return [(c,) for c in range(first, stop)]
+    if tally.parents is None:
+        tally.parents = _parents(batch.spec, np.arange(2, batch.length + 1, dtype=np.int64))
+    first = max(first, 2)  # position 1 has no parent
+    parents = tally.parents[first - 2 : stop - 2].tolist()
+    return [(parent, c) for c, parent in zip(range(first, stop), parents) if 1 <= parent < c]
+
+
+def _tallied(batch: SampleBatch, statistic: tuple[int, ...]) -> np.ndarray:
+    """The counts of one statistic: a read-only row of the batch's window of its arity.
+
+    A statistic outside the held window replaces it with its own window;
+    a pair that is not a tree edge is counted alone and leaves the window
+    as it is.  The old window is dropped before the new one is counted, so
+    a batch holds at most one window per arity.
+    """
+    tally = getattr(batch, "_tally", None)
+    if tally is None:
+        tally = _Tally()
+        object.__setattr__(batch, "_tally", tally)
+    counts = tally.windows.get(len(statistic), {}).get(statistic)
+    if counts is not None:
+        return counts
+    statistics = _window(batch, tally, statistic)
+    if statistic not in statistics:
+        return _counts(batch, [statistic])[0]
+    tally.windows.pop(len(statistic), None)
+    counts = _counts(batch, statistics)
+    counts.flags.writeable = False
+    window = tally.windows[len(statistic)] = dict(zip(statistics, counts))
+    return window[statistic]
 
 
 def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
@@ -531,7 +620,7 @@ def empirical_marginals(batch: SampleBatch, position: int) -> EmpiricalMarginal:
     if batch.count == 0:
         raise DomainError("cannot compute marginals of an empty batch")
     position = check_integer(position, "position", 1, batch.length)
-    return EmpiricalMarginal(position, _counts(batch, position)[1:])
+    return EmpiricalMarginal(position, _tallied(batch, (position,))[1:].copy())
 
 
 def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovariance:
@@ -541,6 +630,6 @@ def empirical_cross_covariance(batch: SampleBatch, m: int, n: int) -> CrossCovar
     _check_pair_positions(m, n)
     check_integer(n, "position", 1, batch.length)
     width = batch.num_categories + 1
-    joint = _counts(batch, m, n).reshape(width, width)[1:, 1:] / batch.count
+    joint = _tallied(batch, (m, n)).reshape(width, width)[1:, 1:] / batch.count
     matrix = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
     return CrossCovariance(m, n, matrix, "empirical")

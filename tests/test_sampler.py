@@ -6,10 +6,11 @@ import os
 import re
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import depcat.sampler
@@ -24,10 +25,12 @@ from depcat import (
     sample_batch,
     transition_kernel,
 )
+from depcat.generators import _parents
 from depcat.graph import build_tree
 from depcat.kernel import as_marginal
 from depcat.rng import ALGORITHM_ID, stream_keys, uniform_grid
 from depcat.sampler import SampleBatch
+from test_exact import valid_tables
 
 FK = GeneratorSpec.builtin("fk")
 SEQ = GeneratorSpec.builtin("sequential")
@@ -832,3 +835,147 @@ class TestSiblingsShareOneParentRead:
                 table, build_tree(spec, width).parents, group, out, 0, 0, scratch
             )
             assert scratch.parent == held
+
+
+GAPPED = GeneratorSpec.from_table({2: 1, 4: 4, 5: 9, 7: 3})
+
+
+def oracle_counts(outcomes, k, *positions):
+    """Flat int64 bincount of the 0-based values at one position, or of (v_m - 1) K + (v_n - 1)."""
+    codes = np.zeros(len(outcomes), dtype=np.int64)
+    for position in positions:
+        codes = codes * k + outcomes[:, position - 1].astype(np.int64) - 1
+    return np.bincount(codes, minlength=k ** len(positions))
+
+
+def oracle_covariance(outcomes, k, m, n):
+    """The empirical covariance formula, on oracle pair counts."""
+    joint = oracle_counts(outcomes, k, m, n).reshape(k, k) / len(outcomes)
+    return joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+
+
+@st.composite
+def tally_runs(draw):
+    """A spec, K, outcomes in 1..K, and an interleaved run of marginal and pair calls.
+
+    Table specs reach at most n = 7, so past it they are gapped, as GAPPED is
+    throughout; the builtins have tree edges past the 64-position window cap.
+    """
+    spec = draw(
+        valid_tables().map(lambda case: case[0])
+        | st.sampled_from([FK, SEQ, FSQRT, SIN_DRIFT, PRIME, GAPPED])
+    )
+    k = draw(st.integers(2, 5))
+    length = draw(st.integers(1, 140))
+    rows = draw(st.integers(1, 200))
+    outcomes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        1, k + 1, size=(rows, length)
+    )
+    calls = [st.integers(1, length).map(lambda n: (n,))]
+    if length > 1:
+        parents = _parents(spec, np.arange(2, length + 1)).tolist()
+        edges = [(m, n) for n, m in enumerate(parents, start=2) if 1 <= m < n]
+        if edges:
+            calls.append(st.sampled_from(edges))
+        calls.append(
+            st.integers(2, length).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n)))
+        )
+    run = draw(st.lists(st.one_of(*calls), min_size=1, max_size=30))
+    run += draw(st.lists(st.sampled_from(run), max_size=10))  # repeats
+    return spec, k, outcomes, draw(st.permutations(run))
+
+
+def k300_run():
+    """floor_sqrt at K = 300, where a pair's counts outweigh the budget: W = 1."""
+    outcomes = np.random.default_rng(300).integers(1, 301, size=(150, 140))
+    edges = [(int(np.sqrt(n)), n) for n in range(2, 141)]
+    run = [(n,) for n in range(140, 0, -9)] + edges[::7] + [(3, 9), (2, 140), edges[0], (70,)]
+    return FSQRT, 300, outcomes, run
+
+
+class TestTally:
+    """A batch counts a window of statistics at a time and keeps one window per arity."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(tally_runs())
+    @example(k300_run())
+    def test_every_call_order_matches_a_flat_oracle(self, case):
+        spec, k, outcomes, run = case
+        batch = SampleBatch(outcomes, 1, as_marginal(np.full(k, 1 / k)), 0.4, spec)
+        for call in run:
+            if len(call) == 1:
+                counts = empirical_marginals(batch, *call).counts
+                assert np.array_equal(counts, oracle_counts(outcomes, k, *call)), call
+            else:
+                matrix = empirical_cross_covariance(batch, *call).matrix
+                assert matrix.tobytes() == oracle_covariance(outcomes, k, *call).tobytes(), call
+            for window in batch._tally.windows.values():
+                assert 1 <= len(window) <= depcat.sampler._TALLY_POSITIONS
+                entries = sum(row.nbytes for row in window.values())
+                assert len(window) == 1 or entries <= depcat.sampler._TALLY_BUDGET
+                assert not any(row.flags.writeable for row in window.values())
+
+    def test_returned_counts_never_alias_the_held_tally(self):
+        batch = sample_batch([0.5, 0.3, 0.2], 0.4, SEQ, 5, 1000, seed=3)
+        first = empirical_marginals(batch, 2)
+        expected = first.counts.copy()
+        first.counts[:] = -1
+        assert np.array_equal(empirical_marginals(batch, 2).counts, expected)
+        assert first.counts.base is None
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The statistics of each `_counts` call, in call order."""
+        calls = []
+        counts = depcat.sampler._counts
+
+        def spy(batch, statistics):
+            calls.append(statistics)
+            return counts(batch, statistics)
+
+        monkeypatch.setattr(depcat.sampler, "_counts", spy)
+        return calls
+
+    def test_one_pass_counts_every_marginal_at_k64(self, counted):
+        batch = sample_batch(np.full(64, 1 / 64), 0.6, SEQ, 64, 500, seed=7)
+        for position in [*range(1, 65), 64, 1]:
+            empirical_marginals(batch, position)
+        assert counted == [[(n,) for n in range(1, 65)]]
+
+    @pytest.mark.parametrize("spec", [SEQ, FK, FSQRT, PRIME], ids=lambda spec: spec.kind)
+    def test_edge_windows_are_counted_once_and_a_non_edge_evicts_none(self, counted, spec):
+        # At K = 64 a pair window holds 7 edges: 65^2 intp counts take
+        # 33 800 bytes of the 256 KiB budget.
+        parents = build_tree(spec, 64).parents.tolist()
+        batch = sample_batch(np.full(64, 1 / 64), 0.6, spec, 64, 500, seed=7)
+        expected = []
+        for n, parent in enumerate(parents, start=2):
+            empirical_cross_covariance(batch, parent, n)
+            if n == 2 or (n - 1) % 7 == 0:  # the first child of a window
+                children = range(n, min(n - (n - 1) % 7 + 7, 65))
+                expected.append([(parents[c - 2], c) for c in children])
+            if n > 2:
+                other = 1 if parent != 1 else n - 1  # not a tree edge
+                empirical_cross_covariance(batch, other, n)
+                expected.append([(other, n)])
+        assert counted == expected
+
+    def test_a_full_sweep_stays_bounded_and_its_tally_dies_with_the_batch(self):
+        # The mc-chain shape.  The tally holds one window per arity, each
+        # within the budget; one block's scratch is its intp codes, a pair's
+        # bincount and numpy's cast buffer of 8192 intp entries.
+        batch = sample_batch(np.full(64, 1 / 64), 0.6, SEQ, 64, 2**15, seed=7)
+        tracemalloc.start()
+        try:
+            for position in range(1, 65):
+                empirical_marginals(batch, position)
+            for n in range(2, 65):
+                empirical_cross_covariance(batch, n - 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = (BLOCK + 65**2 + 8192) * 8
+        assert peak < 2 * depcat.sampler._TALLY_BUDGET + scratch
+        tally = weakref.ref(batch._tally)
+        del batch
+        assert tally() is None
