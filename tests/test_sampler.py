@@ -938,22 +938,29 @@ class TestTally:
 
     def test_one_pass_counts_every_marginal_at_k64(self, counted):
         batch = sample_batch(np.full(64, 1 / 64), 0.6, SEQ, 64, 500, seed=7)
-        for position in [*range(1, 65), 64, 1]:
+        for position in [64, *range(1, 65), 1]:  # first the window's last position
             empirical_marginals(batch, position)
         assert counted == [[(n,) for n in range(1, 65)]]
 
+    @pytest.mark.parametrize("backwards", [False, True], ids=["forwards", "backwards"])
     @pytest.mark.parametrize("spec", [SEQ, FK, FSQRT, PRIME], ids=lambda spec: spec.kind)
-    def test_edge_windows_are_counted_once_and_a_non_edge_evicts_none(self, counted, spec):
+    def test_edge_windows_are_counted_once_and_a_non_edge_evicts_none(
+        self, counted, spec, backwards
+    ):
         # At K = 64 a pair window holds 7 edges: 65^2 intp counts take
-        # 33 800 bytes of the 256 KiB budget.
+        # 33 800 bytes of the 256 KiB budget.  Backwards, each window is
+        # entered from its last child.
         parents = build_tree(spec, 64).parents.tolist()
         batch = sample_batch(np.full(64, 1 / 64), 0.6, spec, 64, 500, seed=7)
-        expected = []
-        for n, parent in enumerate(parents, start=2):
+        edges = list(enumerate(parents, start=2))
+        expected, held = [], None
+        for n, parent in reversed(edges) if backwards else edges:
             empirical_cross_covariance(batch, parent, n)
-            if n == 2 or (n - 1) % 7 == 0:  # the first child of a window
-                children = range(n, min(n - (n - 1) % 7 + 7, 65))
+            first = (n - 1) // 7 * 7 + 1  # the window of child n: [first, first + 7)
+            if first != held:
+                children = range(max(first, 2), min(first + 7, 65))
                 expected.append([(parents[c - 2], c) for c in children])
+                held = first
             if n > 2:
                 other = 1 if parent != 1 else n - 1  # not a tree edge
                 empirical_cross_covariance(batch, other, n)
