@@ -6,7 +6,9 @@ factor per edge of the dependency tree.  Route two never touches the
 outcome space and instead propagates distributions through powers of the
 transition kernel along tree paths.  The two routes are independent
 implementations of the same quantities; their agreement is the package's
-main correctness check and is wired into ``verification_suite``.
+main correctness check and is wired into ``verification_suite``.  Every
+sum in both routes is a numpy reduction, whose order numpy fixes whatever
+BLAS kernel loads; only route two's K x K matrix products use BLAS.
 
 For every valid generator the covariance of positions m and n is
 delta^d (diag p - p p^T), with d their tree distance, so every
@@ -211,23 +213,22 @@ def _pair_joints(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for a < b, is the joint law of the draws at positions a + 1 and b + 1:
     the joint summed over every other axis.  Entries with a >= b are zero.
 
-    For each a the axes before a are summed once (from the sum for a - 1),
-    then the trailing axes are peeled off one at a time, so each pair sums
-    only the axes between its two positions.  The axis sums are products
-    with a vector of ones, which run far faster than strided `sum` calls.
+    For each a the axes before a are summed once (from the sum for a - 1).
+    Then one fold walks b = a + 1 .. N - 1 over the (a, b, after b) block:
+    the pair sums the axes after b, and the fold goes on with b summed out.
+    Each reduction keeps the long axis contiguous and innermost.
     """
     length, k = joint.ndim, joint.shape[0]
-    ones = np.ones(max(joint.size // k**2, k))
     marginals = np.empty((length, k))
     pairs = np.zeros((length, length, k, k), dtype=np.float64)
     leading = joint.reshape(k, -1)  # axis a, then every later axis
     for a in range(length):
-        trailing = leading  # axes a..b, flattened after a
-        for b in range(length - 1, a, -1):
-            block = trailing.reshape(k, -1, k)
-            pairs[a, b] = ones[: block.shape[1]] @ block
-            trailing = block @ ones[:k]
-        marginals[a] = trailing.reshape(k)
+        rest = leading  # axis a, then the axes from b on
+        for b in range(a + 1, length):
+            rest = rest.reshape(k, k, -1)
+            pairs[a, b] = rest.sum(axis=2)
+            rest = rest.sum(axis=1)
+        marginals[a] = rest.sum(axis=1)
         if a + 1 < length:
             leading = leading.sum(axis=0).reshape(k, -1)
     return marginals, pairs
@@ -244,22 +245,25 @@ def _pair_joint_enumerated(
     """P(draw_m = i, draw_n = j) for all (i, j), by summing the joint.
 
     Position n is the last axis of the length-n joint, so only the axes
-    before m and those between m and n are summed, each by a product with
-    a vector of ones as in `_pair_joints`.
+    before m and those between m and n are summed, by the same steps as
+    `_pair_joints`: the result is its [m - 1, n - 1] entry, bit for bit.
     """
     joint = joint_distribution(p, delta, spec, n, cap)
     k = joint.shape[0]
-    ones = np.ones(max(k ** (m - 1), k ** (n - m - 1)))
-    leading = ones[: k ** (m - 1)] @ joint.reshape(k ** (m - 1), -1)
-    block = leading.reshape(k, -1, k)  # position m, the positions between, n
-    return ones[: block.shape[1]] @ block
+    rest = joint.reshape(k, -1)
+    for _ in range(m - 1):
+        rest = rest.sum(axis=0).reshape(k, -1)
+    for _ in range(n - m - 1):
+        rest = rest.reshape(k, k, -1).sum(axis=1)
+    return rest.reshape(k, k)
 
 
 class _Propagation:
     """Route two on one dependency tree: kernel powers, no outcome space.
 
     The draw at node n is one kernel step P from the draw at its parent
-    alpha(n), so the marginal at n is the marginal at alpha(n) times P.
+    alpha(n), so the marginal at n is the marginal at alpha(n) times P,
+    summed over the parent's axis as a numpy reduction.
     Conditioned on the value at the lowest common ancestor c of m and n,
     the branches down to m and n are independent, and a branch of e edges
     is the kernel power P^e.  So the joint of the draws at m and n is
@@ -286,7 +290,7 @@ class _Propagation:
             ancestor, steps = self.tree.parent_of(ancestor), steps + 1
         probs = self._marginals[ancestor]
         for _ in range(steps):
-            probs = probs @ self.kernel
+            probs = (probs[:, None] * self.kernel).sum(axis=0)
         self._marginals[node] = probs
         return probs
 
@@ -310,8 +314,6 @@ class _Propagation:
         joints and the list of distances a + b.
         """
         ancestors, up, down = zip(*(self.tree.branch_lengths(m, n) for m, n in pairs))
-        for exponent in sorted(set(up) | set(down)):
-            self.power(exponent)
         at_ancestor = np.array([self.marginal(c) for c in ancestors])
         left = np.array([self.power(a).T for a in up])
         right = np.array([self.power(b) for b in down])
@@ -514,21 +516,17 @@ def verification_suite(
 
     positions = [(m, n) for m in range(1, length) for n in range(m + 1, length + 1)]
     propagated, distances = route.pair_joints(positions)
-    closed = {d: closed_form_covariance_matrix(marginal, delta, d) for d in set(distances)}
-    closed = np.array([closed[d] for d in distances])
+    exponents = range(1, length)
+    closed = {d: closed_form_covariance_matrix(marginal, delta, d) for d in {*distances, *exponents}}
     first, second = (np.array(positions) - 1).T
     both = np.stack([pairs[first, second], propagated])
-    err = float(np.max(np.abs(both - np.outer(probs, probs) - closed)))
+    err = float(np.max(np.abs(both - np.outer(probs, probs) - [closed[d] for d in distances])))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
     # diagonal of diag(p) P^(n-1), for n = 2..length, against the chain's
-    # P(draw_1 = i, draw_n = i) = p_i (p_i + (1 - p_i) delta^(n-1)).  Read
-    # as Cov_ii + p_i^2 from closed_form_covariance_matrix it rounds
-    # otherwise, and the printed max error moves by an ulp at some points.
-    exponents = range(1, length)
+    # P(draw_1 = i, draw_n = i), the closed form's Cov_ii + p_i^2
     propagated = probs * np.array([np.diagonal(route.power(e)) for e in exponents])
-    d = as_delta(delta)
-    closed = probs * (probs + (1.0 - probs) * np.array([[d**e] for e in exponents]))
+    closed = np.array([np.diagonal(closed[e]) for e in exponents]) + probs**2
     err = float(np.max(np.abs(propagated - closed)))
     checks.append(VerificationCheck("endpoint-match", err, EXACT_TOL))
 

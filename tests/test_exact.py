@@ -703,3 +703,15 @@ class TestPairJointsProperty:
                 enumerated = _pair_joint_enumerated(p, delta, spec, m, n)
                 assert enumerated.shape == pairs[m - 1, n - 1].shape
                 assert np.max(np.abs(enumerated - pairs[m - 1, n - 1])) <= 1e-12
+
+
+@pytest.mark.parametrize("k, length", [(2, 10), (3, 8), (4, 6), (5, 5)])
+@pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.kind)
+def test_enumerated_pair_is_the_fold_entry_bit_for_bit(spec, k, length):
+    # The single-pair route takes the all-pairs fold's own reductions, so
+    # the two agree in every bit, not only within a tolerance.
+    p = np.arange(1, k + 1) / (k * (k + 1) / 2)
+    pairs = _pair_joints(joint_distribution(p, 0.45, spec, length))[1]
+    for m in range(1, length):
+        enumerated = _pair_joint_enumerated(p, 0.45, spec, m, length)
+        assert enumerated.tobytes() == pairs[m - 1, length - 1].tobytes(), m

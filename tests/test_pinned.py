@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import depcat
 from depcat import (
     CrossCovariance,
     DomainError,
@@ -50,37 +55,37 @@ INVOCATIONS = _invocations()
 
 # exit code, then sha256 of stdout, a NUL byte and stderr
 REPORT_DIGESTS = {
-    "covariance-fk": (0, "58125a0064a840ba205f4298d2d82b44894f3bf0786e39ffea2fb503569e8186"),
-    "covariance-floor_sqrt": (0, "165e5572b8c85f21a749c34607f297e90e048eff86637315adbf0ea257a59d3e"),
-    "covariance-prime_partition": (0, "074fe97beeb0fce960955271eac322d5b11391628342e6b8d99c368bf4deb41f"),
-    "covariance-sequential": (0, "3104cc959877b0e3981158a2597246945996560c0552a2e01bde6cdc86036d7e"),
-    "covariance-sin_drift": (0, "232105994255fca9748ffc532998ac96d09ed2cd99ed25abc48ea792adb7b7e7"),
+    "covariance-fk": (0, "34c3017136f9fe7bac33ca759fc9356dbdecfb89c9e7e5f52fe871f093fd3929"),
+    "covariance-floor_sqrt": (0, "32bf6079f89c2fc99cef95ed54faa3f9338a698486a395bc149a82dc248d7f65"),
+    "covariance-prime_partition": (0, "48df432afb08545261a853614556dafc9f5a8f14034f4f400b2273f6cdd793c3"),
+    "covariance-sequential": (0, "4acbd93b1ee18755a264a6a2fd669013944560ab9c1a7ba3e883231f508a2edc"),
+    "covariance-sin_drift": (0, "fe9d17cdedeb6981cd0523d9de892f5bf5f2d4ac01cec70074d90410cbb55be9"),
     "exit-2": (2, "2bb6b5acf6f5b3f540f698db575c0b1dda5d25c5e90f06306984df632f517ef3"),
     "exit-3": (3, "f9b64824138a92b91295ecb97c21f232a170b0691c463ed50748d7408a4487bb"),
     "exit-5": (5, "b5cd6d734ba3f7aaa4526977377351d9d835b1ec258344bc7dd3b8e0614e28bb"),
     "graph-dot": (0, "92b3a0b9a971672368618d872b811f04228bd656911b8bbf0c8c035315cfa68e"),
     "graph-json": (0, "f9d68f98c5c0a4c88a30271c068acf416332a81665874103e5f1fc87e9b728f4"),
     "validate-gapped": (3, "9bca84d71c71b8eb1411466c4006f4d875d6ed029a73c3f11acce6bd2360d9c7"),
-    "verify-fk-k2": (0, "3e0ef8c1e7a5a8df7a63ed203db45cbe4c3d2eca8be71a62dd65825b5372a624"),
-    "verify-fk-k3-0.2": (0, "716377e6bd4f8eabcfb180b2822fa4b650a9ec03fbfee9dedcd7bddb03b538f3"),
-    "verify-fk-k3-0.7": (0, "343f1bd802ee3971fc8f2f21f27d915ec57d8f9052e1b1bdb6fc6b17b896a8a9"),
-    "verify-fk-k4": (0, "661873413c27b4b15f970c06eaa8ead1c60ed282fc7f7b2da3ae82b3d03e2e7e"),
-    "verify-floor_sqrt-k2": (0, "39c120d5eb1e83efd86426d25f98b049e1d8c3337be5bfef52a1a15e308db2ed"),
-    "verify-floor_sqrt-k3-0.2": (0, "721b27ba4188c7f69209a52aed7c549f40fe061f52a4f3ed1668d6153884fcbc"),
-    "verify-floor_sqrt-k3-0.7": (0, "123cdf57e6064fc65a79c65054ac524bcee4a81c58f50131a5c920c53f7f7cdd"),
-    "verify-floor_sqrt-k4": (0, "2202e3887c4e1c54747eb2a432bdda8c2242790f5d0e0ec00c610485ceee4838"),
-    "verify-prime_partition-k2": (0, "a951509d74fdf39f0a7e8135a055f98d4201e84e5033f20ba3a35dfee8546533"),
-    "verify-prime_partition-k3-0.2": (0, "4f64e2602fb797b187e554dfa35ed47b3a7a00100c065a766283789f00516313"),
-    "verify-prime_partition-k3-0.7": (0, "a3cefe87d2a17301e79048161791ecc758a50e6a81905d78fa021004e149031b"),
-    "verify-prime_partition-k4": (0, "ac10816db681af13281b4f0427d9812d9445ef61312c069c4533d9d0dc07baa9"),
-    "verify-sequential-k2": (0, "18a5c4770298c672e3bba1ce0479dbbf4d644073e6d08e7e8ba14cffefcf6539"),
-    "verify-sequential-k3-0.2": (0, "abb036efbec4c073c96ea90631e2af6bc09fb2eb0224cc19682fedcaa7986b0c"),
-    "verify-sequential-k3-0.7": (0, "4c22a28d5590c8cf8ecce6aa22047c18caa58c7ef8fa1c40e51df07e3d8c66d6"),
-    "verify-sequential-k4": (0, "ff87402ded8d7d729cbb96b4ac24920731bb572ddb533be768742e0c226dfaa2"),
-    "verify-sin_drift-k2": (0, "3caa726b0b2d85cc39d754dea696348809891a31cca49d5ec5daf1ffcf790480"),
-    "verify-sin_drift-k3-0.2": (0, "61deb0e81f3267370f0937c0327d478bdbc0a292501f0a0713d2e9e5241e30a2"),
-    "verify-sin_drift-k3-0.7": (0, "f1b932edceaa89b386a3083bd286b7ed362d96eda265164ec050acda27343b7b"),
-    "verify-sin_drift-k4": (0, "5e96260ec40e3005593c9c1d433d395b9355bc51da2125b396f952a4b06d35af"),
+    "verify-fk-k2": (0, "c6a2161e4c99fb7af56a17133073b4a7670c019af2fcf90e5c1aaabdaf938ffb"),
+    "verify-fk-k3-0.2": (0, "4fe7da345ee3a6a813f799cae92193af31be57220d051c16d6335fe556d7aaf2"),
+    "verify-fk-k3-0.7": (0, "846a2660b8f1679e978f1938c0af0629bfacefd843d2378f29ba73efe42ea3f1"),
+    "verify-fk-k4": (0, "264b823d4efd5ddc62586112a4878b816fc3468446642122b389ea4439f0f854"),
+    "verify-floor_sqrt-k2": (0, "dca0bab2a49abb10cc0642904e36fb8bd9ad4093bfdd9117be66290c17537ac4"),
+    "verify-floor_sqrt-k3-0.2": (0, "a670d80526bb05b92d0fd93b82723a1ba3543b6723a0b49904920e03266a8050"),
+    "verify-floor_sqrt-k3-0.7": (0, "db63e448a61f4064c86671625bef2913f744dec0975eb4e4a6b26400adb6654d"),
+    "verify-floor_sqrt-k4": (0, "264b823d4efd5ddc62586112a4878b816fc3468446642122b389ea4439f0f854"),
+    "verify-prime_partition-k2": (0, "eef5e6774ee7f12776fc0529ce112d26ee8ddbef7792f32e54ace83afc0c5959"),
+    "verify-prime_partition-k3-0.2": (0, "4eb8139ee2954f4edd16ab5f3a250100b678f299e7889fe540eb40c4cb50d465"),
+    "verify-prime_partition-k3-0.7": (0, "1b026638405ec15d9bad16b9c20805cb8eb95628f73f8e93559eba312197a9b5"),
+    "verify-prime_partition-k4": (0, "607fe0b48326c6829e45d75133d413db5139937b450fc5ec49e9e90e89efafb6"),
+    "verify-sequential-k2": (0, "f9425cfc2df079ab7e4d4d8b5e6895691bcde2b9a4eda6a0693a15480fa0af27"),
+    "verify-sequential-k3-0.2": (0, "7dc367d53b9ed9e6a00f21e22cb322823642009b673a80614114f3111d87047b"),
+    "verify-sequential-k3-0.7": (0, "1725a3876568481f9e240ffc7fab6ede0fff729f9b319ea87e20d2a0c141ab80"),
+    "verify-sequential-k4": (0, "13092cff41c03249d82209d56cbdcfd32608f860769bc54cfe8f83288aabe9ea"),
+    "verify-sin_drift-k2": (0, "dca0bab2a49abb10cc0642904e36fb8bd9ad4093bfdd9117be66290c17537ac4"),
+    "verify-sin_drift-k3-0.2": (0, "a6c9a7ee19e97e132415429c941e045346878ad955ba7d956b129892b1421a1b"),
+    "verify-sin_drift-k3-0.7": (0, "893b883ddcb6d0040cd41d61624364276f4e234a6aa98058b19f903a7b70f400"),
+    "verify-sin_drift-k4": (0, "607fe0b48326c6829e45d75133d413db5139937b450fc5ec49e9e90e89efafb6"),
 }
 
 
@@ -166,44 +171,44 @@ BIT_POINTS = {
 }
 BIT_DIGESTS = {
     ("fk", "k2"): (
-        "351ca792f6a894dc6edb944307b74bfd2f2361629a4f31849a2da8502a67a9c3",
-        "51a47aaf3e2506807e976550a1579d232a37930ec602cfced8c9be0ca557a830",
+        "8fe9d73bcbdeea11107862d62365951b70aa576817d43e8bcababb8074745b95",
+        "b74a6e7e16194cd2be5ebb61e53765251b1ddee61e0e85fe8c42ceca6750a3d6",
     ),
     ("fk", "k4"): (
-        "887825e7b8fe2480441514c2beba38089d3e7c984a4a5aae748ac9e718115c3a",
-        "00efcd677c5914a7bbf999a661830581e526266f801dc50f8c7879d836995799",
+        "3e602283f89177f9170e6ef5ec7279d49d65ecdcd37ce52f34fce69d429776b5",
+        "f5d2b20709a8f991fbc60b88e33203a23659ddc8f740d82333a330e3883576e4",
     ),
     ("floor_sqrt", "k2"): (
-        "dc6e50b8af2e9a3ec19a6f40a951c3e095e7b6529912375c11f09a7f42e06423",
-        "02e805b325ee0cbe9326da550f425eb1145a23d244625eceed91e54051ffa5e9",
+        "7738ba40bd122999b022a525cb25e4ba579760dd922cda5630189fe2cde51745",
+        "5782f723fa069d4681deb4e2c23f5785445f99ff955caa4a9c00fad0f97b2c32",
     ),
     ("floor_sqrt", "k4"): (
-        "26316cdfe01c843edc636bf4c1334ec89f6b238ff266395c3020b36633a9e9be",
-        "a84531bc3887f45b81be962a42061dcc2f3a6b6ce72846863a3216037bb2ae19",
+        "b0bcc0c4d2b82e7421a029f5d9489edf37124dcb369a3ad1b0e73f3df978fcf7",
+        "f5d2b20709a8f991fbc60b88e33203a23659ddc8f740d82333a330e3883576e4",
     ),
     ("prime_partition", "k2"): (
-        "298895dbaee2c702ad736cec5171457cc8dc85b9069460c375ee3c15799ec026",
-        "4a1532915bd8f8f03b8b0efcc987036d9f3d5f8240fc318293cebb8a2a0289b6",
+        "f7a286c2e150d6127fb8e273faa6b3d60ae5a51e4e0045fc316a7b4f5736819b",
+        "043f09539eb0e695b0f569b85e7a70fa856f6d047ea351d255e3f9f262d7f02b",
     ),
     ("prime_partition", "k4"): (
-        "61c64351d1587d1d267f444925f32b9e1e1ff5380707ad78891dc28b0f6063dc",
-        "0e19cec0e4bfade9f61ac78e0dcd84814551fab8118d332739a6807db346c200",
+        "eb9747d8e150ce3671490f5cf2a35f4e478c6cf8a9b1dc56d3635e2d1f717471",
+        "cc46b8244884bcf25026f7fb3e5c94bcaddc2921468afa8594dfe7c5cb68c65a",
     ),
     ("sequential", "k2"): (
-        "a33f3449d9829db42558c038a136494aaf8d8fa844783357925ae227c57ca67d",
-        "b4d81d49700e240232a25896c346dfffdea487c0a3bd756afd9fa461f0e97088",
+        "9bb755ad36bc9a3c9eaec439afbeb2b899e1975a0666e020ef0863789c61f694",
+        "0a312fd81b43b538bb94be6d352fc29077244d7bca6c76fcc4f729cd676b7de7",
     ),
     ("sequential", "k4"): (
-        "26f924996896985e5180013063ccbd620376d9c822b6adf7ba7c6799679cdc68",
-        "db901f20ef8a24fe565f738b7b7f5f0942630c27cb035f60690336394f90ae5a",
+        "08eca5d5a0de6060d72fc585d8931a4c9b3e4fd5fe456e1673f4917326bf04a8",
+        "8f9821744863aab5ee97506b69507cb26cbc5f800004e526e07650cbace7ef02",
     ),
     ("sin_drift", "k2"): (
-        "8ad215c0673d990c2e6074b10ca95d41395254e1668218148a54ee6d767a48c1",
-        "693bb67f61d97bb4911fe8e94951e4f29b3ee5c26eda98c09b676a40249883fd",
+        "5cc5db5249d6ef1ea27b94c2e0e2e922832551a61789b8f8d0e3657ac2e60931",
+        "5782f723fa069d4681deb4e2c23f5785445f99ff955caa4a9c00fad0f97b2c32",
     ),
     ("sin_drift", "k4"): (
-        "4387f19b087a9556719bfe072d2f46e29daab5e3c9da5914b7dda8eacbc44f6f",
-        "a6b736b0082c47c006bc7dbd656873e3427de10249028613cca80a64ea23058e",
+        "bee808cf2b4958557b6bd9f96c3a8cb21acb91583fe02ff4fb675920cc029aad",
+        "cc46b8244884bcf25026f7fb3e5c94bcaddc2921468afa8594dfe7c5cb68c65a",
     ),
 }
 
@@ -221,3 +226,45 @@ def test_exact_bits_are_pinned(kind, point):
     checks = verification_suite(p, delta, spec, length)
     errors = "\n".join(repr(check.max_error) for check in checks).encode("ascii")
     assert (_sha256(marginals.tobytes()), _sha256(errors)) == BIT_DIGESTS[kind, point]
+
+
+def _bit_point_bytes(points):
+    """Per (kind, p, delta, length): the marginals' bytes in hex, then the max error reprs."""
+    out = []
+    for kind, p, delta, length in points:
+        spec = GeneratorSpec.builtin(kind)
+        marginals = enumerated_marginals(p, delta, spec, length).tobytes().hex()
+        checks = verification_suite(p, delta, spec, length)
+        out.append([marginals, [repr(check.max_error) for check in checks]])
+    return out
+
+
+def _has_cpu_features(*names):
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return all(__cpu_features__.get(name, False) for name in names)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _has_cpu_features("AVX2", "FMA3"),
+    reason="OpenBLAS's Haswell kernel needs an x86-64 CPU with AVX2 and FMA",
+)
+def test_exact_bits_do_not_depend_on_the_blas_kernel():
+    # Every sum of the exact routes is a numpy reduction, so a child process
+    # that makes OpenBLAS load its Haswell kernel gives the bits of this one.
+    points = [[kind, *BIT_POINTS[point]] for kind, point in sorted(BIT_DIGESTS)]
+    tests, src = os.path.dirname(__file__), os.path.dirname(os.path.dirname(depcat.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_pinned import _bit_point_bytes; "
+        "print(json.dumps(_bit_point_bytes(json.loads(sys.argv[2]))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, tests, json.dumps(points)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(result.stdout) == _bit_point_bytes(points)
