@@ -183,14 +183,15 @@ def marginal_at(
 ) -> Marginal:
     """Exact marginal at a position, by propagation through the tree.
 
-    Pushes the base distribution through one kernel application per edge
-    on the root-to-position path.  The result always equals the base
+    The base distribution times P^depth, where depth is the number of
+    edges on the root-to-position path; the power takes O(log depth) K x K
+    products by repeated squaring.  The result always equals the base
     distribution (the base vector is stationary for the kernel); computing
     it this way demonstrates the identity instead of assuming it.
     """
     position = check_integer(position, "position", 1)
     route = _Propagation(as_marginal(p), delta, build_tree(spec, position))
-    # a kernel step can round an entry of a near-degenerate p one ulp past 1
+    # the reduction can round an entry of a near-degenerate p one ulp past 1
     return Marginal(np.clip(route.marginal(position), 0.0, 1.0))
 
 
@@ -261,20 +262,20 @@ def _pair_joint_enumerated(
 class _Propagation:
     """Route two on one dependency tree: kernel powers, no outcome space.
 
-    The draw at node n is one kernel step P from the draw at its parent
-    alpha(n), so the marginal at n is the marginal at alpha(n) times P,
-    summed over the parent's axis as a numpy reduction.
-    Conditioned on the value at the lowest common ancestor c of m and n,
-    the branches down to m and n are independent, and a branch of e edges
-    is the kernel power P^e.  So the joint of the draws at m and n is
-    (P^a)^T diag(marginal at c) P^b, where a and b are the depths of m and
-    n below c.
+    One rule moves every law: the draw at a node e edges below another is
+    e kernel steps from it, so its law is that node's law times P^e,
+    summed over the upper node's axis as a numpy reduction.  Conditioned
+    on the value at the lowest common ancestor c of m and n, the branches
+    down to m and n are independent, so the joint of the draws at m and n
+    is (P^a)^T diag(marginal at c) P^b, where a and b are the depths of m
+    and n below c.
 
     Only what is asked for is kept: the marginal of each node asked for
-    and each kernel power used.  A node's marginal is pushed down from its
-    nearest kept ancestor, so asking for nodes in ascending order is one
-    pass down the tree.  A power is one product from the power below it
-    when that one is kept, and repeated squaring otherwise.
+    and each kernel power used.  A node's marginal is one reduction of its
+    nearest kept ancestor's against one power, so asking for nodes in
+    ascending order steps by P^1 = I P, which is P exactly.  A power is
+    one product from the power below it when that one is kept, and
+    repeated squaring otherwise.
     """
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
@@ -284,13 +285,11 @@ class _Propagation:
         self._powers = {0: np.eye(marginal.num_categories)}
 
     def marginal(self, node: int) -> np.ndarray:
-        """Marginal at `node`, pushed down from its nearest kept ancestor."""
+        """Marginal at `node`: its nearest kept ancestor's times P^steps."""
         ancestor, steps = node, 0
         while ancestor not in self._marginals:
             ancestor, steps = self.tree.parent_of(ancestor), steps + 1
-        probs = self._marginals[ancestor]
-        for _ in range(steps):
-            probs = (probs[:, None] * self.kernel).sum(axis=0)
+        probs = (self._marginals[ancestor][:, None] * self.power(steps)).sum(axis=0)
         self._marginals[node] = probs
         return probs
 

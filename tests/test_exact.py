@@ -705,6 +705,37 @@ class TestPairJointsProperty:
                 assert np.max(np.abs(enumerated - pairs[m - 1, n - 1])) <= 1e-12
 
 
+class TestPropagationFromACategory:
+    """Route two's one rule, from a root law the kernel does move.
+
+    p is stationary, so a law pushed from p comes back as p even when the
+    push is wrong.  From the unit vector e_i at the root, the law reached
+    at n is P(draw n | draw 1 = i), which is route one's pair (1, n) joint
+    over p_i.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_tables())
+    def test_every_node_is_route_ones_conditional_law(self, case):
+        spec, length, p, delta = case
+        tree = build_tree(spec, length)
+        pairs = _pair_joints(joint_distribution(p, delta, spec, length))[1]
+
+        def seeded(i):
+            route = _Propagation(Marginal(p), delta, tree)
+            route._marginals[1] = np.eye(len(p))[i]
+            return route
+
+        for i in np.flatnonzero(p):
+            conditional = pairs[0, :, i] / p[i]
+            ascending = seeded(i)  # one step per node
+            for n in range(2, length + 1):
+                # the fresh route pushes over the node's whole depth
+                for route in (ascending, seeded(i)):
+                    error = np.max(np.abs(route.marginal(n) - conditional[n - 1]))
+                    assert error <= 1e-12, (i, n, error)
+
+
 @pytest.mark.parametrize("k, length", [(2, 10), (3, 8), (4, 6), (5, 5)])
 @pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.kind)
 def test_enumerated_pair_is_the_fold_entry_bit_for_bit(spec, k, length):
