@@ -183,9 +183,8 @@ def marginal_at(
 ) -> Marginal:
     """Exact marginal at a position, by propagation through the tree.
 
-    The base distribution times P^depth, where depth is the number of
-    edges on the root-to-position path; the power takes O(log depth) K x K
-    products by repeated squaring.  The result always equals the base
+    The base distribution times P^d, d the number of edges from the root,
+    in O(log d) K x K products.  The result always equals the base
     distribution (the base vector is stationary for the kernel); computing
     it this way demonstrates the identity instead of assuming it.
     """
@@ -271,11 +270,10 @@ class _Propagation:
     and n below c.
 
     Only what is asked for is kept: the marginal of each node asked for
-    and each kernel power used.  A node's marginal is one reduction of its
-    nearest kept ancestor's against one power, so asking for nodes in
-    ascending order steps by P^1 = I P, which is P exactly.  A power is
-    one product from the power below it when that one is kept, and
-    repeated squaring otherwise.
+    and each kernel power used.  A node's marginal is its nearest kept
+    ancestor's reduced against one power, so nodes asked for in ascending
+    order step by P^1 = I P, which is P exactly.  A power is one product
+    from the power below it when kept, and repeated squaring otherwise.
     """
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
@@ -289,7 +287,9 @@ class _Propagation:
         ancestor, steps = node, 0
         while ancestor not in self._marginals:
             ancestor, steps = self.tree.parent_of(ancestor), steps + 1
-        probs = (self._marginals[ancestor][:, None] * self.power(steps)).sum(axis=0)
+        probs = self._marginals[ancestor]
+        if steps:
+            probs = (probs[:, None] * self.power(steps)).sum(axis=0)
         self._marginals[node] = probs
         return probs
 
