@@ -208,10 +208,13 @@ def enumerated_marginals(
 def _pair_joints(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every one- and two-position marginal of a (K, ..., K) joint, in one pass.
 
-    Returns (marginals, pairs).  Row a of the (N, K) marginals is the law
-    of the draw at position a + 1.  Entry [a, b] of the (N, N, K, K) pairs,
-    for a < b, is the joint law of the draws at positions a + 1 and b + 1:
-    the joint summed over every other axis.  Entries with a >= b are zero.
+    Route one's only reader of marginals and pairs: every enumerated
+    marginal and pair joint, in the library and the CLI, is an entry of
+    this fold.  Returns (marginals, pairs).  Row a of the (N, K) marginals
+    is the law of the draw at position a + 1.  Entry [a, b] of the
+    (N, N, K, K) pairs, for a < b, is the joint law of the draws at
+    positions a + 1 and b + 1: the joint summed over every other axis.
+    Entries with a >= b are zero.
 
     For each a the axes before a are summed once (from the sum for a - 1).
     Then one fold walks b = a + 1 .. N - 1 over the (a, b, after b) block:
@@ -234,30 +237,6 @@ def _pair_joints(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return marginals, pairs
 
 
-def _pair_joint_enumerated(
-    p: MarginalLike,
-    delta: DeltaLike,
-    spec: GeneratorSpec,
-    m: int,
-    n: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
-    """P(draw_m = i, draw_n = j) for all (i, j), by summing the joint.
-
-    Position n is the last axis of the length-n joint, so only the axes
-    before m and those between m and n are summed, by the same steps as
-    `_pair_joints`: the result is its [m - 1, n - 1] entry, bit for bit.
-    """
-    joint = joint_distribution(p, delta, spec, n, cap)
-    k = joint.shape[0]
-    rest = joint.reshape(k, -1)
-    for _ in range(m - 1):
-        rest = rest.sum(axis=0).reshape(k, -1)
-    for _ in range(n - m - 1):
-        rest = rest.reshape(k, k, -1).sum(axis=1)
-    return rest.reshape(k, k)
-
-
 class _Propagation:
     """Route two on one dependency tree: kernel powers, no outcome space.
 
@@ -271,16 +250,18 @@ class _Propagation:
 
     Only what is asked for is kept: the marginal of each node asked for
     and each kernel power used.  A node's marginal is its nearest kept
-    ancestor's reduced against one power, so nodes asked for in ascending
-    order step by P^1 = I P, which is P exactly.  A power is one product
-    from the power below it when kept, and repeated squaring otherwise.
+    ancestor's reduced against one power, so its last bits depend on which
+    ancestor is kept: one reduction against P^d can round otherwise than d
+    steps by P.  `verification_suite` asks in ascending order, one step per
+    node, by P^1, the kernel array itself.  A power is one product from the
+    power below it when kept, and repeated squaring otherwise.
     """
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
         self.tree = tree
         self.kernel = transition_kernel(marginal, delta)
         self._marginals = {1: marginal.probs}
-        self._powers = {0: np.eye(marginal.num_categories)}
+        self._powers = {}
 
     def marginal(self, node: int) -> np.ndarray:
         """Marginal at `node`: its nearest kept ancestor's times P^steps."""
@@ -345,7 +326,7 @@ def joint_pair_probability(
         route = _Propagation(marginal, delta, build_tree(spec, n))
         pair = route.pair_joints([(m, n)])[0][0]
     elif method == "enumerate":
-        pair = _pair_joint_enumerated(marginal, delta, spec, m, n, cap)
+        pair = _pair_joints(joint_distribution(marginal, delta, spec, n, cap))[1][m - 1, n - 1]
     else:
         raise DomainError(f"unknown method {method!r}")
     return float(pair[i - 1, j - 1])
@@ -437,10 +418,14 @@ def cross_covariance_enumerated(
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CrossCovariance:
-    """Covariance of position indicators, from the enumerated pairwise joint."""
+    """Covariance of position indicators, from the enumerated pairwise joint.
+
+    `_pair_joints` sums every pair of the length-n joint, and the (m, n)
+    entry is the one returned.
+    """
     marginal = as_marginal(p)
     _check_pair_positions(m, n)
-    pair = _pair_joint_enumerated(marginal, delta, spec, m, n, cap)
+    pair = _pair_joints(joint_distribution(marginal, delta, spec, n, cap))[1][m - 1, n - 1]
     matrix = pair - np.outer(marginal.probs, marginal.probs)
     return CrossCovariance(m, n, matrix, "enumeration")
 

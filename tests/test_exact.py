@@ -43,7 +43,6 @@ from depcat import (
 )
 from depcat.exact import (
     EXACT_TOL,
-    _pair_joint_enumerated,
     _pair_joints,
     _Propagation,
 )
@@ -681,8 +680,6 @@ class TestPairJointsProperty:
                 pair = pairs[a, b]
                 others = tuple(axis for axis in range(length) if axis not in (a, b))
                 assert np.max(np.abs(pair - joint.sum(axis=others))) <= 1e-12
-                enumerated = _pair_joint_enumerated(p, delta, spec, m, n)
-                assert np.max(np.abs(pair - enumerated)) <= 1e-12
                 route = _Propagation(Marginal(p), delta, build_tree(spec, n))
                 propagated = route.pair_joints([(m, n)])[0][0]
                 assert np.max(np.abs(pair - propagated)) <= EXACT_TOL
@@ -690,19 +687,6 @@ class TestPairJointsProperty:
                 assert np.max(np.abs(pair - (closed + independent))) <= EXACT_TOL
         checks = verification_suite(p, delta, spec, length)
         assert all(check.passed for check in checks), checks
-
-    @settings(max_examples=150, deadline=None)
-    @given(valid_tables())
-    def test_enumerated_pair_is_the_pair_joints_entry(self, case):
-        # The single-pair route sums only the axes it needs; it must agree
-        # with the all-pairs pass over the same length-n joint.
-        spec, length, p, delta = case
-        for n in range(2, length + 1):
-            pairs = _pair_joints(joint_distribution(p, delta, spec, n))[1]
-            for m in range(1, n):
-                enumerated = _pair_joint_enumerated(p, delta, spec, m, n)
-                assert enumerated.shape == pairs[m - 1, n - 1].shape
-                assert np.max(np.abs(enumerated - pairs[m - 1, n - 1])) <= 1e-12
 
 
 class TestPropagationFromACategory:
@@ -734,15 +718,3 @@ class TestPropagationFromACategory:
                 for route in (ascending, seeded(i)):
                     error = np.max(np.abs(route.marginal(n) - conditional[n - 1]))
                     assert error <= 1e-12, (i, n, error)
-
-
-@pytest.mark.parametrize("k, length", [(2, 10), (3, 8), (4, 6), (5, 5)])
-@pytest.mark.parametrize("spec", ALL_BUILTINS, ids=lambda spec: spec.kind)
-def test_enumerated_pair_is_the_fold_entry_bit_for_bit(spec, k, length):
-    # The single-pair route takes the all-pairs fold's own reductions, so
-    # the two agree in every bit, not only within a tolerance.
-    p = np.arange(1, k + 1) / (k * (k + 1) / 2)
-    pairs = _pair_joints(joint_distribution(p, 0.45, spec, length))[1]
-    for m in range(1, length):
-        enumerated = _pair_joint_enumerated(p, 0.45, spec, m, length)
-        assert enumerated.tobytes() == pairs[m - 1, length - 1].tobytes(), m
