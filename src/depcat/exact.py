@@ -185,8 +185,10 @@ def marginal_at(
 
     The base distribution times P^d, d the number of edges from the root,
     in O(log d) K x K products.  The result always equals the base
-    distribution (the base vector is stationary for the kernel); computing
-    it this way demonstrates the identity instead of assuming it.
+    distribution up to rounding (the base vector is stationary for the
+    kernel); computing it this way demonstrates the identity instead of
+    assuming it.  Its last bits can differ from `verify`'s marginal at the
+    same node, which is reduced from its parent's one edge at a time.
     """
     position = check_integer(position, "position", 1)
     route = _Propagation(as_marginal(p), delta, build_tree(spec, position))

@@ -134,13 +134,26 @@ def _sin_drift(indices: np.ndarray) -> np.ndarray:
     return parents
 
 
+def _check_spec(spec) -> GeneratorSpec:
+    """`spec` if it is a GeneratorSpec, else a DomainError naming it.
+
+    The rule for every `spec` argument of the library: a kind name or a
+    generator dict is read into a GeneratorSpec by its constructors, never
+    taken for one.
+    """
+    if not isinstance(spec, GeneratorSpec):
+        raise DomainError(f"spec must be a GeneratorSpec, got {type(spec).__name__}")
+    return spec
+
+
 def _parents(spec: GeneratorSpec, indices: np.ndarray) -> np.ndarray:
     """alpha(n) for each n >= 2 of an int64 array, without range checks.
 
-    The one evaluator behind `evaluate`, `validate` and `build_tree`.
-    A table's missing entries read 0, which no table can hold as a parent.
+    The one evaluator behind `evaluate`, `validate` and `build_tree`, so
+    the one reader of their `spec` by `_check_spec`.  A table's missing
+    entries read 0, which no table can hold as a parent.
     """
-    kind = spec.kind
+    kind = _check_spec(spec).kind
     if kind == "fk":
         return np.ones_like(indices)
     if kind == "sequential":
@@ -212,6 +225,11 @@ class GeneratorViolation:
 
     index: int
     parent: int | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", check_integer(self.index, "index", 2))
+        if self.parent is not None:
+            object.__setattr__(self, "parent", check_integer(self.parent, "parent"))
 
     @property
     def reason(self) -> str:

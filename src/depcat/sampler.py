@@ -98,7 +98,7 @@ import numpy as np
 
 from .errors import DomainError, check_integer, check_integers
 from .exact import CrossCovariance, _check_pair_positions
-from .generators import GeneratorSpec, _parents
+from .generators import GeneratorSpec, _check_spec, _parents
 from .graph import build_tree
 from .kernel import DeltaLike, Marginal, MarginalLike, _kernel_parts, as_delta, as_marginal
 from .rng import _INDEX_LIMIT, _MANTISSA_BITS, _UNIT, ALGORITHM_ID, _check_array_size
@@ -239,11 +239,11 @@ class SampleBatch:
     `sample_batch` does, in the smallest unsigned dtype that holds K) is
     kept as it is; any other input is range-checked and then copied into
     that dtype, so a caller's array is never frozen or aliased.  Outcomes,
-    `seed`, `marginal`, `delta` and `first_index` (the seed's grid row of
-    the first outcome row, in 0..2^64 - count) are read by the library's
-    rules (`check_integers`, `check_integer`, `as_marginal`, `as_delta`),
-    so a float or bool entry is an error and the metadata holds only values
-    they accept.
+    `seed`, `marginal`, `delta`, `spec` and `first_index` (the seed's grid
+    row of the first outcome row, in 0..2^64 - count) are read by the
+    library's rules (`check_integers`, `check_integer`, `as_marginal`,
+    `as_delta`, `_check_spec`), so a float or bool entry is an error and
+    the metadata holds only values they accept.
     """
 
     outcomes: np.ndarray  # (count, length) np.min_scalar_type(K), entries in 1..K
@@ -254,6 +254,7 @@ class SampleBatch:
     first_index: int = 0
 
     def __post_init__(self):
+        _check_spec(self.spec)
         object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
         object.__setattr__(self, "marginal", as_marginal(self.marginal))
         object.__setattr__(self, "delta", as_delta(self.delta))
@@ -512,10 +513,23 @@ def sample_batch(
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMarginal:
-    """Category counts at one position; counts sum to the batch size exactly."""
+    """Category counts at one position; counts sum to the batch size exactly.
+
+    `position` (>= 1) and `counts` (1-D, entries >= 0) are read by the
+    integer rule (`check_integer`, `check_integers`).
+    """
 
     position: int
     counts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "position", check_integer(self.position, "position", 1))
+        counts = check_integers(self.counts, "counts")
+        if counts.ndim != 1:
+            raise DomainError(f"counts must be a 1-D array, got {counts.ndim} dimensions")
+        if counts.size and counts.min() < 0:
+            raise DomainError(f"counts must be >= 0, got {counts.min()}")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:

@@ -28,6 +28,7 @@ from depcat.cli import (
     main,
 )
 from depcat.exact import EXACT_TOL
+from depcat.generators import BUILTIN_KINDS
 from depcat.rng import ALGORITHM_ID
 
 SEQ_ARGS = ["--generator", "sequential", "--p", "0.5,0.3,0.2", "--delta", "0.4", "--n", "6"]
@@ -615,18 +616,20 @@ BAD_TABLES = {
 @pytest.mark.parametrize("table", list(BAD_TABLES))
 @pytest.mark.parametrize(
     "command",
-    [["verify"], ["covariance", "1", "4", "--method", "enumerate"]],
-    ids=["verify", "covariance-enumerate"],
+    [["verify"], ["covariance", "1", "4", "--method", "enumerate"],
+     ["sample", "--seed", "1", "--count", "10"], ["graph"]],
+    ids=["verify", "covariance-enumerate", "sample", "graph"],
 )
-def test_bad_table_is_a_validation_error(command, table, capsys):
-    code, out, err = run(
-        [*command, "--generator", json.dumps(BAD_TABLES[table]), "--p", "0.5,0.5",
-         "--delta", "0.4", "--n", "4"],
-        capsys,
-    )
+def test_bad_table_is_a_validation_error(command, table, capsys, tmp_path):
+    argv = [*command, "--generator", json.dumps(BAD_TABLES[table]), "--p", "0.5,0.5",
+            "--delta", "0.4", "--n", "4"]
+    if command[0] == "sample":
+        argv += ["--out-prefix", str(tmp_path / "batch")]
+    code, out, err = run(argv, capsys)
     assert code == EXIT_VALIDATION
     assert out == "" and err.startswith("error: generator 'table' fails validation")
     assert "n=3" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # A generator table must be an object; a list or a string is a usage error.
@@ -875,10 +878,11 @@ def test_size_past_the_domain_end_is_a_usage_error(command, message, capsys, tmp
 
 
 def test_validate_below_two_has_nothing_to_check(capsys):
-    code, out, err = run(["validate", "--generator", "fk", "--n", "1"], capsys)
-    assert (code, out, err) == (
-        EXIT_OK, "generator domain is empty below n = 2; nothing to check\n", ""
-    )
+    for kind in BUILTIN_KINDS:
+        code, out, err = run(["validate", "--generator", kind, "--n", "1"], capsys)
+        assert (code, out, err) == (
+            EXIT_OK, "generator domain is empty below n = 2; nothing to check\n", ""
+        ), kind
 
 
 # Inputs whose first array cannot be allocated (4.00 TiB and 7.28 TiB).  Each runs in a
@@ -955,8 +959,11 @@ def test_malformed_integer_argument(name, value, capsys, tmp_path):
         (["sample", *SEQ_ARGS, "--seed", "1", "--count", "-1"], "count must be >= 0, got -1"),
         (["sample", *SEQ_ARGS, "--seed", "1", "--count", "3", "--workers", "0"],
          "workers must be >= 1, got 0"),
+        # inside the row counters, but no array holds that many rows of 6
+        (["sample", *SEQ_ARGS, "--seed", "1", "--count", str(2**63 - 1)],
+         f"count {2**63 - 1} of length 6 is over {np.iinfo(np.intp).max // 8} array entries"),
     ],
-    ids=["N", "cap", "n-past-N", "m-equals-n", "count", "workers"],
+    ids=["N", "cap", "n-past-N", "m-equals-n", "count", "workers", "count-size"],
 )
 def test_out_of_range_integer_setting(argv, message, capsys, tmp_path):
     if argv[0] == "sample":

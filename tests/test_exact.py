@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -474,6 +475,12 @@ class TestCrossCovariance:
             payload = json.loads(out)
             assert payload["exponent_basis"] == "theorem" and "note" not in payload
             assert "conjecture" not in out
+        # nor any source file of the package, in any case
+        package = Path(depcat.exact.__file__).parent
+        noted = [
+            path.name for path in package.rglob("*.py") if "conjecture" in path.read_text().lower()
+        ]
+        assert noted == []
 
 
 class TestEndpointMatch:

@@ -19,8 +19,12 @@ from depcat import (
     DomainError,
     GeneratorSpec,
     GeneratorViolation,
+    SampleBatch,
     build_tree,
+    cross_covariance_closed_form,
     evaluate,
+    joint_distribution,
+    sample_batch,
     validate,
 )
 from depcat.errors import as_integer, check_integer
@@ -184,9 +188,9 @@ class TestValidate:
     def test_sin_drift_exhaustive_to_ten_thousand(self):
         assert validate(SIN, 10_000) == ()
 
-    def test_all_builtins_to_one_million(self):
+    def test_all_builtins_to_two_million(self):
         for spec in ALL_BUILTINS:
-            assert validate(spec, 1_000_000) == (), spec.kind
+            assert validate(spec, 2_000_000) == (), spec.kind
 
     def test_sin_drift_never_near_floor_boundary(self):
         # Documented determinism guard: no builtin evaluation sits within
@@ -361,6 +365,28 @@ class TestSerialization:
             GeneratorSpec.from_table(table)
         with pytest.raises(DomainError, match=message):
             GeneratorSpec.from_dict({"kind": "table", "table": table})
+
+
+# Calls that read a spec: SampleBatch by `_check_spec` itself, the others through `_parents`.
+SPEC_READERS = {
+    "evaluate": lambda spec: evaluate(spec, 3),
+    "validate": lambda spec: validate(spec, 3),
+    "build_tree": lambda spec: build_tree(spec, 3),
+    "sample_batch": lambda spec: sample_batch([0.5, 0.5], 0.4, spec, 3, 2, seed=1),
+    "joint_distribution": lambda spec: joint_distribution([0.5, 0.5], 0.4, spec, 3),
+    "cross_covariance_closed_form": (
+        lambda spec: cross_covariance_closed_form([0.5, 0.5], 0.4, spec, 1, 3)
+    ),
+    "SampleBatch": lambda spec: SampleBatch([[1, 2]], 1, [0.5, 0.5], 0.4, spec),
+}
+
+
+@pytest.mark.parametrize("spec", ["fk", {"kind": "fk"}, None], ids=["str", "dict", "none"])
+@pytest.mark.parametrize("reader", list(SPEC_READERS))
+def test_a_spec_that_is_not_a_generator_spec_is_a_domain_error(reader, spec):
+    named = f"^spec must be a GeneratorSpec, got {type(spec).__name__}$"
+    with pytest.raises(DomainError, match=named):
+        SPEC_READERS[reader](spec)
 
 
 class TestIntegerRule:

@@ -16,7 +16,9 @@ from depcat import (
     CrossCovariance,
     DependencyTree,
     DomainError,
+    EmpiricalMarginal,
     GeneratorSpec,
+    GeneratorViolation,
     SampleBatch,
     build_tree,
     closed_form_covariance_matrix,
@@ -176,6 +178,9 @@ ROWS = [
     row("evaluate-n", lambda v: evaluate(SEQ, v), "index", 1),
     row("prime_partition-n", lambda v: evaluate(PRIME, v), "index", 1),
     row("validate-max_index", lambda v: validate(SEQ, v), "max_index", 1),
+    row("GeneratorViolation-index", lambda v: GeneratorViolation(v, 1), "index", 1),
+    # a violation's parent may be any integer, or None for a missing table entry
+    row("GeneratorViolation-parent", lambda v: GeneratorViolation(5, v), "parent"),
     # both sizes end at 2**53, the end of the generators' domain
     row("validate-max_index-top", lambda v: validate(SEQ, v), "max_index", 2**53 + 1),
     # graph
@@ -231,6 +236,8 @@ ROWS = [
         "first_index", 2**64 - 1,
     ),
     row("empirical_marginals-position", lambda v: empirical_marginals(BATCH, v), "position", 5),
+    row("EmpiricalMarginal-position", lambda v: EmpiricalMarginal(v, [1, 2]), "position", 0),
+    row("EmpiricalMarginal-counts", lambda v: EmpiricalMarginal(1, [1, v]), "counts", -1),
     row(
         "empirical_cross_covariance-m",
         lambda v: empirical_cross_covariance(BATCH, v, 3), "m", 0, named=M_PAIR,

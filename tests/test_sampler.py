@@ -82,9 +82,11 @@ class TestDeterminism:
 
 class TestDegenerateLimits:
     def test_full_dependence_freezes_the_sequence(self):
+        # 64 positions make two tiles, and the rows span two row blocks
         for spec in (SEQ, FK, FSQRT):
-            batch = sample_batch([0.5, 0.3, 0.2], 1.0, spec, 8, 300, seed=4)
+            batch = sample_batch([0.5, 0.3, 0.2], 1.0, spec, 64, BLOCK + 17, seed=4)
             assert np.all(batch.outcomes == batch.outcomes[:, :1])
+            assert set(batch.outcomes[:, 0].tolist()) == {1, 2, 3}
 
     def test_full_dependence_marginals_match_first_position(self):
         batch = sample_batch([0.5, 0.3, 0.2], 1.0, SEQ, 6, 1000, seed=12)
@@ -108,6 +110,9 @@ class TestDegenerateLimits:
         marginal = EmpiricalMarginal(1, np.array([3, 0, 1]))
         assert marginal.total == 4 and type(marginal.total) is int
         assert marginal.frequencies.tolist() == [0.75, 0.0, 0.25]
+        # counts of more than one position have no one total
+        with pytest.raises(DomainError, match="^counts must be a 1-D array, got 2 dimensions$"):
+            EmpiricalMarginal(1, [[3, 0, 1]])
 
 
 class TestConvergence:
@@ -284,7 +289,8 @@ class TestOutcomeDtype:
     )
     def test_counting_scratch_does_not_grow_with_the_rows(self, statistic, positions):
         # Widening a whole column to intp would take 1 MiB at 2^17 rows and
-        # 8 MiB at 2^20; counting a block at a time takes the same at both.
+        # 8 MiB at 2^20; counting a block at a time takes the same at both,
+        # under 1 MiB.
         peaks = []
         for rows in (2**17, 2**20):
             batch = sample_batch([0.5, 0.3, 0.2], 0.4, SEQ, 4, rows, seed=1)
@@ -295,6 +301,7 @@ class TestOutcomeDtype:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * 2**20
+        assert max(peaks) < 2**20
 
 
 class TestErrors:
@@ -602,6 +609,7 @@ class TestGuideTableExactness:
         depcat.sampler._draw_block(table, parents, grid, out, 0, 0, scratch)
         out[:] = scratch.tile.T
         assert np.array_equal(out, compare_count_oracle(p, delta, parents, uniforms))
+        assert not np.isin(out, np.flatnonzero(np.array(p) == 0) + 1).any()  # p = 0: never drawn
 
     @pytest.mark.parametrize("k", [2, 64, 300, 1000])
     def test_table_stays_within_budget(self, k):
@@ -664,7 +672,15 @@ class TestDrawKernel:
         assert table.buckets == 256 and np.all(table.thresholds[:, :-1] == depcat.sampler._REFINE)
         assert np.diff(table.start, axis=1).max() > 1  # some bucket holds several cuts
         del table
-        batch = sample_batch(p, delta, spec, length, count, seed=seed)
+        # The table is built a kernel row at a time, so the draw peaks at its
+        # 128 MiB cut matrix, not at a K x K kernel beside it.
+        tracemalloc.start()
+        try:
+            batch = sample_batch(p, delta, spec, length, count, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
         parents = build_tree(spec, length).parents
         expected = compare_count_oracle(p, delta, parents, uniform_grid(seed, 0, count, length))
         assert np.array_equal(batch.outcomes, expected)

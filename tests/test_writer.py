@@ -139,7 +139,7 @@ class TestGoldens:
 
 class TestEncoderAgainstOracle:
     @given(
-        k=st.sampled_from([2, 9, 10, 99, 100, 999, 1000]) | st.integers(2, 1200),
+        k=st.sampled_from([2, 9, 10, 99, 100, 999, 1000, 4096]) | st.integers(2, 1200),
         length=st.integers(min_value=1, max_value=40),
         block_cells=st.sampled_from([1, 7, 64, 1000]),
         rows=st.sampled_from(["block-1", "block", "block+1"]) | st.integers(0, 60),
