@@ -221,21 +221,24 @@ def _pair_joints(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For each a the axes before a are summed once (from the sum for a - 1).
     Then one fold walks b = a + 1 .. N - 1 over the (a, b, after b) block:
     the pair sums the axes after b, and the fold goes on with b summed out.
-    Each reduction keeps the long axis contiguous and innermost.
+    Each reduction keeps the long axis contiguous and innermost, and is a
+    bare `np.add.reduce` that writes each pair and marginal straight into
+    its slot of the output.
     """
     length, k = joint.ndim, joint.shape[0]
     marginals = np.empty((length, k))
     pairs = np.zeros((length, length, k, k), dtype=np.float64)
+    add = np.add.reduce
     leading = joint.reshape(k, -1)  # axis a, then every later axis
     for a in range(length):
         rest = leading  # axis a, then the axes from b on
         for b in range(a + 1, length):
             rest = rest.reshape(k, k, -1)
-            pairs[a, b] = rest.sum(axis=2)
-            rest = rest.sum(axis=1)
-        marginals[a] = rest.sum(axis=1)
+            add(rest, axis=2, out=pairs[a, b])
+            rest = add(rest, axis=1)
+        add(rest, axis=1, out=marginals[a])
         if a + 1 < length:
-            leading = leading.sum(axis=0).reshape(k, -1)
+            leading = add(leading, axis=0).reshape(k, -1)
     return marginals, pairs
 
 
@@ -257,6 +260,10 @@ class _Propagation:
     steps by P.  `verification_suite` asks in ascending order, one step per
     node, by P^1, the kernel array itself.  A power is one product from the
     power below it when kept, and repeated squaring otherwise.
+
+    `pair_joints` takes all its pairs in one step: one walk of the tree,
+    which checks the nodes once, then each distinct ancestor's law and each
+    kernel power in use read once, stacked and gathered for every pair.
     """
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
@@ -291,16 +298,28 @@ class _Propagation:
     def pair_joints(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
         """Joint law of each (m, n) in `pairs`, and each pair's tree distance.
 
-        One walk per pair up to its lowest common ancestor, which also
-        counts the branch lengths a and b.  Returns the (len(pairs), K, K)
-        joints and the list of distances a + b.
+        One walk of the tree takes every pair up to its lowest common
+        ancestor c and counts the branch lengths a and b; it checks the
+        nodes once.  Each distinct c's law and each power in use is read
+        once, in the order the pairs first ask for them (a power's bits
+        depend on which powers are kept when it is made), and gathered by
+        index into the pairs' stacks.  The left stack holds (P^a)^T
+        C-contiguous, so one batched product makes every joint.  Returns
+        the (len(pairs), K, K) joints and the list of distances a + b.
         """
-        ancestors, up, down = zip(*(self.tree.branch_lengths(m, n) for m, n in pairs))
-        at_ancestor = np.array([self.marginal(c) for c in ancestors])
-        left = np.array([self.power(a).T for a in up])
-        right = np.array([self.power(b) for b in down])
-        joints = left @ (at_ancestor[:, :, None] * right)
+        ancestors, up, down = zip(*self.tree._branches(pairs))
+        laws, at = _stack(ancestors, self.marginal)
+        powers, rows = _stack(up + down, self.power)
+        left = np.ascontiguousarray(powers.transpose(0, 2, 1)[rows[: len(up)]])
+        right = powers[rows[len(up) :]]
+        joints = left @ (laws[at][:, :, None] * right)
         return joints, [a + b for a, b in zip(up, down)]
+
+
+def _stack(keys, read) -> tuple[np.ndarray, list[int]]:
+    """`read` of each distinct key once, in first-seen order, stacked; and each key's row."""
+    rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+    return np.array([read(key) for key in rows]), [rows[key] for key in keys]
 
 
 def joint_pair_probability(
@@ -407,9 +426,17 @@ def closed_form_covariance_matrix(p: MarginalLike, delta: DeltaLike, exponent: i
     """delta**exponent times (diag(p) - p p^T): the shared matrix shape."""
     marginal = as_marginal(p)
     d = as_delta(delta)
-    probs = marginal.probs
     exponent = check_integer(exponent, "exponent", 0)
-    return (d**exponent) * (np.diag(probs) - np.outer(probs, probs))
+    return _closed_forms(marginal.probs, d, [exponent])[0]
+
+
+def _closed_forms(probs: np.ndarray, delta: float, exponents) -> np.ndarray:
+    """delta**e (diag(p) - p p^T) for each e in `exponents`, stacked: the law, stated once.
+
+    Each delta**e is a Python float power, as a scalar would be.
+    """
+    scales = np.array([delta**e for e in exponents], dtype=np.float64)
+    return scales[:, None, None] * (np.diag(probs) - np.outer(probs, probs))
 
 
 def cross_covariance_enumerated(
@@ -482,9 +509,11 @@ def verification_suite(
     Each route runs once.  Enumeration builds the length-N joint of
     ``spec`` and reads every marginal and pair joint from it.  Propagation
     builds the tree and the kernel, computes every marginal in one pass
-    down the tree and every pair joint at its lowest common ancestor.  The
-    chain's (1, n) joint is diag(p) P^(n-1), read from the same cached
-    kernel powers, since every generator shares the one kernel.
+    down the tree and every pair joint at its lowest common ancestor, all
+    pairs in one step.  The chain's (1, n) joint is diag(p) P^(n-1), read
+    from the same cached kernel powers, since every generator shares the
+    one kernel.  The closed form is one stack over the distances 0..N-1,
+    read by distance for the pairs and for the chain's endpoints.
     """
     marginal = as_marginal(p)
     length = check_integer(length, "verification length", 2)
@@ -502,17 +531,17 @@ def verification_suite(
 
     positions = [(m, n) for m in range(1, length) for n in range(m + 1, length + 1)]
     propagated, distances = route.pair_joints(positions)
-    exponents = range(1, length)
-    closed = {d: closed_form_covariance_matrix(marginal, delta, d) for d in {*distances, *exponents}}
+    closed = _closed_forms(probs, as_delta(delta), range(length))  # row d: distance d
     first, second = (np.array(positions) - 1).T
     both = np.stack([pairs[first, second], propagated])
-    err = float(np.max(np.abs(both - np.outer(probs, probs) - [closed[d] for d in distances])))
+    err = float(np.max(np.abs(both - np.outer(probs, probs) - closed[distances])))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
     # diagonal of diag(p) P^(n-1), for n = 2..length, against the chain's
     # P(draw_1 = i, draw_n = i), the closed form's Cov_ii + p_i^2
+    exponents = range(1, length)
     propagated = probs * np.array([np.diagonal(route.power(e)) for e in exponents])
-    closed = np.array([np.diagonal(closed[e]) for e in exponents]) + probs**2
+    closed = np.diagonal(closed[1:], axis1=1, axis2=2) + probs**2
     err = float(np.max(np.abs(propagated - closed)))
     checks.append(VerificationCheck("endpoint-match", err, EXACT_TOL))
 

@@ -40,7 +40,7 @@ class DependencyTree:
         object.__setattr__(self, "parents", parents)
 
     def parent_of(self, node: int) -> int:
-        self._check_node(node)
+        node = check_integer(node, "node index", 1, self.size)
         if node == 1:
             raise DomainError("the root (node 1) has no parent")
         return int(self.parents[node - 2])
@@ -53,24 +53,39 @@ class DependencyTree:
     def branch_lengths(self, m: int, n: int) -> tuple[int, int, int]:
         """The lowest common ancestor c of m and n, and the edges c..m and c..n.
 
-        Walks the larger index up its parent chain until the two meet;
-        because parents strictly decrease this converges at c, after
-        exactly the edges of the path between m and n.  m and n are checked
-        once; every hop after that stays inside 1..size.
+        The one-pair case of `_branches`, the tree's one walk, which takes
+        a batch of pairs in one step and checks its nodes once.
         """
-        self._check_node(m)
-        self._check_node(n)
-        parent = self.parents.item  # parent(i) is the parent of node i + 2
-        up = down = 0
-        while m != n:
-            if m > n:
-                m, up = parent(m - 2), up + 1
-            else:
-                n, down = parent(n - 2), down + 1
-        return m, up, down
+        return self._branches([(m, n)])[0]
 
-    def _check_node(self, node: int) -> None:
-        check_integer(node, "node index", 1, self.size)
+    def _branches(self, pairs) -> list[tuple[int, int, int]]:
+        """`branch_lengths` of every (m, n) in `pairs`, in one walk over the batch.
+
+        Every node is checked once, before the first hop: a Python int in
+        1..size stands as it is, and any other node goes through
+        `check_integer`, which reads a numpy integer or raises.  Each pair
+        then walks its larger index up its parent chain until the two meet;
+        because parents strictly decrease this converges at c, after
+        exactly the edges of the path between m and n.  The hops stay inside
+        1..size and read each parent as a Python int.
+        """
+        size = self.size
+        checked = [
+            (m, n) if type(m) is type(n) is int and 0 < m <= size and 0 < n <= size
+            else (check_integer(m, "node index", 1, size), check_integer(n, "node index", 1, size))
+            for m, n in pairs
+        ]
+        parent = self.parents.item  # parent(i) is the parent of node i + 2
+        branches = []
+        for m, n in checked:
+            up = down = 0
+            while m != n:
+                if m > n:
+                    m, up = parent(m - 2), up + 1
+                else:
+                    n, down = parent(n - 2), down + 1
+            branches.append((m, up, down))
+        return branches
 
 
 def build_tree(spec: GeneratorSpec, size: int) -> DependencyTree:

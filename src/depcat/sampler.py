@@ -516,7 +516,8 @@ class EmpiricalMarginal:
     """Category counts at one position; counts sum to the batch size exactly.
 
     `position` (>= 1) and `counts` (1-D, entries >= 0) are read by the
-    integer rule (`check_integer`, `check_integers`).
+    integer rule (`check_integer`, `check_integers`).  The counts sum to at
+    least 1, so the frequencies are defined; an empty array sums to 0.
     """
 
     position: int
@@ -529,6 +530,8 @@ class EmpiricalMarginal:
             raise DomainError(f"counts must be a 1-D array, got {counts.ndim} dimensions")
         if counts.size and counts.min() < 0:
             raise DomainError(f"counts must be >= 0, got {counts.min()}")
+        if not counts.any():
+            raise DomainError("counts must sum to at least 1, got 0")
         object.__setattr__(self, "counts", counts)
 
     @property

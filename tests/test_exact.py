@@ -8,6 +8,7 @@ and propagation code paths.
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import depcat.cli
 import depcat.exact
+import depcat.graph
 import depcat.sampler
 from depcat import (
     AxiomViolationError,
@@ -694,6 +696,55 @@ class TestPairJointsProperty:
                 assert np.max(np.abs(pair - (closed + independent))) <= EXACT_TOL
         checks = verification_suite(p, delta, spec, length)
         assert all(check.passed for check in checks), checks
+
+
+def ancestors_of(parents, node):
+    """Oracle: the set {node, its parent, ..., 1}, from the parent list alone."""
+    chain = {node}
+    while node > 1:
+        node = parents[node - 2]
+        chain.add(node)
+    return chain
+
+
+class TestOneWalk:
+    """`DependencyTree._branches`, the tree's one walk, against ancestor sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_tables())
+    def test_every_pair_against_its_ancestor_sets(self, case):
+        spec, length, _, _ = case
+        tree = build_tree(spec, length)
+        parents = tree.parents.tolist()
+        nodes = range(1, length + 1)
+        pairs = [(m, n) for m in nodes for n in nodes]
+        expected = []
+        for m, n in pairs:
+            above_m, above_n = ancestors_of(parents, m), ancestors_of(parents, n)
+            common = max(above_m & above_n)
+            depth = len(ancestors_of(parents, common))
+            expected.append((common, len(above_m) - depth, len(above_n) - depth))
+        assert tree._branches(pairs) == expected
+        assert tree._branches([(np.int64(m), np.int64(n)) for m, n in pairs]) == expected
+        for (m, n), (common, up, down) in zip(pairs, expected):
+            assert tree.branch_lengths(m, n) == (common, up, down)
+            assert depcat.graph.tree_distance(tree, m, n) == up + down
+
+    @settings(max_examples=30, deadline=None)
+    @given(valid_tables())
+    def test_bad_nodes_are_refused_before_any_hop(self, case):
+        spec, length, _, _ = case
+        tree = build_tree(spec, length)
+        # 0 last: a walk from node 0 would never meet its partner
+        for bad, shown in ((length + 1, f"{length + 1} outside 1..{length}"),
+                           (1.5, "must be an integer, got 1.5"),
+                           (True, "must be an integer, got true"),
+                           (0, f"0 outside 1..{length}")):
+            for pairs in ([(1, 2), (bad, 1)], [(1, 2), (1, bad)], [(bad, bad)]):
+                with pytest.raises(DomainError, match=f"^node index {re.escape(shown)}$"):
+                    tree._branches(pairs)
+            with pytest.raises(DomainError, match=f"^node index {re.escape(shown)}$"):
+                tree.branch_lengths(bad, length)
 
 
 class TestPropagationFromACategory:

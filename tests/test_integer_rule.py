@@ -238,6 +238,11 @@ ROWS = [
     row("empirical_marginals-position", lambda v: empirical_marginals(BATCH, v), "position", 5),
     row("EmpiricalMarginal-position", lambda v: EmpiricalMarginal(v, [1, 2]), "position", 0),
     row("EmpiricalMarginal-counts", lambda v: EmpiricalMarginal(1, [1, v]), "counts", -1),
+    # counts that sum to 0 have no frequencies
+    row(
+        "EmpiricalMarginal-counts-total", lambda v: EmpiricalMarginal(1, [v, 0]), "counts", 0,
+        named=r"^counts must sum to at least 1, got 0$",
+    ),
     row(
         "empirical_cross_covariance-m",
         lambda v: empirical_cross_covariance(BATCH, v, 3), "m", 0, named=M_PAIR,
@@ -288,6 +293,12 @@ def test_integer_argument(call, name, outside, error, named):
     if outside is not None:
         with pytest.raises(error, match=named):
             call(outside)
+
+
+@pytest.mark.parametrize("counts", [[], np.zeros(0, dtype=np.int64)], ids=["list", "array"])
+def test_empty_counts_have_no_frequencies(counts):
+    with pytest.raises(DomainError, match=r"^counts must sum to at least 1, got 0$"):
+        EmpiricalMarginal(1, counts)
 
 
 # Array arguments: a list, or an ndarray of any but an integer dtype, is
