@@ -1,4 +1,4 @@
-"""Smoke test of the measurement tools under tools/, at tiny sizes."""
+"""Smoke tests of the tools under tools/, at tiny sizes."""
 
 import importlib.util
 import json
@@ -29,3 +29,17 @@ def test_shapes_times_every_shape_of_this_checkout(tmp_path, capsys):
     names = [line.split("  ")[0] for line in lines[3:]]
     assert names == list(timed) and len(names) == 7
     assert all(len(runs) == 1 and runs[0] > 0 for runs in timed.values())
+
+
+def test_goldens_rewrites_every_golden_of_this_checkout(tmp_path, capsys):
+    goldens = load("goldens")
+    assert goldens.main(["--out", str(tmp_path)]) == 0
+    written = capsys.readouterr().out.split()
+    committed = ROOT / "tests" / "goldens"
+    assert written == sorted(path.relative_to(committed).as_posix()
+                             for path in committed.rglob("*.txt"))
+    assert len(written) == 41
+    assert all((tmp_path / name).read_bytes() == (committed / name).read_bytes()
+               for name in written)
+    assert goldens.main(["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""  # nothing changed, nothing printed
