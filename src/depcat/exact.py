@@ -7,8 +7,8 @@ outcome space and instead propagates distributions through powers of the
 transition kernel along tree paths.  The two routes are independent
 implementations of the same quantities; their agreement is the package's
 main correctness check and is wired into ``verification_suite``.  Every
-sum in both routes is a numpy reduction, whose order numpy fixes whatever
-BLAS kernel loads; only route two's K x K matrix products use BLAS.
+sum in both routes is a numpy reduction and every product elementwise:
+neither route makes a BLAS call.
 
 For every valid generator the covariance of positions m and n is
 delta^d (diag p - p p^T), with d their tree distance, so every
@@ -52,6 +52,7 @@ from .kernel import (
     DeltaLike,
     Marginal,
     MarginalLike,
+    _kernel_parts,
     as_delta,
     as_marginal,
     transition_kernel,
@@ -184,16 +185,16 @@ def marginal_at(
     """Exact marginal at a position, by propagation through the tree.
 
     The base distribution times P^d, d the number of edges from the root,
-    in O(log d) K x K products.  The result always equals the base
+    in O(log d) products of O(K) each.  The result always equals the base
     distribution up to rounding (the base vector is stationary for the
     kernel); computing it this way demonstrates the identity instead of
-    assuming it.  Its last bits can differ from `verify`'s marginal at the
-    same node, which is reduced from its parent's one edge at a time.
+    assuming it.  It is `verify`'s law at the node, clipped to [0, 1] and
+    read as a `Marginal`, which divides it by its sum past K 2^-52.
     """
     position = check_integer(position, "position", 1)
     route = _Propagation(as_marginal(p), delta, build_tree(spec, position))
-    # the reduction can round an entry of a near-degenerate p one ulp past 1
-    return Marginal(np.clip(route.marginal(position), 0.0, 1.0))
+    # the rounding can take an entry of a near-degenerate p one ulp past 1
+    return Marginal(np.clip(route.marginals([position])[0], 0.0, 1.0))
 
 
 def enumerated_marginals(
@@ -243,83 +244,82 @@ def _pair_joints(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Propagation:
-    """Route two on one dependency tree: kernel powers, no outcome space.
+    """Route two on one dependency tree: kernel powers in two parts, no outcome space.
 
-    One rule moves every law: the draw at a node e edges below another is
-    e kernel steps from it, so its law is that node's law times P^e,
-    summed over the upper node's axis as a numpy reduction.  Conditioned
-    on the value at the lowest common ancestor c of m and n, the branches
-    down to m and n are independent, so the joint of the draws at m and n
-    is (P^a)^T diag(marginal at c) P^b, where a and b are the depths of m
-    and n below c.
+    With s = p (1 - delta), the switch row of `_kernel_parts`, the kernel is
+    P = delta I + 1 s^T, and matrices alpha I + 1 r^T are closed under
+    products: (alpha, r)(beta, s) = (alpha beta, alpha s + beta r + (sum r) s),
+    the algebra of step 2 of the proof above.  So P^e is kept as the pair
+    (alpha_e, r_e), built by one rule, binary squaring from (delta, s): its
+    bits depend on e alone.  The law at a node d edges below the root is
+    x P^d = alpha_d x + (sum x) r_d, x the root's law.  Given the value at
+    the lowest common ancestor of m and n, with law c, the branches down to
+    m and n are independent, so with P^a = (alpha, r) and P^b = (beta, s)
+    the joint at (m, n) is (P^a)^T diag(c) P^b
+    = alpha beta diag(c) + alpha c s^T + beta r c^T + (sum c) r s^T.
 
-    Only what is asked for is kept: the marginal of each node asked for
-    and each kernel power used.  A node's marginal is its nearest kept
-    ancestor's reduced against one power, so its last bits depend on which
-    ancestor is kept: one reduction against P^d can round otherwise than d
-    steps by P.  `verification_suite` asks in ascending order, one step per
-    node, by P^1, the kernel array itself.  A power is one product from the
-    power below it when kept, and repeated squaring otherwise.
-
-    `pair_joints` takes all its pairs in one step: one walk of the tree,
-    which checks the nodes once, then each distinct ancestor's law and each
-    kernel power in use read once, stacked and gathered for every pair.
+    Every step is elementwise, an outer product or a numpy sum: no BLAS
+    call.  Route two rests on the family's closure alone and assumes
+    neither r_e = (1 - delta^e) p nor that p is stationary, so it stays
+    independent of route one and of the closed form.
     """
 
     def __init__(self, marginal: Marginal, delta: DeltaLike, tree: DependencyTree):
-        self.tree = tree
-        self.kernel = transition_kernel(marginal, delta)
-        self._marginals = {1: marginal.probs}
-        self._powers = {}
+        self.tree, self.root_law, delta = tree, marginal.probs, as_delta(delta)
+        self.step = delta, _kernel_parts(marginal, delta)[0]  # P itself
+        self._powers = {0: (1.0, np.zeros_like(self.root_law)), 1: self.step}
 
-    def marginal(self, node: int) -> np.ndarray:
-        """Marginal at `node`: its nearest kept ancestor's times P^steps."""
-        ancestor, steps = node, 0
-        while ancestor not in self._marginals:
-            ancestor, steps = self.tree.parent_of(ancestor), steps + 1
-        probs = self._marginals[ancestor]
-        if steps:
-            probs = (probs[:, None] * self.power(steps)).sum(axis=0)
-        self._marginals[node] = probs
-        return probs
-
-    def power(self, exponent: int) -> np.ndarray:
-        """The kernel power P^exponent."""
+    def power(self, exponent: int) -> tuple[float, np.ndarray]:
+        """P^exponent as (alpha, r): P^(exponent // 2) squared, times P if exponent is odd."""
         power = self._powers.get(exponent)
         if power is None:
-            below = self._powers.get(exponent - 1)
-            if below is None:
-                power = np.linalg.matrix_power(self.kernel, exponent)
-            else:
-                power = below @ self.kernel
+            half = self.power(exponent // 2)
+            power = _times(half, half)
+            if exponent % 2:
+                power = _times(power, self.step)
             self._powers[exponent] = power
         return power
+
+    def powers(self, exponents: Sequence[int]) -> list[np.ndarray]:
+        """alpha and r of P^e for each e in `exponents`, stacked."""
+        return [np.array(part) for part in zip(*map(self.power, exponents))]
+
+    def marginals(self, nodes: Sequence[int]) -> np.ndarray:
+        """The law at each of `nodes`, (len(nodes), K): alpha_d x + (sum x) r_d, d its depth."""
+        depths = [d for _, _, d in self.tree._branches([(1, node) for node in nodes])]
+        alpha, r = _stack(depths, self.powers)
+        return alpha[:, None] * self.root_law + self.root_law.sum() * r
 
     def pair_joints(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
         """Joint law of each (m, n) in `pairs`, and each pair's tree distance.
 
         One walk of the tree takes every pair up to its lowest common
-        ancestor c and counts the branch lengths a and b; it checks the
-        nodes once.  Each distinct c's law and each power in use is read
-        once, in the order the pairs first ask for them (a power's bits
-        depend on which powers are kept when it is made), and gathered by
-        index into the pairs' stacks.  The left stack holds (P^a)^T
-        C-contiguous, so one batched product makes every joint.  Returns
-        the (len(pairs), K, K) joints and the list of distances a + b.
+        ancestor and counts the branch lengths a and b.  Each distinct
+        ancestor's law and each power in use is read once and gathered by
+        index, and the four-term formula makes every joint at once.
+        Returns the (len(pairs), K, K) joints and the distances a + b.
         """
         ancestors, up, down = zip(*self.tree._branches(pairs))
-        laws, at = _stack(ancestors, self.marginal)
-        powers, rows = _stack(up + down, self.power)
-        left = np.ascontiguousarray(powers.transpose(0, 2, 1)[rows[: len(up)]])
-        right = powers[rows[len(up) :]]
-        joints = left @ (laws[at][:, :, None] * right)
+        (c,) = _stack(ancestors, lambda nodes: [self.marginals(nodes)])
+        alpha, r = _stack(up + down, self.powers)  # the rows of P^a, then of P^b
+        (alpha, beta), (r, s) = np.split(alpha[:, None, None], 2), np.split(r, 2)
+        total, diag_c = c.sum(axis=1)[:, None, None], c[:, :, None] * np.eye(c.shape[1])
+        r, s_t, c, c_t = r[:, :, None], s[:, None, :], c[:, :, None], c[:, None, :]
+        joints = alpha * beta * diag_c + alpha * c * s_t + beta * r * c_t + total * r * s_t
         return joints, [a + b for a, b in zip(up, down)]
 
 
-def _stack(keys, read) -> tuple[np.ndarray, list[int]]:
-    """`read` of each distinct key once, in first-seen order, stacked; and each key's row."""
+def _times(x, y) -> tuple[float, np.ndarray]:
+    """(alpha, r)(beta, s) = (alpha beta, alpha s + beta r + (sum r) s), the family's product."""
+    (alpha, r), (beta, s) = x, y
+    return alpha * beta, (alpha + r.sum()) * s + beta * r
+
+
+def _stack(keys, read) -> list[np.ndarray]:
+    """Each stack of `read(distinct keys)`, gathered back to one row per key of `keys`."""
     rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}
-    return np.array([read(key) for key in rows]), [rows[key] for key in keys]
+    at = np.array([rows[key] for key in keys], dtype=np.intp)
+    return [stack[at] for stack in read(list(rows))]
 
 
 def joint_pair_probability(
@@ -508,12 +508,12 @@ def verification_suite(
 
     Each route runs once.  Enumeration builds the length-N joint of
     ``spec`` and reads every marginal and pair joint from it.  Propagation
-    builds the tree and the kernel, computes every marginal in one pass
-    down the tree and every pair joint at its lowest common ancestor, all
-    pairs in one step.  The chain's (1, n) joint is diag(p) P^(n-1), read
-    from the same cached kernel powers, since every generator shares the
-    one kernel.  The closed form is one stack over the distances 0..N-1,
-    read by distance for the pairs and for the chain's endpoints.
+    builds the tree and the kernel's two parts, reads every marginal from
+    the root and every pair joint at its lowest common ancestor, all pairs
+    in one step.  The chain's (1, n) joint is diag(p) P^(n-1), whose
+    diagonal is read from the same kernel powers, since every generator
+    shares the one kernel.  The closed form is one stack over the distances
+    0..N-1, read by distance for the pairs and for the chain's endpoints.
     """
     marginal = as_marginal(p)
     length = check_integer(length, "verification length", 2)
@@ -524,7 +524,7 @@ def verification_suite(
     route = _Propagation(marginal, delta, build_tree(spec, length))
     checks = [VerificationCheck("normalization", abs(total - 1.0), EXACT_TOL)]
 
-    propagated = np.array([route.marginal(n) for n in range(1, length + 1)])
+    propagated = route.marginals(range(1, length + 1))
     both = np.stack([marginals, propagated])
     err = float(np.max(np.abs(both - probs)))
     checks.append(VerificationCheck("identical-marginals", err, EXACT_TOL))
@@ -537,10 +537,10 @@ def verification_suite(
     err = float(np.max(np.abs(both - np.outer(probs, probs) - closed[distances])))
     checks.append(VerificationCheck("covariance-agreement", err, EXACT_TOL))
 
-    # diagonal of diag(p) P^(n-1), for n = 2..length, against the chain's
-    # P(draw_1 = i, draw_n = i), the closed form's Cov_ii + p_i^2
-    exponents = range(1, length)
-    propagated = probs * np.array([np.diagonal(route.power(e)) for e in exponents])
+    # diagonal of diag(p) P^e, p (alpha_e + r_e), for e = 1..length-1, against
+    # the chain's P(draw_1 = i, draw_(e+1) = i), the closed form's Cov_ii + p_i^2
+    alpha, r = route.powers(range(1, length))
+    propagated = probs * (alpha[:, None] + r)
     closed = np.diagonal(closed[1:], axis1=1, axis2=2) + probs**2
     err = float(np.max(np.abs(propagated - closed)))
     checks.append(VerificationCheck("endpoint-match", err, EXACT_TOL))

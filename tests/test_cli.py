@@ -529,7 +529,7 @@ class TestVerify:
 
         def independent(self, pairs):
             joints, distances = original(self, pairs)
-            p = self.marginal(1)
+            p = self.root_law
             return np.broadcast_to(np.outer(p, p), joints.shape), distances
 
         monkeypatch.setattr(depcat.exact._Propagation, "pair_joints", independent)

@@ -313,8 +313,8 @@ class TestJointPairProbability:
                 assert enum == pytest.approx(prop, abs=1e-10)
 
     def test_far_apart_pair_holds_only_a_few_kernel_powers(self):
-        # Propagating across 10^5 edges keeps the tree and a few K x K
-        # matrices; it never holds one kernel power per edge (3.3 GB here).
+        # Propagating across 10^5 edges keeps the tree and a few kernel
+        # powers; it never holds one per edge (3.3 GB here as K x K matrices).
         k, n = 64, 100_001
         p = np.full(k, 1.0 / k)
         tracemalloc.start()
@@ -763,16 +763,37 @@ class TestPropagationFromACategory:
         tree = build_tree(spec, length)
         pairs = _pair_joints(joint_distribution(p, delta, spec, length))[1]
 
-        def seeded(i):
-            route = _Propagation(Marginal(p), delta, tree)
-            route._marginals[1] = np.eye(len(p))[i]
-            return route
-
         for i in np.flatnonzero(p):
-            conditional = pairs[0, :, i] / p[i]
-            ascending = seeded(i)  # one step per node
-            for n in range(2, length + 1):
-                # the fresh route pushes over the node's whole depth
-                for route in (ascending, seeded(i)):
-                    error = np.max(np.abs(route.marginal(n) - conditional[n - 1]))
-                    assert error <= 1e-12, (i, n, error)
+            route = _Propagation(Marginal(p), delta, tree)
+            route.root_law = np.eye(len(p))[i]
+            conditional = pairs[0, 1:, i] / p[i]  # row n - 2: the law at n given draw 1 = i
+            errors = np.max(np.abs(route.marginals(range(2, length + 1)) - conditional), axis=1)
+            assert np.all(errors <= 1e-12), (i, errors)
+
+
+class TestOneBitPatternPerNode:
+    """Route two's law at a node has one bit pattern, whatever was asked before it."""
+
+    P4 = Marginal([0.4, 0.3, 0.2, 0.1])
+    NODES = range(1, 201)
+
+    def test_a_fresh_route_reads_the_ascending_walks_bits(self):
+        tree = build_tree(SEQ, 200)
+        ascending = _Propagation(self.P4, 0.6, tree)  # P^(n-1) asked right after P^(n-2)
+        walked = [ascending.marginals([n])[0] for n in self.NODES]
+        batched = _Propagation(self.P4, 0.6, tree).marginals(self.NODES)
+        for n in self.NODES:
+            fresh = _Propagation(self.P4, 0.6, tree).marginals([n])[0]
+            assert fresh.tobytes() == walked[n - 1].tobytes() == batched[n - 1].tobytes(), n
+
+    def test_marginal_at_is_the_law_read_as_a_marginal(self):
+        # marginal_at clips route two's law to [0, 1], and Marginal divides it
+        # by its sum once that is off 1 by more than K 2^-52
+        laws = _Propagation(self.P4, 0.6, build_tree(SEQ, 200)).marginals(self.NODES)
+        divided = 0
+        for n, law in zip(self.NODES, np.clip(laws, 0.0, 1.0)):
+            total = float(law.sum())
+            if abs(total - 1.0) > 4 * 2.0**-52:
+                law, divided = law / total, divided + 1
+            assert marginal_at(self.P4, 0.6, SEQ, n).probs.tobytes() == law.tobytes(), n
+        assert 0 < divided < len(self.NODES)  # both cases are met

@@ -27,11 +27,11 @@ def test_shapes_times_every_shape_of_this_checkout(tmp_path, capsys):
     assert lines[1] == f"tree 0: {ROOT}"
     (timed,) = record["trees"].values()
     names = [line.split("  ")[0] for line in lines[3:]]
-    assert names == list(timed) and len(names) == 7
+    assert names == list(timed) and len(names) == 9
     assert all(len(runs) == 1 and runs[0] > 0 for runs in timed.values())
 
 
-def test_goldens_rewrites_every_golden_of_this_checkout(tmp_path, capsys):
+def test_goldens_writes_every_golden_and_names_the_changed(tmp_path, capsys):
     goldens = load("goldens")
     assert goldens.main(["--out", str(tmp_path)]) == 0
     written = capsys.readouterr().out.split()
@@ -39,7 +39,6 @@ def test_goldens_rewrites_every_golden_of_this_checkout(tmp_path, capsys):
     assert written == sorted(path.relative_to(committed).as_posix()
                              for path in committed.rglob("*.txt"))
     assert len(written) == 41
-    assert all((tmp_path / name).read_bytes() == (committed / name).read_bytes()
-               for name in written)
+    (tmp_path / written[0]).write_text("stale\n", encoding="utf-8")
     assert goldens.main(["--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == ""  # nothing changed, nothing printed
+    assert capsys.readouterr().out.split() == written[:1]  # only the changed file

@@ -38,15 +38,19 @@ def shapes(depcat, tiny: bool) -> dict:
     """Shape name -> a call of it; --tiny shrinks every size."""
     seq = depcat.GeneratorSpec.builtin("sequential")
     fsqrt = depcat.GeneratorSpec.builtin("floor_sqrt")
-    p64 = [1 / 64] * 64
+    p64, p512 = [1 / 64] * 64, [1 / 512] * 512
     depth, near, far, n, suite = (20, (100, 120), 1_000, 5, 5) if tiny else (
         200, (1_000, 1_200), 100_000, 11, 16
     )
     return {
         f"marginal_at k3 depth {depth}": lambda: depcat.marginal_at(P3, 0.6, seq, depth + 1),
         f"marginal_at k64 depth {depth}": lambda: depcat.marginal_at(p64, 0.6, seq, depth + 1),
+        f"marginal_at k512 depth {depth}": lambda: depcat.marginal_at(p512, 0.6, seq, depth + 1),
         f"joint_pair_probability propagate k64 {near}": lambda: depcat.joint_pair_probability(
             p64, 0.6, seq, near[0], 1, near[1], 1
+        ),
+        f"joint_pair_probability propagate k512 {near}": lambda: depcat.joint_pair_probability(
+            p512, 0.6, seq, near[0], 1, near[1], 1
         ),
         f"joint_pair_probability enumerate k3 n{n}": lambda: depcat.joint_pair_probability(
             P3, 0.45, fsqrt, 1, 1, n, 1, method="enumerate"
