@@ -301,10 +301,10 @@ class _Propagation:
         """
         ancestors, up, down = zip(*self.tree._branches(pairs))
         (c,) = _stack(ancestors, lambda nodes: [self.marginals(nodes)])
-        alpha, r = _stack(up + down, self.powers)  # the rows of P^a, then of P^b
-        (alpha, beta), (r, s) = np.split(alpha[:, None, None], 2), np.split(r, 2)
+        alphas, rs = _stack(up + down, self.powers)  # the rows of P^a, then of P^b
+        alpha, beta = alphas[:len(up), None, None], alphas[len(up):, None, None]
         total, diag_c = c.sum(axis=1)[:, None, None], c[:, :, None] * np.eye(c.shape[1])
-        r, s_t, c, c_t = r[:, :, None], s[:, None, :], c[:, :, None], c[:, None, :]
+        r, s_t, c, c_t = rs[:len(up), :, None], rs[len(up):, None, :], c[:, :, None], c[:, None, :]
         joints = alpha * beta * diag_c + alpha * c * s_t + beta * r * c_t + total * r * s_t
         return joints, [a + b for a, b in zip(up, down)]
 

@@ -770,6 +770,25 @@ class TestPropagationFromACategory:
             errors = np.max(np.abs(route.marginals(range(2, length + 1)) - conditional), axis=1)
             assert np.all(errors <= 1e-12), (i, errors)
 
+    @settings(max_examples=100, deadline=None)
+    @given(valid_tables())
+    def test_every_pair_is_route_ones_under_a_root_measure(self, case):
+        # A root law w of mass 1.5 to 5, not 1: a step that reads a law's sum
+        # as 1 is off by a third or more.  Route one's joint is linear in the
+        # root law, so the joint under w is its entries scaled by w / p on axis 0.
+        spec, length, p, delta = case
+        w = np.where(p > 0, np.arange(1.0, len(p) + 1) / 2, 0.0)
+        joint = joint_distribution(p, delta, spec, length)
+        scale = np.divide(w, p, out=np.zeros_like(w), where=p > 0)
+        marginals, pairs = _pair_joints(joint * scale.reshape((-1,) + (1,) * (length - 1)))
+        route = _Propagation(Marginal(p), delta, build_tree(spec, length))
+        route.root_law = w
+        assert np.max(np.abs(route.marginals(range(1, length + 1)) - marginals)) <= 1e-12
+        positions = [(m, n) for m in range(1, length) for n in range(m + 1, length + 1)]
+        first, second = (np.array(positions) - 1).T
+        joints = route.pair_joints(positions)[0]
+        assert np.max(np.abs(joints - pairs[first, second])) <= 1e-12
+
 
 class TestOneBitPatternPerNode:
     """Route two's law at a node has one bit pattern, whatever was asked before it."""
