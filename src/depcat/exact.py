@@ -310,7 +310,7 @@ class _Propagation:
 
 
 def _times(x, y) -> tuple[float, np.ndarray]:
-    """(alpha, r)(beta, s) = (alpha beta, alpha s + beta r + (sum r) s), the family's product."""
+    """(alpha, r)(beta, s) = (alpha beta, (alpha + sum r) s + beta r), the family's product."""
     (alpha, r), (beta, s) = x, y
     return alpha * beta, (alpha + r.sum()) * s + beta * r
 

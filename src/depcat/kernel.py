@@ -114,8 +114,8 @@ def _kernel_parts(marginal: Marginal, delta: float) -> tuple[np.ndarray, np.ndar
     """The kernel's two formulas: the switch row p (1 - delta) and the repeat diagonal.
 
     Kernel row i is the switch row with entry i replaced by the repeat
-    probability p[i] + delta (1 - p[i]); `transition_kernel` and the
-    sampler's draw table both build their rows from these two vectors.
+    probability p[i] + delta (1 - p[i]); `transition_kernel`, the sampler's
+    draw table and route two's kernel powers all build on these vectors.
     """
     probs = marginal.probs
     return probs * (1.0 - delta), probs + delta * (1.0 - probs)
