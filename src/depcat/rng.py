@@ -68,29 +68,20 @@ def _check_array_size(count: int, length: int = 1) -> None:
         raise DomainError(f"count {count} of length {length} is over {limit} array entries")
 
 
-def stream_keys(
-    seed: int, first_index: int, count: int, *, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def stream_keys(seed: int, first_index: int, count: int) -> np.ndarray:
     """One derived key per sequence index in [first_index, first_index+count).
 
     The indices are uint64 counters, so first_index + count is at most
-    2^64.  `scratch`, a uint64 array of `count` entries, is overwritten by
-    the mix in place of a buffer made for it.
+    2^64.
     """
     count = check_integer(count, "count", 0, _INDEX_LIMIT)
     first_index = check_integer(first_index, "first_index", 0, _INDEX_LIMIT - count)
     _check_array_size(count)
     keys = np.arange(first_index, first_index + count, dtype=np.uint64)
-    if scratch is None:
-        scratch = np.empty_like(keys)
-    elif not (
-        isinstance(scratch, np.ndarray) and scratch.dtype == np.uint64 and scratch.shape == (count,)
-    ):
-        raise DomainError(f"scratch must be a uint64 array of {count} entries")
     keys += _ONE
     keys *= _GOLDEN
     keys += np.uint64(check_integer(seed, "seed") & _U64_MASK)
-    return _mix64(keys, scratch)
+    return _mix64(keys, np.empty_like(keys))
 
 
 def _fill_mantissas(

@@ -129,6 +129,10 @@ _TILE = 32
 # the timings in BENCH_31.json (`tally_window`).
 _TALLY_BUDGET = 1 << 18
 _TALLY_POSITIONS = 64
+# Counting reads a batch in blocks of at most _COUNT_BUDGET bytes of outcomes
+# (and _BLOCK_ROWS rows), chosen from all-marginal and all-edge sweeps at
+# N = 1000 and 10 000, recorded in CHANGES.md.
+_COUNT_BUDGET = 1 << 23
 # Outcome files: a CSV row is the cells joined by ","; a JSONL row is the
 # compact JSON array, so the same cells framed by "[" and "]".
 _CSV_FRAME = (b"", b"\n")
@@ -171,8 +175,7 @@ class _Scratch:
 
     `mantissas` and `words` hold `variates` entries each, a group of
     positions of one block of `rows` rows; `words` is the mixing scratch
-    (of the block's stream keys too) and then, viewed as intp, the group's
-    table indices.  `offset` and `threshold` hold one position's parent
+    and then, viewed as intp, the group's table indices.  `offset` and `threshold` hold one position's parent
     rows and gathered thresholds.  `parent` is the 0-based column whose
     rows `offset` holds, or -1 when it holds none; a new block of rows
     resets it.  Row i of `tile` holds the draws of the tile's i-th
@@ -491,7 +494,7 @@ def sample_batch(
             block = outcomes[start : start + _BLOCK_ROWS]
             rows = block.shape[0]
             first = first_index + start
-            keys = stream_keys(seed, first, rows, scratch=scratch.words[:rows])
+            keys = stream_keys(seed, first, rows)
             scratch.parent = -1  # the parent rows of the last block are stale
             width = min(_TILE, variates // rows)
             for tile_first in range(0, length, _TILE):
@@ -552,12 +555,14 @@ def _counts(batch: SampleBatch, statistics: list[tuple[int, ...]]) -> np.ndarray
     stay empty and no dtype is ever shifted or wrapped.  Codes are computed
     in intp a block of rows at a time and the blocks' bincounts summed, so
     the scratch is one block's codes whatever the row count.  A block holds
-    _BLOCK_ROWS rows, or as many as the counts have bins when that is more,
-    so its codes never outweigh one statistic's counts.
+    the rows of _COUNT_BUDGET bytes of outcomes, at most _BLOCK_ROWS, so a
+    wide batch is read in blocks of bounded bytes; and at least as many rows
+    as the counts have bins, so its codes never outweigh one statistic's
+    counts.
     """
     width = batch.num_categories + 1
     bins = width ** len(statistics[0])
-    rows = max(_BLOCK_ROWS, bins)
+    rows = max(bins, min(_BLOCK_ROWS, _COUNT_BUDGET // (batch.length * batch.outcomes.itemsize)))
     counts = np.zeros((len(statistics), bins), dtype=np.intp)
     scratch = np.empty(min(rows, batch.count), dtype=np.intp)
     for first in range(0, batch.count, rows):

@@ -601,11 +601,11 @@ class TestOneEnumerationPerSuite:
 
 
 @st.composite
-def valid_tables(draw):
-    """A random valid table generator, K, p (zeros allowed) and delta."""
+def valid_tables(draw, max_categories=4):
+    """A random valid table generator, K up to `max_categories`, p (zeros allowed) and delta."""
     length = draw(st.integers(2, 7))
     table = {n: draw(st.integers(1, n - 1)) for n in range(2, length + 1)}
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(2, max_categories))
     weights = np.array(
         draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any)), dtype=float
     )

@@ -15,6 +15,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from test_writer import GOLDENS as BATCHES, cli_digests
 
 import depcat
 from depcat import (
@@ -197,24 +198,29 @@ def test_exact_bits_are_pinned(kind, point):
     assert_golden(f"bits/{kind}-{point}.txt", bit_golden(kind, point))
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64"),
-    reason="OpenBLAS's Prescott kernel is an x86-64 kernel",
-)
-def test_exact_bits_do_not_depend_on_the_blas_kernel():
-    # The exact routes make no BLAS call, so a child process that makes
-    # OpenBLAS load its Prescott kernel, the x86-64 baseline, gives the bits
-    # of this one.
-    tests, src = os.path.dirname(__file__), os.path.dirname(os.path.dirname(depcat.__file__))
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); "
-        "from test_pinned import BIT_CASES, bit_golden; "
-        "print(json.dumps([bit_golden(*case) for case in BIT_CASES]))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", child, tests],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    assert json.loads(result.stdout) == [bit_golden(*case) for case in BIT_CASES]
+def rendered_goldens(tmp: str) -> dict:
+    """Every golden of goldens() and test_writer.GOLDENS, as this process renders it."""
+    texts = {name: render() for name, render in goldens().items()}
+    for case in BATCHES:
+        texts[case] = [*cli_digests(case, "csv", tmp), *cli_digests(case, "jsonl", tmp)]
+    return texts
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Zen", "Prescott"])
+def test_every_golden_holds_under_each_blas_kernel(kernel, tmp_path):
+    # The exact routes and the sampler make no BLAS call, so a child process
+    # that makes OpenBLAS load `kernel` renders every golden byte for byte.
+    feature = "SSE3" if kernel == "Prescott" else "AVX2"  # as numpy 1 or 2 names it
+    cpu = (getattr(np, "_core", None) or np.core)._multiarray_umath.__cpu_features__
+    if platform.machine().lower() not in ("x86_64", "amd64") or not cpu[feature]:
+        pytest.skip(f"OpenBLAS's {kernel} kernel needs x86-64 with {feature}")
+    child = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
+                           env=dict(os.environ, OPENBLAS_CORETYPE=kernel), timeout=300, check=True)
+    rendered = json.loads(child.stdout)
+    for name in goldens():
+        assert_golden(name, rendered.pop(name))
+    assert rendered == {c: [csv, meta, jsonl, meta] for c, (_, csv, jsonl, meta) in BATCHES.items()}
+
+
+if __name__ == "__main__":  # the child of the test above
+    print(json.dumps(rendered_goldens(sys.argv[1])))

@@ -983,6 +983,19 @@ class TestTally:
                 expected.append([(other, n)])
         assert counted == expected
 
+    def test_a_wide_batch_counted_in_byte_sized_blocks_matches_a_flat_oracle(self):
+        # At N = 1000 one-byte positions a counting block holds
+        # _COUNT_BUDGET // 1000 rows, so this batch spans three blocks.
+        length, k = 1000, 3
+        count = 2 * (depcat.sampler._COUNT_BUDGET // length) + 17
+        batch = sample_batch([0.5, 0.3, 0.2], 0.4, FSQRT, length, count, seed=11)
+        outcomes = batch.outcomes
+        for n in range(1, length + 1):
+            assert np.array_equal(empirical_marginals(batch, n).counts, oracle_counts(outcomes, k, n))
+        for n, m in enumerate(build_tree(FSQRT, length).parents.tolist(), start=2):
+            counts = depcat.sampler._tallied(batch, (m, n)).reshape(k + 1, k + 1)[1:, 1:]
+            assert np.array_equal(counts.ravel(), oracle_counts(outcomes, k, m, n)), (m, n)
+
     def test_a_full_sweep_stays_bounded_and_its_tally_dies_with_the_batch(self):
         # The mc-chain shape.  The tally holds one window per arity, each
         # within the budget; one block's scratch is its intp codes, a pair's

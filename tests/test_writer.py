@@ -1,8 +1,11 @@
 """Batch files: byte-identical CSV/JSONL, streamed in bounded memory."""
 
+import contextlib
 import hashlib
+import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +107,22 @@ GOLDENS = {
 }
 
 
+def cli_digests(case: str, fmt: str, directory) -> tuple[str, str]:
+    """sha256 of the data file and the sidecar that `depcat sample` writes for GOLDENS[case]
+    under the prefix `directory`/batch."""
+    p, delta, kind, length, count, seed = GOLDENS[case][0]
+    prefix = Path(directory) / "batch"
+    argv = [
+        "sample", "--generator", kind, "--p", ",".join(repr(float(v)) for v in p),
+        "--delta", repr(delta), "--n", str(length), "--count", str(count),
+        "--seed", str(seed), "--format", fmt, "--out-prefix", str(prefix),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    data = Path(f"{prefix}.{fmt}").read_bytes()
+    return sha256(data), sha256(Path(f"{prefix}.meta.json").read_bytes())
+
+
 class TestGoldens:
     @pytest.mark.parametrize("case", list(GOLDENS))
     def test_library_text(self, case):
@@ -114,19 +133,11 @@ class TestGoldens:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("case", list(GOLDENS))
-    def test_cli_files(self, case, fmt, tmp_path, capsys):
-        (p, delta, kind, length, count, seed), csv, jsonl, meta = GOLDENS[case]
-        prefix = tmp_path / "batch"
-        argv = [
-            "sample", "--generator", kind, "--p", ",".join(repr(float(v)) for v in p),
-            "--delta", repr(delta), "--n", str(length), "--count", str(count),
-            "--seed", str(seed), "--format", fmt, "--out-prefix", str(prefix),
-        ]
-        assert main(argv) == EXIT_OK
-        capsys.readouterr()
-        data = (tmp_path / f"batch.{fmt}").read_bytes()
-        assert sha256(data) == {"csv": csv, "jsonl": jsonl}[fmt]
-        assert sha256((tmp_path / "batch.meta.json").read_bytes()) == meta
+    def test_cli_files(self, case, fmt, tmp_path):
+        _, csv, jsonl, meta = GOLDENS[case]
+        data, sidecar = cli_digests(case, fmt, tmp_path)
+        assert data == {"csv": csv, "jsonl": jsonl}[fmt]
+        assert sidecar == meta
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             f"batch.{fmt}", "batch.meta.json"
         ]

@@ -22,8 +22,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def pinned():
-    """tests/test_pinned.py as a module, with depcat imported from this checkout's src/."""
-    sys.path.insert(0, str(ROOT / "src"))
+    """tests/test_pinned.py as a module, with depcat imported from this checkout's src/
+    and the test modules it imports from tests/."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     spec = importlib.util.spec_from_file_location("test_pinned", ROOT / "tests" / "test_pinned.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -3,10 +3,11 @@
     python3 tools/shapes.py [--rounds R] [--calls C] [--tiny] [--json PATH] [TREE ...]
 
 Each TREE is a checkout whose src/ holds depcat; with none, the checkout
-this file is in.  A round starts one fresh process per tree, the first
-tree alternating between rounds.  The process makes one untimed call of
-every shape, then C timed calls of each, the shapes taking turns call by
-call, and reports each shape's median call.  The table gives, per tree,
+this file is in.  A round starts one fresh process per tree and shape, the
+first tree alternating between rounds, so no shape is timed in a process
+that another shape has warmed or loaded, such as a BLAS call's thread pool.
+The process makes one untimed call of its shape, then C timed calls, and
+reports the median call.  The table gives, per tree,
 the median over the rounds of those medians and their quartile spread
 (q3 - q1, as a share of the median).  For each later tree it gives the
 median over the rounds of its time over the first tree's in the same
@@ -67,21 +68,23 @@ def shapes(depcat, tiny: bool) -> dict:
     }
 
 
-def measure(src: str, calls: int, tiny: bool) -> dict:
-    """Each shape's median call in seconds, with depcat imported from `src`."""
+def measure(src: str, calls: int, tiny: bool, name: str | None):
+    """The median of C timed calls of shape `name` in seconds, with depcat imported
+    from `src`; with no name, the names of the shapes."""
     sys.path.insert(0, src)
     import depcat
 
     timed = shapes(depcat, tiny)
-    for call in timed.values():
-        call()
-    times = {name: [] for name in timed}
+    if name is None:
+        return list(timed)
+    call = timed[name]
+    call()
+    times = []
     for _ in range(calls):
-        for name, call in timed.items():
-            start = time.perf_counter()
-            call()
-            times[name].append(time.perf_counter() - start)
-    return {name: statistics.median(values) for name, values in times.items()}
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def blas_kernel() -> str:
@@ -107,23 +110,25 @@ def spread(values: list[float]) -> tuple[float, float]:
 
 def run(trees: list[Path], rounds: int, calls: int, tiny: bool) -> dict:
     """Per tree, per shape, the per-round medians in ms; rounds alternate the tree order."""
-    runs = {str(tree): [] for tree in trees}
+
+    def child(tree: Path, *shape: str):
+        argv = [sys.executable, __file__, "--measure", str(tree / "src"), "--calls", str(calls),
+                *(["--tiny"] if tiny else []), *shape]
+        return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+    names = child(trees[0])
+    runs = {str(tree): {name: [] for name in names} for tree in trees}
     for index in range(rounds):
         order = trees if index % 2 == 0 else trees[::-1]
-        for tree in order:
-            argv = [sys.executable, __file__, "--measure", str(tree / "src"),
-                    "--calls", str(calls)] + (["--tiny"] if tiny else [])
-            result = subprocess.run(argv, capture_output=True, text=True, check=True)
-            runs[str(tree)].append(json.loads(result.stdout))
+        for name in names:
+            for tree in order:
+                runs[str(tree)][name].append(child(tree, "--shape", name) * 1e3)
     return {
         "numpy": numpy.__version__,
         "blas_kernel": blas_kernel(),
         "rounds": rounds,
         "calls_per_round": calls,
-        "trees": {
-            tree: {name: [round_[name] * 1e3 for round_ in per_tree] for name in per_tree[0]}
-            for tree, per_tree in runs.items()
-        },
+        "trees": runs,
     }
 
 
@@ -162,9 +167,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tiny", action="store_true", help="every shape small")
     parser.add_argument("--json", type=Path, help="also write the record here")
     parser.add_argument("--measure", help=argparse.SUPPRESS)  # one round's process
+    parser.add_argument("--shape", help=argparse.SUPPRESS)  # the shape it times
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.measure, args.calls, args.tiny)))
+        print(json.dumps(measure(args.measure, args.calls, args.tiny, args.shape)))
         return 0
     trees = [tree.resolve() for tree in args.trees] or [ROOT]
     record = run(trees, args.rounds, args.calls, args.tiny)
