@@ -175,11 +175,11 @@ class _Scratch:
 
     `mantissas` and `words` hold `variates` entries each, a group of
     positions of one block of `rows` rows; `words` is the mixing scratch
-    and then, viewed as intp, the group's table indices.  `offset` and `threshold` hold one position's parent
-    rows and gathered thresholds.  `parent` is the 0-based column whose
-    rows `offset` holds, or -1 when it holds none; a new block of rows
-    resets it.  Row i of `tile` holds the draws of the tile's i-th
-    position.
+    and then, viewed as intp, the group's table indices.  `offset` and
+    `threshold` hold one position's parent rows and gathered thresholds.
+    `parent` is the 0-based column whose rows `offset` holds, or -1 when it
+    holds none; a new block of rows resets it.  Row i of `tile` holds the
+    draws of the tile's i-th position.
     """
 
     def __init__(self, variates: int, rows: int, positions: int, dtype: np.dtype):

@@ -991,7 +991,8 @@ class TestTally:
         batch = sample_batch([0.5, 0.3, 0.2], 0.4, FSQRT, length, count, seed=11)
         outcomes = batch.outcomes
         for n in range(1, length + 1):
-            assert np.array_equal(empirical_marginals(batch, n).counts, oracle_counts(outcomes, k, n))
+            counts = empirical_marginals(batch, n).counts
+            assert np.array_equal(counts, oracle_counts(outcomes, k, n)), n
         for n, m in enumerate(build_tree(FSQRT, length).parents.tolist(), start=2):
             counts = depcat.sampler._tallied(batch, (m, n)).reshape(k + 1, k + 1)[1:, 1:]
             assert np.array_equal(counts.ravel(), oracle_counts(outcomes, k, m, n)), (m, n)

@@ -7,11 +7,11 @@ this file is in.  A round starts one fresh process per tree and shape, the
 first tree alternating between rounds, so no shape is timed in a process
 that another shape has warmed or loaded, such as a BLAS call's thread pool.
 The process makes one untimed call of its shape, then C timed calls, and
-reports the median call.  The table gives, per tree,
-the median over the rounds of those medians and their quartile spread
-(q3 - q1, as a share of the median).  For each later tree it gives the
-median over the rounds of its time over the first tree's in the same
-round, and in how many rounds it was faster.  Its header names the numpy version and the BLAS
+reports the median call.  The table gives, per tree, the median over the
+rounds of those medians and their quartile spread (q3 - q1, as a share
+of the median).  For each later tree it gives the median over the rounds
+of its time over the first tree's in the same round, and in how many
+rounds it was faster.  Its header names the numpy version and the BLAS
 kernel, as OpenBLAS reports it with OPENBLAS_VERBOSE=2.  --tiny runs
 every shape small, to check the tool itself.
 """
